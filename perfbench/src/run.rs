@@ -44,11 +44,10 @@ pub struct Metric {
 
 /// The end-to-end metrics, emitted by the untraced run: `(name, unit,
 /// better)`.
-pub const END_TO_END: [(&str, &str, &str); 4] = [
+pub const END_TO_END: [(&str, &str, &str); 3] = [
     ("req_per_s", "1/s", "higher"),
     ("setup_s", "s", "lower"),
     ("peak_rss_mb", "MB", "lower"),
-    ("completion_rate", "ratio", "higher"),
 ];
 
 /// The per-layer metrics, emitted by the traced run: `(name, unit,
@@ -216,12 +215,10 @@ pub fn run(config: &Config, process_start: Instant) -> Result<Report, String> {
             robustness.accounts_for_every_request(),
             "RobustnessStats::accounts_for_every_request",
         );
-        if workload.must_complete_all() {
-            checks.require(
-                robustness.completed == robustness.offered,
-                "completed == offered",
-            );
-        }
+        checks.require(
+            robustness.completed == robustness.offered,
+            "completed == offered",
+        );
         let same = outcome.without_cache_stats() == warm_outputs;
         if use_timed {
             checks.require(same, "timed-strategy pass equals the plain pass");
@@ -312,12 +309,7 @@ pub fn run(config: &Config, process_start: Instant) -> Result<Report, String> {
             .eq(PER_LAYER.iter().map(|m| m.0)));
         metrics
     } else {
-        let values = [
-            req_per_s,
-            median(&setup_s),
-            peak_rss_mb(),
-            (attempted - failed) as f64 / attempted.max(1) as f64,
-        ];
+        let values = [req_per_s, median(&setup_s), peak_rss_mb()];
         END_TO_END
             .iter()
             .zip(values)

@@ -3,8 +3,8 @@
 use hidp_core::{
     AdaptiveConfig, AdmissionPolicy, DistributedStrategy, FailureMode, FleetRequest, FleetScenario,
     FleetScratch, FleetSummary, ParallelSweep, PlanCache, PlanCacheStats, RecoveryPolicy,
-    RobustnessStats, RoutingPolicy, ServingEvaluation, ServingRequest, ServingScenario,
-    ServingScratch, ServingSummary, TraceDetail,
+    RetryPolicy, RobustnessStats, RoutingPolicy, ServingEvaluation, ServingRequest,
+    ServingScenario, ServingScratch, ServingSummary, TraceDetail,
 };
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_platform::{presets, Cluster, ClusterTimeline, Fleet, NodeIndex};
@@ -30,6 +30,9 @@ pub const FLEET_THREADS: usize = 2;
 
 /// Mean virtual seconds between node flaps on the `replay` workload.
 const REPLAY_FLAP_SPACING_S: f64 = 300.0;
+
+/// Retries per killed request on the `chaos` workload.
+pub const CHAOS_RETRIES: u32 = 8;
 
 /// Salts decorrelating the fault and drift seeds from the trace seed.
 const FAULT_SALT: u64 = 0xC4405;
@@ -71,11 +74,6 @@ impl Workload {
     /// Parses a command-line name.
     pub fn parse(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|w| w.name() == name)
-    }
-
-    /// Whether every offered request must complete (no faults that kill).
-    pub fn must_complete_all(self) -> bool {
-        self != Workload::Chaos
     }
 
     /// Whether a timed (one-thread) pass must make zero allocations: every
@@ -182,8 +180,23 @@ pub fn soak_scenario(requests: Vec<ServingRequest>) -> ServingScenario {
         .with_max_inflight(Some(4))
 }
 
-/// The chaos scenario: the soak shape plus kill semantics, the standard
-/// recovery policy, a seeded fault-suite timeline (flaps and a rack
+/// The chaos recovery policy: retry every killed request with the default
+/// backoff, up to [`CHAOS_RETRIES`] times, and never abort or shed. A retry
+/// is planned on its epoch's surviving nodes, so it completes: the workload
+/// drops nothing (the `completed == offered` check guards this on every
+/// pass), and every offered request is an operation that must succeed.
+pub fn chaos_recovery() -> RecoveryPolicy {
+    RecoveryPolicy {
+        retry: Some(RetryPolicy {
+            max_attempts: CHAOS_RETRIES,
+            ..RetryPolicy::default()
+        }),
+        ..RecoveryPolicy::default()
+    }
+}
+
+/// The chaos scenario: the soak shape plus kill semantics, the retry-only
+/// [`chaos_recovery`], a seeded fault-suite timeline (flaps and a rack
 /// outage) with its straggler window, a seeded drift trace and the
 /// default adaptive loop.
 ///
@@ -220,7 +233,7 @@ pub fn chaos_scenario(
     Ok(soak_scenario(requests)
         .with_label("chaos")
         .with_failure_mode(FailureMode::Kill)
-        .with_recovery(RecoveryPolicy::standard())
+        .with_recovery(chaos_recovery())
         .with_timeline(suite[0].timeline.clone())
         .with_slowdowns(suite[1].slowdowns.clone())
         .with_drift(drift)
