@@ -1,7 +1,7 @@
-//! Benchmarks the failure-aware fleet path: the same trace served fault-free
-//! (legacy loop), under the seeded fault suite without recovery, and with
-//! retry + failover — so the cost of the recovery machinery itself is
-//! visible next to the loop it extends. The CI bench-smoke job runs this
+//! Benchmarks the failure-aware fleet path: the same trace served fault-free,
+//! under the seeded fault suite without recovery, and with retry + failover
+//! — so the cost of the recovery machinery itself is visible next to the
+//! fault-free run of the same loop. The CI bench-smoke job runs this
 //! with `--test` (one untimed pass per benchmark) so the chaos path compiles
 //! and executes on every PR; `exp_chaos` is the full-scale gate.
 

@@ -1,8 +1,8 @@
 //! Benchmarks the drift-aware serving path: the same trace served with no
-//! drift (legacy loop), under the seeded drift trace with static plans, and
-//! with the full adaptive loop — so the cost of continuous drift evaluation
-//! and the estimation/re-planning machinery is visible next to the loop it
-//! extends. The CI bench-smoke job runs this with `--test` (one untimed
+//! drift, under the seeded drift trace with static plans, and with the full
+//! adaptive loop — so the cost of continuous drift evaluation and the
+//! estimation/re-planning machinery is visible next to the drift-free run
+//! of the same loop. The CI bench-smoke job runs this with `--test` (one untimed
 //! pass per benchmark) so the drift path compiles and executes on every PR;
 //! `exp_drift` is the full-scale gate.
 

@@ -109,7 +109,8 @@ fn main() {
     }
 
     // Gate 4: arming estimation with nothing drifting is bit-identical to
-    // the legacy loop — ratios of 1.0 never leave the hysteresis band.
+    // the run with estimation off — ratios of 1.0 never leave the
+    // hysteresis band.
     {
         let mut control = no_drift_adaptive.clone();
         control.config = no_drift.config.clone();

@@ -1952,8 +1952,8 @@ pub fn chaos_scenario(
 
 /// The recovery configurations the chaos experiment compares, in order:
 ///
-/// * `fault-free` — the same trace with no faults injected (the legacy
-///   loop; the goodput yardstick);
+/// * `fault-free` — the same trace with no faults injected and no failure
+///   handling armed (the goodput yardstick);
 /// * `no-recovery` — the fault suite with kills permanent (the degradation
 ///   baseline the gates require to measurably lose work);
 /// * `retry-failover` — retry with backoff through the router, which
@@ -2228,7 +2228,8 @@ pub fn drift_trace(node_count: usize, horizon: f64, seed: u64) -> DriftModel {
 
 /// The drift configurations the experiment compares, in order:
 ///
-/// * `no-drift` — the trace on the legacy streaming loop (the yardstick);
+/// * `no-drift` — the trace with no drift and the adaptive loop off (the
+///   yardstick);
 /// * `no-drift-adaptive` — estimation armed with nothing drifting (the
 ///   bit-identity gate: observing ratios of 1.0 must change nothing);
 /// * `static-drift` — the drift trace with static plans (the degradation

@@ -6,10 +6,11 @@
 //! [`FleetScenario`] runs one such loop **per cluster of a
 //! [`hidp_platform::Fleet`]**, all sharing a single virtual clock. A
 //! deterministic router assigns every arriving [`FleetRequest`] to a cluster
-//! under a pluggable [`RoutingPolicy`]; each cluster then runs the *exact*
-//! indexed admission loop of the serving tier (same `IndexedQueue`, same
-//! `DispatchEstimator`, same epoch/fingerprint plan re-keying) over the
-//! requests routed to it.
+//! under a pluggable [`RoutingPolicy`]; each cluster then runs the cluster
+//! loop the serving tier runs (`crate::cluster_loop`) over the requests
+//! routed to it. Only two things differ from the serving tier: completions
+//! feed mergeable WAN-aware histograms, and a killed request goes back to
+//! the router instead of retrying in place.
 //!
 //! # Rounds and barriers
 //!
@@ -17,8 +18,7 @@
 //! [`FleetConfig::round_seconds`]. Each round the router (serially, in
 //! global arrival order) delivers every arrival due by the round boundary to
 //! its cluster, then all clusters advance **in parallel** up to the boundary
-//! ([`crate::ParallelSweep::run_mut`]). A cluster's incremental loop is the
-//! serving tier's batch loop with one extra rule: it stops — without
+//! ([`crate::ParallelSweep::run_mut`]). The cluster loop stops — without
 //! mutating any state — whenever its next virtual-time step would cross the
 //! boundary, and resumes from exactly that point next round. Because a round
 //! delivers *every* arrival up to its boundary before any cluster crosses
@@ -48,30 +48,28 @@
 //! its global arrival instant (shifting would reorder per-cluster arrivals
 //! across rounds and break both determinism proofs). Instead the round trip
 //! from the request's regional ingress to its serving cluster is added to
-//! the *reported* fleet latency and to the deadline check — routing a
-//! request away from its region costs tail latency and SLA misses, which is
-//! exactly the trade-off locality routing navigates.
+//! the *reported* fleet latency and counts against its deadline (the rule
+//! in `hidp_sim::serving`) — routing a request away from its region costs
+//! tail latency and SLA misses, which is exactly the trade-off locality
+//! routing navigates.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
+use crate::adaptive::{AdaptiveConfig, DriftStats};
+use crate::cluster_loop::{ClusterLoop, Inbox, LoopCtx, RetryHeap, Sink};
 use crate::parallel::ParallelSweep;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    plan_node_mask, AdmissionPolicy, Departure, DispatchEstimator, FailureMode, IndexedQueue,
-    PendingBatch, RecoveryPolicy, RobustnessStats, ServingRequest,
+    AdmissionPolicy, FailureMode, RecoveryPolicy, RobustnessStats, ServingRequest,
 };
 use crate::strategy::DistributedStrategy;
-use crate::{CoreError, PlanKey};
+use crate::CoreError;
 use hidp_dnn::zoo::WorkloadModel;
-use hidp_dnn::DnnGraph;
 use hidp_platform::{
-    AvailabilityEvent, Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow,
-    WanDegradation,
+    Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow, WanDegradation,
 };
 use hidp_sim::serving::{LatencyHistogram, LatencySummary, SlaClass, SlaClassReport};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
 
 /// One request entering the fleet: a serving request plus the region it
 /// originates in (which decides its WAN ingress).
@@ -179,17 +177,6 @@ pub struct FleetConfig {
     /// The adaptive estimation/re-planning loop, applied per cluster
     /// worker. `None` keeps planning static.
     pub adaptive: Option<AdaptiveConfig>,
-}
-
-impl FleetConfig {
-    /// Whether the run needs the failure-aware worker loop.
-    fn is_robust(&self) -> bool {
-        self.failures == FailureMode::Kill
-            || self.recovery.is_active()
-            || self.slowdowns.iter().any(|s| !s.is_empty())
-            || self.drifts.iter().any(|d| !d.is_empty())
-            || self.adaptive.is_some()
-    }
 }
 
 impl Default for FleetConfig {
@@ -409,19 +396,7 @@ impl FleetScenario {
         let round_seconds = self.config.round_seconds;
         let payload = self.config.payload_bytes;
         let hint = self.config.route_cost_hint_s;
-        let robust = self.config.is_robust();
         let degradations = self.config.wan_degradations.as_slice();
-        let ctx = RoundCtx {
-            strategy,
-            leader,
-            policy: self.config.policy,
-            max_batch: self.config.max_batch.max(1),
-            max_inflight: self.config.max_inflight.map(|w| w.max(1)),
-            robust,
-            kill: self.config.failures == FailureMode::Kill,
-            recovery: self.config.recovery,
-            adaptive: self.config.adaptive,
-        };
 
         scratch.ensure(cluster_count);
         let FleetScratch {
@@ -433,15 +408,9 @@ impl FleetScenario {
         let caches: &[PlanCache] = caches;
         retries.clear();
         let mut retry_seq = 0u64;
+        let ctx = |i: usize| self.loop_ctx(i, strategy, leader, &clusters[i], &caches[i]);
         for (i, worker) in workers.iter_mut().enumerate() {
-            let has_events = self.config.timelines.get(i).is_some_and(|t| !t.is_empty());
-            worker.reset(
-                &clusters[i],
-                strategy,
-                leader,
-                has_events,
-                self.config.adaptive.as_ref(),
-            );
+            worker.reset(&ctx(i));
         }
 
         // Global arrival order: by normalised time, ties by input index.
@@ -489,7 +458,7 @@ impl FleetScenario {
             // at the same instant goes first: it is strictly older work).
             let barrier = boundary as f64 * round_seconds;
             for worker in workers.iter_mut() {
-                worker.backlog = (worker.dispatch.horizon() - barrier).max(0.0);
+                worker.backlog = (worker.run.dispatch.horizon() - barrier).max(0.0);
                 worker.routed_in_round = 0;
             }
             loop {
@@ -524,17 +493,7 @@ impl FleetScenario {
                         if !degradations.is_empty() {
                             wan *= wan_factor(degradations, at);
                         }
-                        if robust {
-                            workers[c].deliver_robust(
-                                fleet_request.request,
-                                wan,
-                                at,
-                                idx as u32,
-                                0,
-                            );
-                        } else {
-                            workers[c].deliver(fleet_request.request, wan);
-                        }
+                        workers[c].deliver(fleet_request.request, wan, idx as u32, None);
                         workers[c].routed_in_round += 1;
                         next_global += 1;
                     }
@@ -558,12 +517,11 @@ impl FleetScenario {
                         if !degradations.is_empty() {
                             wan *= wan_factor(degradations, ready);
                         }
-                        workers[c].deliver_robust(
+                        workers[c].deliver(
                             fleet_request.request,
                             wan,
-                            ready,
                             entry.global,
-                            entry.attempts,
+                            Some((ready, entry.attempts)),
                         );
                         workers[c].routed_in_round += 1;
                     }
@@ -572,30 +530,7 @@ impl FleetScenario {
             }
 
             // Advance every cluster to the barrier, in parallel.
-            sweep.run_mut(workers, |i, worker| {
-                let events = self
-                    .config
-                    .timelines
-                    .get(i)
-                    .map(ClusterTimeline::events)
-                    .unwrap_or(&[]);
-                let slowdowns = self
-                    .config
-                    .slowdowns
-                    .get(i)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                let drift = self.config.drifts.get(i).filter(|d| !d.is_empty());
-                worker.advance(
-                    &ctx,
-                    &clusters[i],
-                    events,
-                    slowdowns,
-                    drift,
-                    &caches[i],
-                    t_end,
-                );
-            });
+            sweep.run_mut(workers, |i, worker| worker.advance(&ctx(i), t_end));
             for worker in workers.iter_mut() {
                 if let Some(error) = worker.error.take() {
                     return Err(error);
@@ -629,7 +564,7 @@ impl FleetScenario {
             }
         }
 
-        self.summarise(workers, n, cluster_count, rounds, robust)
+        self.summarise(workers, n, cluster_count, rounds)
     }
 
     /// Merges the per-cluster workers into the fleet summary, in cluster
@@ -640,7 +575,6 @@ impl FleetScenario {
         n: usize,
         clusters: usize,
         rounds: usize,
-        robust: bool,
     ) -> Result<FleetSummary, CoreError> {
         let mut latency = LatencyHistogram::new();
         let mut class_latency = [LatencyHistogram::new(); 3];
@@ -661,36 +595,37 @@ impl FleetScenario {
         let mut time_to_first_retry = f64::INFINITY;
         let mut recovery_hist = LatencyHistogram::new();
         for worker in workers {
-            robustness.merge(&worker.robustness);
+            let (run, tails) = (&worker.run, &worker.tails);
+            robustness.merge(&run.robustness);
             drift.merge(&DriftStats {
-                replans: worker.adaptive.replans,
-                observations: worker.adaptive.observations,
-                energy_j: worker.dispatch.energy_j,
+                replans: run.adaptive.replans,
+                observations: run.adaptive.observations,
+                energy_j: run.dispatch.energy_j,
             });
-            if worker.first_retry < time_to_first_retry {
-                time_to_first_retry = worker.first_retry;
+            if run.first_retry < time_to_first_retry {
+                time_to_first_retry = run.first_retry;
             }
-            recovery_hist.merge(&worker.recovered_latency);
-            latency.merge(&worker.latency);
+            recovery_hist.merge(&tails.recovered_latency);
+            latency.merge(&tails.latency);
             for (c, hist) in class_latency.iter_mut().enumerate() {
-                hist.merge(&worker.class_latency[c]);
+                hist.merge(&tails.class_latency[c]);
             }
-            queueing_sum += worker.queueing_sum;
-            if worker.queueing_max > queueing_max {
-                queueing_max = worker.queueing_max;
+            queueing_sum += tails.queueing_sum;
+            if tails.queueing_max > queueing_max {
+                queueing_max = tails.queueing_max;
             }
             for c in 0..3 {
-                class_queueing_sum[c] += worker.class_queueing_sum[c];
-                class_misses[c] += worker.class_misses[c];
+                class_queueing_sum[c] += tails.class_queueing_sum[c];
+                class_misses[c] += tails.class_misses[c];
             }
-            deadline_misses += worker.deadline_misses;
-            if worker.makespan > makespan {
-                makespan = worker.makespan;
+            deadline_misses += tails.deadline_misses;
+            if run.makespan > makespan {
+                makespan = run.makespan;
             }
-            batches += worker.batches;
-            epochs_applied += worker.epoch;
-            plan_cache.hits += worker.stats.hits;
-            plan_cache.misses += worker.stats.misses;
+            batches += run.batches;
+            epochs_applied += run.epoch;
+            plan_cache.hits += run.stats.hits;
+            plan_cache.misses += run.stats.misses;
             busiest = busiest.max(worker.requests.len());
             idlest = idlest.min(worker.requests.len());
             wan_sum += worker.wan2.iter().sum::<f64>();
@@ -709,9 +644,6 @@ impl FleetScenario {
         // Workers count completions and drops; the offered side of the
         // conservation invariant is the global input stream.
         robustness.offered = n as u64;
-        if !robust {
-            robustness = RobustnessStats::all_completed(n);
-        }
         debug_assert!(
             robustness.accounts_for_every_request(),
             "request conservation violated: {robustness:?}"
@@ -744,6 +676,37 @@ impl FleetScenario {
             time_to_first_retry,
             recovery_latency: recovery_hist.summary(),
         })
+    }
+
+    /// The cluster loop's context for cluster `i` of the fleet.
+    fn loop_ctx<'a>(
+        &'a self,
+        i: usize,
+        strategy: &'a dyn DistributedStrategy,
+        leader: NodeIndex,
+        base: &'a Cluster,
+        cache: &'a PlanCache,
+    ) -> LoopCtx<'a> {
+        let config = &self.config;
+        LoopCtx {
+            strategy,
+            leader,
+            base,
+            cache,
+            events: config
+                .timelines
+                .get(i)
+                .map(ClusterTimeline::events)
+                .unwrap_or(&[]),
+            slowdowns: config.slowdowns.get(i).map(Vec::as_slice).unwrap_or(&[]),
+            drift: config.drifts.get(i).filter(|d| !d.is_empty()),
+            policy: config.policy,
+            max_batch: config.max_batch.max(1),
+            max_inflight: config.max_inflight.map(|w| w.max(1)),
+            kill: config.failures == FailureMode::Kill,
+            recovery: config.recovery,
+            adaptive: config.adaptive.as_ref(),
+        }
     }
 
     /// Rejects empty scenarios, invalid requests/regions, malformed round
@@ -883,19 +846,6 @@ impl FleetScenario {
     }
 }
 
-/// Read-only per-round context shared by every cluster worker.
-struct RoundCtx<'a> {
-    strategy: &'a dyn DistributedStrategy,
-    leader: NodeIndex,
-    policy: AdmissionPolicy,
-    max_batch: usize,
-    max_inflight: Option<usize>,
-    robust: bool,
-    kill: bool,
-    recovery: RecoveryPolicy,
-    adaptive: Option<AdaptiveConfig>,
-}
-
 /// Routes one arrival to a cluster (serial, deterministic). `exclude` is
 /// the failover rule: a retry never returns to the cluster that killed it
 /// (unless the fleet has only one cluster).
@@ -936,7 +886,7 @@ fn route(
                 if skip(c) {
                     continue;
                 }
-                let score = fnv64(&[key, worker.fingerprint]);
+                let score = fnv64(&[key, worker.run.fingerprint]);
                 if best == usize::MAX || score > best_score {
                     best = c;
                     best_score = score;
@@ -1102,714 +1052,189 @@ impl FleetScratch {
     }
 }
 
-/// One cluster's incremental serving loop: the exact state of
-/// `ServingScenario`'s indexed admission loop, persisted across router
-/// rounds so the loop can stop at a barrier and resume bit-identically.
+/// One fleet cluster: its [`ClusterLoop`], the requests the router
+/// delivered to it (delivery order), their WAN round trips, and the
+/// WAN-aware aggregates its completions feed.
 #[derive(Debug)]
 struct ClusterWorker {
-    // Inputs delivered by the router, in (arrival, global index) order.
+    run: ClusterLoop,
     requests: Vec<ServingRequest>,
     /// Per delivered request: WAN round trip added to its reported latency.
     wan2: Vec<f64>,
-    // Robust-path delivery metadata (parallel to `requests`; empty on the
-    // legacy path): when the entry may enter the queue (arrival for fresh
-    // work, backoff release for retries), its global input index, and how
-    // many attempts it had already burned when delivered.
-    ready: Vec<f64>,
+    /// Per delivered request, under kill semantics only: its fleet-wide
+    /// input index, under which a killed request goes back to the router.
     global: Vec<u32>,
-    attempts_in: Vec<u32>,
-    // The serving loop's state (field-for-field its locals and scratch).
-    key: PlanKey,
-    queue: IndexedQueue,
-    members: Vec<u32>,
-    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
-    dispatch: DispatchEstimator,
-    inflight: BinaryHeap<Reverse<Departure>>,
-    epoch_cluster: Option<Cluster>,
-    next_event: usize,
-    epoch: usize,
-    departure_seq: u64,
-    next_arrival: usize,
-    now: f64,
-    stats: PlanCacheStats,
-    // Kill-tracking state (robust path only).
-    pending: VecDeque<PendingBatch>,
-    pending_members: Vec<u32>,
     retry_out: Vec<FleetRetry>,
-    robustness: RobustnessStats,
-    // Adaptive estimation/re-planning state (robust path only).
-    adaptive: AdaptiveState,
-    // Virtual time of the first kill that produced a retry (INFINITY if
-    // none), and latency histogram over completions that needed a retry.
-    first_retry: f64,
-    recovered_latency: LatencyHistogram,
+    tails: FleetTails,
     // Routing signals read by the (serial) router.
-    fingerprint: u64,
     backlog: f64,
     routed_in_round: u32,
-    // Streaming aggregates (exact-merge histograms + exact sums).
-    latency: LatencyHistogram,
-    class_latency: [LatencyHistogram; 3],
-    queueing_sum: f64,
-    queueing_max: f64,
-    class_queueing_sum: [f64; 3],
-    class_misses: [usize; 3],
-    deadline_misses: usize,
-    makespan: f64,
-    batches: usize,
     error: Option<CoreError>,
 }
 
 impl ClusterWorker {
     fn new() -> Self {
         Self {
+            run: ClusterLoop::new(),
             requests: Vec::new(),
             wan2: Vec::new(),
-            ready: Vec::new(),
             global: Vec::new(),
-            attempts_in: Vec::new(),
-            key: PlanKey {
-                strategy: String::new(),
-                strategy_config: String::new(),
-                graph_fingerprint: 0,
-                batch: 0,
-                leader: NodeIndex(0),
-                cluster_fingerprint: 0,
-            },
-            queue: IndexedQueue::default(),
-            members: Vec::new(),
-            graphs: HashMap::new(),
-            dispatch: DispatchEstimator::default(),
-            inflight: BinaryHeap::new(),
-            epoch_cluster: None,
-            next_event: 0,
-            epoch: 0,
-            departure_seq: 0,
-            next_arrival: 0,
-            now: 0.0,
-            stats: PlanCacheStats::default(),
-            pending: VecDeque::new(),
-            pending_members: Vec::new(),
             retry_out: Vec::new(),
-            robustness: RobustnessStats::default(),
-            adaptive: AdaptiveState::default(),
-            first_retry: f64::INFINITY,
-            recovered_latency: LatencyHistogram::new(),
-            fingerprint: 0,
+            tails: FleetTails::new(),
             backlog: 0.0,
             routed_in_round: 0,
+            error: None,
+        }
+    }
+
+    /// Rearms the worker for a new run, keeping every buffer's capacity
+    /// (and the persistent intern tables).
+    fn reset(&mut self, ctx: &LoopCtx<'_>) {
+        self.run.reset(ctx, 0);
+        self.requests.clear();
+        self.wan2.clear();
+        self.global.clear();
+        self.retry_out.clear();
+        self.tails = FleetTails::new();
+        self.backlog = 0.0;
+        self.routed_in_round = 0;
+        self.error = None;
+    }
+
+    /// Accepts one routed delivery (called in delivery order): a fresh
+    /// arrival, or — `retry = Some((ready, attempts burned))` — a killed
+    /// request failed over to this cluster, which enters its queue at
+    /// `ready`.
+    fn deliver(
+        &mut self,
+        request: ServingRequest,
+        wan_round_trip: f64,
+        global: u32,
+        retry: Option<(f64, u32)>,
+    ) {
+        let i = self.requests.len() as u32;
+        self.requests.push(request);
+        self.wan2.push(wan_round_trip);
+        if self.run.kill {
+            self.global.push(global);
+        }
+        self.run.accept(i, retry);
+    }
+
+    /// Advances the cluster to the round barrier, trapping any error for
+    /// the router to surface after the parallel section.
+    fn advance(&mut self, ctx: &LoopCtx<'_>, t_end: f64) {
+        if self.error.is_some() {
+            return;
+        }
+        let mut inbox = FleetInbox {
+            requests: &self.requests,
+            wan2: &self.wan2,
+            global: &self.global,
+            retry_out: &mut self.retry_out,
+        };
+        if let Err(error) = self
+            .run
+            .advance_until(ctx, &mut inbox, &mut self.tails, t_end)
+        {
+            self.error = Some(error);
+        }
+    }
+}
+
+/// A fleet cluster's request side: deliveries in order, each with its WAN
+/// round trip; a killed request goes back to the router, which fails it
+/// over to another cluster.
+struct FleetInbox<'a> {
+    requests: &'a [ServingRequest],
+    wan2: &'a [f64],
+    global: &'a [u32],
+    retry_out: &'a mut Vec<FleetRetry>,
+}
+
+impl Inbox for FleetInbox<'_> {
+    fn requests(&self) -> &[ServingRequest] {
+        self.requests
+    }
+
+    fn arrival(&self, k: usize) -> Option<u32> {
+        (k < self.requests.len()).then_some(k as u32)
+    }
+
+    fn wan(&self, i: u32) -> f64 {
+        self.wan2[i as usize]
+    }
+
+    fn id(&self, i: u32) -> u32 {
+        self.global[i as usize]
+    }
+
+    fn requeue(&mut self, _retries: &mut RetryHeap, i: u32, release: f64, attempt: u32) {
+        self.retry_out.push(FleetRetry {
+            global: self.global[i as usize],
+            release,
+            attempts: attempt,
+        });
+    }
+}
+
+/// A fleet cluster's aggregates: exact-merge latency histograms (WAN round
+/// trip included) overall, per class and over retried completions, plus
+/// exact queueing sums and deadline counts.
+#[derive(Debug, Clone, Copy)]
+struct FleetTails {
+    latency: LatencyHistogram,
+    class_latency: [LatencyHistogram; 3],
+    /// Completions that only happened because a retry was re-routed here:
+    /// their latency is the recovery cost.
+    recovered_latency: LatencyHistogram,
+    queueing_sum: f64,
+    queueing_max: f64,
+    class_queueing_sum: [f64; 3],
+    class_misses: [usize; 3],
+    deadline_misses: usize,
+}
+
+impl FleetTails {
+    fn new() -> Self {
+        Self {
             latency: LatencyHistogram::new(),
             class_latency: [LatencyHistogram::new(); 3],
+            recovered_latency: LatencyHistogram::new(),
             queueing_sum: 0.0,
             queueing_max: 0.0,
             class_queueing_sum: [0.0; 3],
             class_misses: [0; 3],
             deadline_misses: 0,
-            makespan: 0.0,
-            batches: 0,
-            error: None,
         }
     }
+}
 
-    /// Rearms the worker for a new run over `cluster`, keeping every
-    /// buffer's capacity (and the persistent intern tables).
-    fn reset(
+impl Sink for FleetTails {
+    fn complete(
         &mut self,
-        cluster: &Cluster,
-        strategy: &dyn DistributedStrategy,
-        leader: NodeIndex,
-        has_events: bool,
-        adaptive: Option<&AdaptiveConfig>,
+        request: &ServingRequest,
+        wan: f64,
+        retried: bool,
+        admitted: f64,
+        completion: f64,
     ) {
-        self.requests.clear();
-        self.wan2.clear();
-        self.ready.clear();
-        self.global.clear();
-        self.attempts_in.clear();
-        self.key.strategy.clear();
-        self.key.strategy.push_str(strategy.name());
-        strategy.write_cache_config(&mut self.key.strategy_config);
-        self.key.graph_fingerprint = 0;
-        self.key.batch = 0;
-        self.key.leader = leader;
-        self.key.cluster_fingerprint = cluster.fingerprint();
-        self.queue.begin();
-        self.dispatch.reset();
-        self.inflight.clear();
-        if has_events {
-            match &mut self.epoch_cluster {
-                Some(c) => {
-                    // Availability-only rewind keeps warm passes zero-alloc;
-                    // a different base cluster falls back to a full clone.
-                    if c.restore_availability_from(cluster).is_err() {
-                        c.clone_from(cluster);
-                    }
-                }
-                None => self.epoch_cluster = Some(cluster.clone()),
-            }
-        } else {
-            self.epoch_cluster = None;
+        let latency = completion - request.arrival + wan;
+        let delay = admitted - request.arrival;
+        self.latency.observe(latency);
+        if retried {
+            self.recovered_latency.observe(latency);
         }
-        self.next_event = 0;
-        self.epoch = 0;
-        self.departure_seq = 0;
-        self.next_arrival = 0;
-        self.now = 0.0;
-        self.stats = PlanCacheStats::default();
-        self.pending.clear();
-        self.pending_members.clear();
-        self.retry_out.clear();
-        self.robustness = RobustnessStats::default();
-        // Reset also deactivates any belief a previous run materialised: a
-        // non-adaptive run must not inherit it, and an adaptive steady-state
-        // pass must rediscover it exactly like the warm pass did.
-        match adaptive {
-            Some(cfg) => self.adaptive.reset(cfg, cluster.len()),
-            None => self.adaptive.reset(&AdaptiveConfig::default(), 0),
+        self.queueing_sum += delay;
+        if delay > self.queueing_max {
+            self.queueing_max = delay;
         }
-        self.first_retry = f64::INFINITY;
-        self.recovered_latency = LatencyHistogram::new();
-        self.fingerprint = cluster.fingerprint();
-        self.backlog = 0.0;
-        self.routed_in_round = 0;
-        self.latency = LatencyHistogram::new();
-        self.class_latency = [LatencyHistogram::new(); 3];
-        self.queueing_sum = 0.0;
-        self.queueing_max = 0.0;
-        self.class_queueing_sum = [0.0; 3];
-        self.class_misses = [0; 3];
-        self.deadline_misses = 0;
-        self.makespan = 0.0;
-        self.batches = 0;
-        self.error = None;
-    }
-
-    /// Accepts one routed arrival (called in global arrival order, so the
-    /// local list stays sorted the way the serving loop sorts).
-    fn deliver(&mut self, request: ServingRequest, wan_round_trip: f64) {
-        self.requests.push(request);
-        self.wan2.push(wan_round_trip);
-        self.queue.ensure(self.requests.len());
-    }
-
-    /// [`ClusterWorker::deliver`] for the robust path: `ready` gates when
-    /// the entry may enter the queue (the router merges arrivals and retry
-    /// releases so deliveries arrive sorted by `ready`), `global` is the
-    /// fleet-wide input index (jitter and conservation key on it) and
-    /// `attempts` is the retry budget already burned.
-    fn deliver_robust(
-        &mut self,
-        request: ServingRequest,
-        wan_round_trip: f64,
-        ready: f64,
-        global: u32,
-        attempts: u32,
-    ) {
-        self.requests.push(request);
-        self.wan2.push(wan_round_trip);
-        self.ready.push(ready + 0.0);
-        self.global.push(global);
-        self.attempts_in.push(attempts);
-        self.queue.ensure(self.requests.len());
-    }
-
-    /// Advances the cluster to the round barrier, trapping any error for
-    /// the router to surface after the parallel section.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        base: &Cluster,
-        events: &[AvailabilityEvent],
-        slowdowns: &[SlowdownWindow],
-        drift: Option<&DriftModel>,
-        cache: &PlanCache,
-        t_end: f64,
-    ) {
-        if self.error.is_some() {
-            return;
-        }
-        let result = if ctx.robust {
-            self.advance_inner_robust(ctx, base, events, slowdowns, drift, cache, t_end)
-        } else {
-            self.advance_inner(ctx, base, events, cache, t_end)
-        };
-        if let Err(error) = result {
-            self.error = Some(error);
-        }
-    }
-
-    /// The serving tier's indexed admission loop, incremental: identical
-    /// admissions, epochs and virtual-time steps, except that the loop
-    /// returns — before mutating anything — whenever its next step `t`
-    /// would cross `t_end`. The router delivers every arrival `≤ t_end`
-    /// before calling this, so each step sees exactly the arrival set the
-    /// one-shot loop would.
-    fn advance_inner(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        base: &Cluster,
-        events: &[AvailabilityEvent],
-        cache: &PlanCache,
-        t_end: f64,
-    ) -> Result<(), CoreError> {
-        loop {
-            // Admit everything the window allows at the current instant.
-            while self.queue.len() > 0 && ctx.max_inflight.is_none_or(|w| self.inflight.len() < w) {
-                let head = self.queue.pick(ctx.policy);
-                self.queue.coalesce(head, ctx.max_batch, &mut self.members);
-                for &m in self.members.iter() {
-                    self.queue.remove(m, &self.requests);
-                }
-                let head = self.requests[head as usize];
-                let combined = head.batch * self.members.len();
-                let graph = self
-                    .graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                self.key.graph_fingerprint = graph.fingerprint();
-                self.key.batch = graph.input_shape().batch();
-                let plan_cluster: &Cluster = self.epoch_cluster.as_ref().unwrap_or(base);
-                let (plan, hit) =
-                    cache.plan_keyed(&self.key, ctx.strategy, graph, plan_cluster, ctx.leader)?;
-                if hit {
-                    self.stats.hits += 1;
-                } else {
-                    self.stats.misses += 1;
-                }
-
-                // Streaming mode always estimates: completions come from the
-                // measured dispatch model, run on the base cluster exactly
-                // like the serving loop's.
-                let completion = self.dispatch.estimate(plan.as_ref(), base, self.now)?;
-                if ctx.max_inflight.is_some() {
-                    self.inflight.push(Reverse(Departure {
-                        at: completion,
-                        seq: self.departure_seq,
-                    }));
-                    self.departure_seq += 1;
-                }
-                self.batches += 1;
-                if completion > self.makespan {
-                    self.makespan = completion;
-                }
-                for &m in self.members.iter() {
-                    let request = &self.requests[m as usize];
-                    let latency = completion - request.arrival + self.wan2[m as usize];
-                    let delay = self.now - request.arrival;
-                    self.latency.observe(latency);
-                    self.queueing_sum += delay;
-                    if delay > self.queueing_max {
-                        self.queueing_max = delay;
-                    }
-                    let class = request.sla.priority() as usize;
-                    self.class_latency[class].observe(latency);
-                    self.class_queueing_sum[class] += delay;
-                    if latency > request.sla.deadline_seconds() {
-                        self.deadline_misses += 1;
-                        self.class_misses[class] += 1;
-                    }
-                }
-            }
-
-            if self.next_arrival >= self.requests.len() && self.queue.len() == 0 {
-                return Ok(()); // Everything delivered so far is served.
-            }
-
-            // Blocked: wait for the next arrival or (when the window is
-            // full) the next estimated completion, whichever comes first.
-            let mut t = f64::INFINITY;
-            if self.next_arrival < self.requests.len() {
-                t = self.requests[self.next_arrival].arrival + 0.0;
-            }
-            if self.queue.len() > 0 {
-                let Reverse(soonest) = self
-                    .inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            if t > t_end {
-                return Ok(()); // Barrier: resume here next round.
-            }
-            // Replay timeline events due by then: each flip starts a new
-            // epoch whose cluster fingerprint re-keys planning AND routing.
-            while self.next_event < events.len() && events[self.next_event].time <= t {
-                let event = &events[self.next_event];
-                let c = self
-                    .epoch_cluster
-                    .as_mut()
-                    .expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                self.key.cluster_fingerprint = c.fingerprint();
-                self.fingerprint = c.fingerprint();
-                self.epoch += 1;
-                self.next_event += 1;
-            }
-            if t > self.now {
-                self.now = t;
-            }
-            while let Some(&Reverse(soonest)) = self.inflight.peek() {
-                if soonest.at <= self.now {
-                    self.inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            while self.next_arrival < self.requests.len()
-                && self.requests[self.next_arrival].arrival + 0.0 <= self.now
-            {
-                self.queue
-                    .push(self.next_arrival as u32, &self.requests, ctx.policy);
-                self.next_arrival += 1;
-            }
-        }
-    }
-
-    /// The failure-aware incremental loop: [`ClusterWorker::advance_inner`]
-    /// extended with the serving tier's kill semantics. Admitted batches
-    /// enter a pending FIFO instead of being observed immediately; a batch
-    /// is finalised (observed, WAN round trip included) once the clock
-    /// passes its completion, and killed when a down-flip lands on a node
-    /// its plan touches mid-flight. Killed members do **not** re-enter the
-    /// local queue — they go to `retry_out`, and the router re-routes them
-    /// away from this cluster next round (failover). On a fault-free
-    /// config the FIFO finalisation preserves the admission-order
-    /// observation sequence, so the run is bit-identical to the legacy
-    /// loop (pinned by `tests/chaos_robustness.rs`).
-    ///
-    /// Two rules differ from the legacy loop by design, both WAN-aware:
-    /// earliest-deadline ranks by `arrival + deadline − WAN round trip`
-    /// (when the reply must *leave* this cluster — the deadline rule in
-    /// `hidp_sim::serving`) and shedding compares the same WAN-adjusted
-    /// deadline against the admission lower bound.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_inner_robust(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        base: &Cluster,
-        events: &[AvailabilityEvent],
-        slowdowns: &[SlowdownWindow],
-        drift: Option<&DriftModel>,
-        cache: &PlanCache,
-        t_end: f64,
-    ) -> Result<(), CoreError> {
-        let ClusterWorker {
-            requests,
-            wan2,
-            ready,
-            global,
-            attempts_in,
-            key,
-            queue,
-            members,
-            graphs,
-            dispatch,
-            inflight,
-            epoch_cluster,
-            next_event,
-            epoch,
-            departure_seq,
-            next_arrival,
-            now,
-            stats,
-            pending,
-            pending_members,
-            retry_out,
-            robustness,
-            adaptive,
-            first_retry,
-            recovered_latency,
-            fingerprint,
-            latency,
-            class_latency,
-            queueing_sum,
-            queueing_max,
-            class_queueing_sum,
-            class_misses,
-            deadline_misses,
-            makespan,
-            batches,
-            ..
-        } = self;
-
-        // Observes one surviving batch's members, in admission order
-        // (callers pop the pending FIFO front-first).
-        macro_rules! finalise {
-            ($b:expr) => {{
-                let b = $b;
-                let completion = b.effective_completion();
-                if completion > *makespan {
-                    *makespan = completion;
-                }
-                robustness.completed += u64::from(b.members_len);
-                let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                for &m in &pending_members[span] {
-                    let request = &requests[m as usize];
-                    let lat = completion - request.arrival + wan2[m as usize];
-                    let delay = b.admitted - request.arrival;
-                    latency.observe(lat);
-                    if attempts_in[m as usize] > 0 {
-                        // This completion only happened because a retry was
-                        // re-routed here: its latency is the recovery cost.
-                        recovered_latency.observe(lat);
-                    }
-                    *queueing_sum += delay;
-                    if delay > *queueing_max {
-                        *queueing_max = delay;
-                    }
-                    let class = request.sla.priority() as usize;
-                    class_latency[class].observe(lat);
-                    class_queueing_sum[class] += delay;
-                    if lat > request.sla.deadline_seconds() {
-                        *deadline_misses += 1;
-                        class_misses[class] += 1;
-                    }
-                }
-            }};
-        }
-
-        loop {
-            // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && ctx.max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head = queue.pick(ctx.policy);
-                if ctx.recovery.shed {
-                    // Every admitted completion is ≥ max(now, earliest free
-                    // resource); the reply must leave by `deadline − WAN`.
-                    let request = &requests[head as usize];
-                    let bound = now.max(dispatch.earliest_free());
-                    if bound
-                        > request.arrival + request.sla.deadline_seconds() - wan2[head as usize]
-                    {
-                        queue.remove(head, requests);
-                        robustness.shed += 1;
-                        continue;
-                    }
-                }
-                queue.coalesce(head, ctx.max_batch, members);
-                for &m in members.iter() {
-                    queue.remove(m, requests);
-                }
-                let head = requests[head as usize];
-                let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                // Adaptive loop: when the estimated effective rates leave the
-                // hysteresis band (bounded by `max_replans`), re-materialise
-                // the believed cluster so the cache re-plans on the belief.
-                // A stale belief (availability epoch flipped underneath it)
-                // is rebuilt without re-quantising and without burning a
-                // re-plan: the levels did not move, the base did.
-                if let Some(cfg) = ctx.adaptive.as_ref() {
-                    let hysteresis =
-                        adaptive.replans < cfg.max_replans && adaptive.should_replan(cfg);
-                    if hysteresis || (adaptive.stale && adaptive.active) {
-                        if hysteresis {
-                            adaptive.replans += 1;
-                        }
-                        let belief_base: &Cluster = epoch_cluster.as_ref().unwrap_or(base);
-                        adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
-                    }
-                }
-                if let Some(believed) = adaptive.belief() {
-                    key.cluster_fingerprint = believed.fingerprint();
-                }
-                let plan_cluster: &Cluster = match adaptive.belief() {
-                    Some(believed) => believed,
-                    None => epoch_cluster.as_ref().unwrap_or(base),
-                };
-                let (plan, hit) =
-                    cache.plan_keyed(key, ctx.strategy, graph, plan_cluster, ctx.leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-                // Execution stays on the drifting truth; the observer feeds
-                // the per-node effective-rate estimates.
-                let completion = dispatch.estimate_full(
-                    plan.as_ref(),
-                    base,
-                    *now,
-                    slowdowns,
-                    drift,
-                    ctx.adaptive.as_ref().map(|cfg| (cfg, &mut *adaptive)),
-                )?;
-                let mask = if ctx.kill {
-                    plan_node_mask(plan.as_ref())
-                } else {
-                    0
-                };
-                if ctx.max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: completion,
-                        seq: *departure_seq,
-                    }));
-                    *departure_seq += 1;
-                }
-                let members_start = pending_members.len() as u32;
-                pending_members.extend_from_slice(members);
-                pending.push_back(PendingBatch {
-                    admitted: *now,
-                    completion,
-                    hedge_completion: f64::INFINITY,
-                    mask,
-                    hedge_mask: 0,
-                    members_start,
-                    members_len: members.len() as u32,
-                    primary_alive: true,
-                    hedge_alive: false,
-                });
-                *batches += 1;
-            }
-
-            let work_left = *next_arrival < requests.len() || queue.len() > 0;
-            // Remaining down-flips can still kill pending work, so the
-            // clock keeps walking events while any pending batch outlives
-            // the next *down* event (up events never kill).
-            let next_down = if ctx.kill {
-                events[*next_event..].iter().find(|e| !e.up)
-            } else {
-                None
-            };
-            let kills_pending = next_down.is_some_and(|e| {
-                pending
-                    .iter()
-                    .any(|b| b.primary_alive && b.completion > e.time)
-            });
-            if !work_left && !kills_pending {
-                // Quiet until the next delivery: no remaining down-flip can
-                // touch what's pending, so its completions are settled —
-                // finalise in admission order and yield to the router.
-                while let Some(b) = pending.pop_front() {
-                    if b.alive() {
-                        finalise!(b);
-                    }
-                }
-                return Ok(());
-            }
-
-            // Blocked: wait for the next ready delivery, estimated
-            // completion (when the window is full) or kill-relevant flip,
-            // whichever comes first.
-            let mut t = f64::INFINITY;
-            if *next_arrival < requests.len() {
-                t = ready[*next_arrival];
-            }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            if kills_pending {
-                let down = next_down.expect("kills_pending implies a down event");
-                t = t.min(down.time + 0.0);
-            }
-            if t > t_end {
-                return Ok(()); // Barrier: resume here next round.
-            }
-            // Replay timeline events due by then; under kill semantics a
-            // down-flip kills every pending batch whose plan touches the
-            // node and whose completion lies beyond the flip.
-            while *next_event < events.len() && events[*next_event].time <= t {
-                let event = events[*next_event];
-                let c = epoch_cluster
-                    .as_mut()
-                    .expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
-                *fingerprint = c.fingerprint();
-                *epoch += 1;
-                *next_event += 1;
-                if adaptive.active {
-                    // The belief was derived from the old availability; the
-                    // next admission rebuilds it from the new epoch cluster.
-                    adaptive.stale = true;
-                }
-                if !ctx.kill || event.up {
-                    continue;
-                }
-                if let Some(cfg) = ctx.adaptive.as_ref() {
-                    adaptive.observe_kill(event.node.0, cfg);
-                }
-                let bit = 1u64 << (event.node.0 as u64 & 63);
-                for b in pending.iter_mut() {
-                    if !(b.primary_alive && b.completion > event.time && b.mask & bit != 0) {
-                        continue;
-                    }
-                    b.primary_alive = false;
-                    robustness.killed += u64::from(b.members_len);
-                    let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                    for &m in &pending_members[span] {
-                        let i = m as usize;
-                        let k = attempts_in[i] + 1;
-                        let retryable = ctx.recovery.retry.is_some_and(|r| k <= r.max_attempts);
-                        if !retryable {
-                            robustness.lost += 1;
-                            continue;
-                        }
-                        let policy = ctx.recovery.retry.expect("retryable implies a policy");
-                        let backoff =
-                            policy.backoff_base_s * policy.backoff_factor.powi(k as i32 - 1);
-                        let unit = fnv64(&[policy.seed, u64::from(global[i]), u64::from(k)]) as f64
-                            / u64::MAX as f64;
-                        let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
-                        if ctx.recovery.deadline_abort
-                            && release > requests[i].arrival + requests[i].sla.deadline_seconds()
-                        {
-                            robustness.aborted += 1;
-                        } else {
-                            // Back to the router, which re-routes it away
-                            // from this cluster next round.
-                            retry_out.push(FleetRetry {
-                                global: global[i],
-                                release,
-                                attempts: k,
-                            });
-                            robustness.retried += 1;
-                            if event.time < *first_retry {
-                                *first_retry = event.time + 0.0;
-                            }
-                        }
-                    }
-                }
-            }
-            if t > *now {
-                *now = t;
-            }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= *now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            // Finalise batches the clock has passed, front-first so the
-            // observation order stays the admission order.
-            while let Some(front) = pending.front() {
-                if !front.alive() {
-                    pending.pop_front();
-                    continue;
-                }
-                if front.effective_completion() <= *now {
-                    let b = pending.pop_front().expect("front exists");
-                    finalise!(b);
-                } else {
-                    break;
-                }
-            }
-            while *next_arrival < requests.len() && ready[*next_arrival] <= *now {
-                let idx = *next_arrival as u32;
-                let request = &requests[*next_arrival];
-                let deadline =
-                    request.arrival + request.sla.deadline_seconds() - wan2[*next_arrival];
-                queue.push_with_deadline(idx, requests, ctx.policy, deadline);
-                *next_arrival += 1;
-            }
+        let class = request.sla.priority() as usize;
+        self.class_latency[class].observe(latency);
+        self.class_queueing_sum[class] += delay;
+        if latency > request.sla.deadline_seconds() {
+            self.deadline_misses += 1;
+            self.class_misses[class] += 1;
         }
     }
 }
@@ -2080,32 +1505,31 @@ mod tests {
     }
 
     #[test]
-    fn no_fault_robust_fleet_is_bit_identical_to_legacy() {
+    fn no_fault_robust_fleet_is_bit_identical_to_inert() {
         let fleet = presets::generated_fleet(4, 2).unwrap();
         let strategy = HidpStrategy::new();
         let requests = regional_burst(80);
-        for routing in [
-            RoutingPolicy::LeastLoaded,
-            RoutingPolicy::Locality,
-            RoutingPolicy::Random { seed: 11 },
-        ] {
-            let legacy = FleetScenario::new(requests.clone())
-                .with_routing(routing)
-                .with_max_inflight(Some(3))
-                .run_streaming(&strategy, &fleet, NodeIndex(1))
-                .unwrap();
-            // Kill semantics armed, full recovery enabled — but no fault
-            // timeline ever fires, so the failure-aware loop must
-            // reproduce the legacy run bit for bit.
-            let robust = FleetScenario::new(requests.clone())
-                .with_routing(routing)
-                .with_max_inflight(Some(3))
-                .with_failure_mode(FailureMode::Kill)
-                .with_recovery(RecoveryPolicy::standard())
-                .run_streaming(&strategy, &fleet, NodeIndex(1))
-                .unwrap();
-            assert_eq!(legacy, robust, "{}", routing.name());
-            assert_eq!(robust.robustness, RobustnessStats::all_completed(80));
+        for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::EarliestDeadline] {
+            for routing in [
+                RoutingPolicy::LeastLoaded,
+                RoutingPolicy::Locality,
+                RoutingPolicy::Random { seed: 11 },
+            ] {
+                let base = FleetScenario::new(requests.clone())
+                    .with_routing(routing)
+                    .with_policy(policy)
+                    .with_max_inflight(Some(3));
+                let inert = base.run_streaming(&strategy, &fleet, NodeIndex(1)).unwrap();
+                // Kill semantics armed, full recovery enabled — but no
+                // fault timeline ever fires, so nothing may change.
+                let robust = base
+                    .with_failure_mode(FailureMode::Kill)
+                    .with_recovery(RecoveryPolicy::standard())
+                    .run_streaming(&strategy, &fleet, NodeIndex(1))
+                    .unwrap();
+                assert_eq!(inert, robust, "{}/{}", policy.name(), routing.name());
+                assert_eq!(robust.robustness, RobustnessStats::all_completed(80));
+            }
         }
     }
 

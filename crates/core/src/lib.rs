@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod adaptive;
+mod cluster_loop;
 pub mod comm;
 pub mod dp;
 mod dse;

@@ -43,10 +43,13 @@
 //! latency from *arrival*); in the streaming mode the dispatch model's
 //! completions *are* the completions.
 //!
-//! # The streaming (soak) mode
+//! # One loop, two modes
 //!
-//! [`ServingScenario::run_streaming`] runs the same indexed admission loop
-//! but retains **no per-request state**: latency and queueing tails go into
+//! Both modes run the one cluster loop the fleet tier's clusters run too
+//! (`crate::cluster_loop`), as a single round to +∞; they differ only in
+//! where admitted work is reported. The records mode keeps the admission
+//! log for the event engine. [`ServingScenario::run_streaming`] retains
+//! **no per-request state**: latency and queueing tails go into
 //! constant-memory P² sketches ([`StreamingTail`]), per-class aggregates
 //! into fixed arrays, and the result is an all-`Copy` [`ServingSummary`].
 //! After the first pass has sized the scratch buffers, a steady-state
@@ -83,17 +86,20 @@
 //! [`RobustnessStats`]: `offered == completed + shed + aborted + lost +
 //! in_flight_at_horizon` always holds.
 //!
-//! Recovery policies and straggler [`SlowdownWindow`]s run in the
-//! **streaming** mode only (the dispatch model owns the completions the
-//! kill test needs). The records mode supports `FailureMode::Kill` alone:
-//! the admitted stream is simulated by the failure-aware event engine
+//! Recovery policies, straggler [`SlowdownWindow`]s, drift and the adaptive
+//! loop run in the **streaming** mode only (the dispatch model owns the
+//! completions the kill test needs). The records mode supports
+//! `FailureMode::Kill` alone: the admitted stream is simulated by the
+//! failure-aware event engine
 //! ([`hidp_sim::simulate_admitted_stream_faulty_in`]) and killed requests
 //! surface as [`FailureEvent`]s with infinite latency, excluded from the
-//! served metrics. A no-fault robust config is **bit-identical** to the
-//! fault-free paths (pinned by `tests/chaos_robustness.rs`).
+//! served metrics. Every feature is a branch of the same loop, so arming
+//! one with nothing to act on changes no output (pinned by
+//! `tests/chaos_robustness.rs` and `tests/drift_adaptive.rs`). Deadlines,
+//! retries included, follow the rule in `hidp_sim::serving`.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
-use crate::fleet::fnv64;
+use crate::cluster_loop::{ClusterLoop, Departure, Inbox, LoopCtx, RetryHeap, Sink};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scenario::{Evaluation, Scenario};
 use crate::strategy::DistributedStrategy;
@@ -113,7 +119,7 @@ use hidp_sim::{
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// One request entering the serving runtime: which model at which batch
@@ -164,8 +170,8 @@ pub enum AdmissionPolicy {
     Fifo,
     /// Most urgent [`SlaClass`] first; FIFO among equals.
     Priority,
-    /// Earliest absolute deadline (`arrival + class deadline`) first; FIFO
-    /// among equals.
+    /// Earliest absolute deadline first (the rule in `hidp_sim::serving`);
+    /// FIFO among equals.
     EarliestDeadline,
 }
 
@@ -320,6 +326,7 @@ pub struct RobustnessStats {
 
 impl RobustnessStats {
     /// The accounting for a fault-free run: everything offered completed.
+    #[cfg(test)]
     pub(crate) fn all_completed(n: usize) -> Self {
         Self {
             offered: n as u64,
@@ -611,36 +618,21 @@ impl ServingScenario {
     ) -> Result<ServingEvaluation, CoreError> {
         self.validate(cluster)?;
         self.ensure_records_mode_supported()?;
-        let requests = &self.requests;
-        let mut stream: Vec<(f64, f64, Arc<ExecutionPlan>)> = Vec::new();
-        let mut batches: Vec<AdmittedBatch> = Vec::new();
-        let (stats, epochs_applied) = self.indexed_admission(
-            strategy,
-            cluster,
-            leader,
-            cache,
-            scratch,
-            false,
-            |now, epoch, members, plan, _| {
-                stream.push((requests[members[0] as usize].arrival, now, Arc::clone(plan)));
-                batches.push(AdmittedBatch {
-                    admitted: now,
-                    epoch,
-                    members: members.iter().map(|&m| m as usize).collect(),
-                });
-            },
-        )?;
-        self.finish(
-            strategy,
-            cluster,
-            AdmissionOutcome {
-                stream,
-                batches,
-                stats,
-                epochs_applied,
-            },
-            &mut scratch.sim,
-        )
+        let mut log = AdmissionLog {
+            requests: &self.requests,
+            stream: Vec::new(),
+            batches: Vec::new(),
+        };
+        // Kills are the event engine's business in this mode: the loop
+        // only plans around the flips.
+        self.run_loop(strategy, cluster, leader, cache, scratch, false, &mut log)?;
+        let outcome = AdmissionOutcome {
+            stream: log.stream,
+            batches: log.batches,
+            stats: scratch.cluster.stats,
+            epochs_applied: scratch.cluster.epoch,
+        };
+        self.finish(strategy, cluster, outcome, &mut scratch.sim)
     }
 
     /// [`ServingScenario::run`] through the original `Vec`-scan admission
@@ -705,547 +697,20 @@ impl ServingScenario {
         scratch: &mut ServingScratch,
     ) -> Result<ServingSummary, CoreError> {
         self.validate(cluster)?;
-        if self.config.is_robust() {
-            return self.run_robust_streaming(strategy, cluster, leader, cache, scratch);
-        }
-        let requests = &self.requests;
-        let mut latency_tail = StreamingTail::new();
-        let mut queueing_tail = StreamingTail::new();
-        let mut class_tail = [StreamingTail::new(); 3];
-        let mut class_queueing_sum = [0.0f64; 3];
-        let mut class_misses = [0usize; 3];
-        let mut deadline_misses = 0usize;
-        let mut makespan = 0.0f64;
-        let mut batch_count = 0usize;
-        let (stats, epochs_applied) = self.indexed_admission(
-            strategy,
-            cluster,
-            leader,
-            cache,
-            scratch,
-            true,
-            |now, _epoch, members, _plan, completion| {
-                let completion = completion.expect("streaming mode always estimates");
-                batch_count += 1;
-                if completion > makespan {
-                    makespan = completion;
-                }
-                for &m in members {
-                    let request = &requests[m as usize];
-                    let latency = completion - request.arrival;
-                    let delay = now - request.arrival;
-                    latency_tail.observe(latency);
-                    queueing_tail.observe(delay);
-                    let class = request.sla.priority() as usize;
-                    class_tail[class].observe(latency);
-                    class_queueing_sum[class] += delay;
-                    if latency > request.sla.deadline_seconds() {
-                        deadline_misses += 1;
-                        class_misses[class] += 1;
-                    }
-                }
-            },
-        )?;
-        let mut per_class = [None; 3];
-        for (c, &class) in SlaClass::ALL.iter().enumerate() {
-            if let Some(latency) = class_tail[c].summary() {
-                per_class[c] = Some(SlaClassReport {
-                    class,
-                    latency,
-                    mean_queueing_delay: class_queueing_sum[c] / latency.count as f64,
-                    deadline_misses: class_misses[c],
-                });
-            }
-        }
-        Ok(ServingSummary {
-            requests: requests.len(),
-            batches: batch_count,
-            epochs_applied,
-            makespan,
-            latency: latency_tail.summary().expect("scenario is non-empty"),
-            mean_queueing_delay: queueing_tail.mean(),
-            max_queueing_delay: queueing_tail.max(),
-            deadline_misses,
-            per_class,
-            plan_cache: stats,
-            robustness: RobustnessStats::all_completed(requests.len()),
-            drift: DriftStats {
-                replans: 0,
-                observations: 0,
-                energy_j: scratch.dispatch.energy_j,
-            },
-        })
-    }
-
-    /// The failure-aware streaming loop: the same indexed admission as
-    /// [`ServingScenario::run_streaming`], extended with kill semantics and
-    /// the [`RecoveryPolicy`] responses.
-    ///
-    /// Structurally, admitted batches enter a pending FIFO (admission
-    /// order) instead of being observed immediately; a batch is
-    /// *finalised* — observed into the latency tails — once the virtual
-    /// clock passes its effective completion, and *killed* when a
-    /// down-flip lands on a node its plan touches while it is still in
-    /// flight. Because finalisation pops the FIFO in admission order, a
-    /// fault-free robust run feeds the order-sensitive P² sketches exactly
-    /// the sequence the legacy loop does, which is what makes the no-fault
-    /// degenerate config bit-identical to `run_streaming` (pinned by
-    /// `tests/chaos_robustness.rs`).
-    ///
-    /// Retried requests keep their original arrival and input index: the
-    /// deadline rule (see `hidp_sim::serving`) measures SLA misses
-    /// arrival → *final* completion across every attempt, and re-planning
-    /// flows through the shared [`PlanCache`] keyed by the post-failure
-    /// cluster fingerprint. Hedge copies consume real estimator capacity
-    /// (a hedge is not free) and are planned against the epoch cluster
-    /// with the primary's most exposed non-leader node marked down, so the
-    /// copy survives exactly the failure most likely to kill the primary.
-    fn run_robust_streaming(
-        &self,
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
-        scratch: &mut ServingScratch,
-    ) -> Result<ServingSummary, CoreError> {
-        let requests = &self.requests;
-        let n = requests.len();
-        let max_inflight = self.config.max_inflight.map(|w| w.max(1));
         let kill = self.config.failures == FailureMode::Kill;
-        let recovery = self.config.recovery;
-        let retry_policy = recovery.retry;
-        let slowdowns = self.config.slowdowns.as_slice();
-        let drift = (!self.config.drift.is_empty()).then_some(&self.config.drift);
-        let acfg = self.config.adaptive;
-        let ServingScratch {
-            key,
-            order,
-            queue,
-            members,
-            graphs,
-            dispatch,
-            inflight,
-            epoch_cluster,
-            pending,
-            pending_members,
-            retries,
-            attempts,
-            hedge_cluster,
-            adaptive,
-            ..
-        } = scratch;
-
-        key.strategy.clear();
-        key.strategy.push_str(strategy.name());
-        strategy.write_cache_config(&mut key.strategy_config);
-        key.graph_fingerprint = 0;
-        key.batch = 0;
-        key.leader = leader;
-        key.cluster_fingerprint = cluster.fingerprint();
-
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| {
-            (requests[a as usize].arrival + 0.0)
-                .total_cmp(&(requests[b as usize].arrival + 0.0))
-                .then(a.cmp(&b))
-        });
-
-        queue.reset(n);
-        dispatch.reset();
-        inflight.clear();
-        pending.clear();
-        pending_members.clear();
-        retries.clear();
-        attempts.clear();
-        attempts.resize(n, 0u32);
-        // Reset also deactivates any belief a previous run materialised: a
-        // non-adaptive run must not inherit it, and an adaptive steady-state
-        // pass must rediscover it exactly like the warm pass did.
-        match acfg.as_ref() {
-            Some(cfg) => adaptive.reset(cfg, cluster.len()),
-            None => adaptive.reset(&AdaptiveConfig::default(), 0),
-        }
-
-        let events = self.config.timeline.events();
-        let mut current: Option<&mut Cluster> = if events.is_empty() {
-            None
-        } else {
-            Some(match epoch_cluster {
-                Some(c) => {
-                    // Availability-only rewind keeps warm passes
-                    // zero-alloc; a different base cluster falls back to a
-                    // full clone.
-                    if c.restore_availability_from(cluster).is_err() {
-                        c.clone_from(cluster);
-                    }
-                    c
-                }
-                None => epoch_cluster.insert(cluster.clone()),
-            })
+        let mut tails = Tails::new();
+        self.run_loop(strategy, cluster, leader, cache, scratch, kill, &mut tails)?;
+        let run = &scratch.cluster;
+        let robustness = RobustnessStats {
+            offered: self.requests.len() as u64,
+            ..run.robustness
         };
-        let mut next_event = 0usize;
-        let mut epoch = 0usize;
-
-        let mut departure_seq = 0u64;
-        let mut retry_seq = 0u64;
-        let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
-        let mut stats = PlanCacheStats::default();
-
-        let mut latency_tail = StreamingTail::new();
-        let mut queueing_tail = StreamingTail::new();
-        let mut class_tail = [StreamingTail::new(); 3];
-        let mut class_queueing_sum = [0.0f64; 3];
-        let mut class_misses = [0usize; 3];
-        let mut deadline_misses = 0usize;
-        let mut makespan = 0.0f64;
-        let mut batch_count = 0usize;
-        let mut robustness = RobustnessStats {
-            offered: n as u64,
-            ..RobustnessStats::default()
-        };
-
-        // Observes one surviving batch's members into the tails, in
-        // admission order (callers pop the pending FIFO front-first).
-        macro_rules! finalise {
-            ($b:expr) => {{
-                let b = $b;
-                let completion = b.effective_completion();
-                if completion > makespan {
-                    makespan = completion;
-                }
-                robustness.completed += u64::from(b.members_len);
-                let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                for &m in &pending_members[span] {
-                    let request = &requests[m as usize];
-                    let latency = completion - request.arrival;
-                    let delay = b.admitted - request.arrival;
-                    latency_tail.observe(latency);
-                    queueing_tail.observe(delay);
-                    let class = request.sla.priority() as usize;
-                    class_tail[class].observe(latency);
-                    class_queueing_sum[class] += delay;
-                    if latency > request.sla.deadline_seconds() {
-                        deadline_misses += 1;
-                        class_misses[class] += 1;
-                    }
-                }
-            }};
-        }
-
-        loop {
-            // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head = queue.pick(self.config.policy);
-                if recovery.shed {
-                    // Load shedding: every admitted completion is ≥
-                    // max(now, earliest free resource) — when even that
-                    // sound lower bound overruns the head's deadline,
-                    // serving it would burn capacity on a guaranteed miss.
-                    let request = &requests[head as usize];
-                    let bound = now.max(dispatch.earliest_free());
-                    if bound > request.arrival + request.sla.deadline_seconds() {
-                        queue.remove(head, requests);
-                        robustness.shed += 1;
-                        continue;
-                    }
-                }
-                queue.coalesce(head, self.config.max_batch, members);
-                for &m in members.iter() {
-                    queue.remove(m, requests);
-                }
-                let head = &requests[head as usize];
-                let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                // Closed-loop re-planning: when an effective-rate estimate
-                // leaves the hysteresis band (bounded by `max_replans`), or
-                // an availability flip staled the belief, rebuild the
-                // believed cluster from the current epoch base. Planning
-                // and cache keys then follow the belief; execution stays on
-                // the true cluster.
-                if let Some(cfg) = acfg.as_ref() {
-                    let hysteresis =
-                        adaptive.replans < cfg.max_replans && adaptive.should_replan(cfg);
-                    if hysteresis || (adaptive.stale && adaptive.active) {
-                        if hysteresis {
-                            adaptive.replans += 1;
-                        }
-                        let belief_base: &Cluster = current.as_deref().unwrap_or(cluster);
-                        adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
-                    }
-                }
-                if let Some(believed) = adaptive.belief() {
-                    key.cluster_fingerprint = believed.fingerprint();
-                }
-                let plan_cluster: &Cluster = match adaptive.belief() {
-                    Some(believed) => believed,
-                    None => current.as_deref().unwrap_or(cluster),
-                };
-                let (plan, hit) = cache.plan_keyed(key, strategy, graph, plan_cluster, leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-                let completion = dispatch.estimate_full(
-                    plan.as_ref(),
-                    cluster,
-                    now,
-                    slowdowns,
-                    drift,
-                    acfg.as_ref().map(|cfg| (cfg, &mut *adaptive)),
-                )?;
-                let mask = if kill || recovery.hedge_premium {
-                    plan_node_mask(plan.as_ref())
-                } else {
-                    0
-                };
-
-                let mut hedge_completion = f64::INFINITY;
-                let mut hedge_mask = 0u64;
-                let mut hedge_alive = false;
-                if recovery.hedge_premium && head.sla == SlaClass::Premium {
-                    let exposed = mask & !(1u64 << (leader.0 as u64 & 63));
-                    if exposed != 0 {
-                        let avoid = NodeIndex(exposed.trailing_zeros() as usize);
-                        let base: &Cluster = current.as_deref().unwrap_or(cluster);
-                        let hc = match hedge_cluster {
-                            Some(c) => {
-                                if c.restore_availability_from(base).is_err() {
-                                    c.clone_from(base);
-                                }
-                                c
-                            }
-                            None => hedge_cluster.insert(base.clone()),
-                        };
-                        if hc.set_available(avoid, false).is_ok() {
-                            let saved = key.cluster_fingerprint;
-                            key.cluster_fingerprint = hc.fingerprint();
-                            let hedged = cache.plan_keyed(key, strategy, graph, hc, leader);
-                            key.cluster_fingerprint = saved;
-                            // A cluster that cannot plan without the
-                            // avoided node simply gets no hedge copy —
-                            // hedging is opportunistic, never fatal.
-                            if let Ok((hedge_plan, hedge_hit)) = hedged {
-                                if hedge_hit {
-                                    stats.hits += 1;
-                                } else {
-                                    stats.misses += 1;
-                                }
-                                // Hedge copies run on the same drifting
-                                // truth but feed no observer — one batch
-                                // must not count twice in the estimators.
-                                hedge_completion = dispatch.estimate_full(
-                                    hedge_plan.as_ref(),
-                                    cluster,
-                                    now,
-                                    slowdowns,
-                                    drift,
-                                    None,
-                                )?;
-                                hedge_mask = if kill {
-                                    plan_node_mask(hedge_plan.as_ref())
-                                } else {
-                                    0
-                                };
-                                hedge_alive = true;
-                                robustness.hedged += members.len() as u64;
-                            }
-                        }
-                    }
-                }
-
-                let effective = completion.min(hedge_completion);
-                if max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: effective,
-                        seq: departure_seq,
-                    }));
-                    departure_seq += 1;
-                }
-                let members_start = pending_members.len() as u32;
-                pending_members.extend_from_slice(members);
-                pending.push_back(PendingBatch {
-                    admitted: now,
-                    completion,
-                    hedge_completion,
-                    mask,
-                    hedge_mask,
-                    members_start,
-                    members_len: members.len() as u32,
-                    primary_alive: true,
-                    hedge_alive,
-                });
-                batch_count += 1;
-            }
-
-            let work_left = next_arrival < n || queue.len() > 0 || !retries.is_empty();
-            // Remaining down-flips can still kill pending work even after
-            // the queue drains, so the clock must keep walking events while
-            // any pending copy outlives the next *down* event (up events
-            // never kill, so they alone never drive the clock — exactly
-            // the legacy loop's behaviour on up-only timelines).
-            let next_down = if kill {
-                events[next_event..].iter().find(|e| !e.up)
-            } else {
-                None
-            };
-            let kills_pending = next_down.is_some_and(|e| {
-                pending.iter().any(|b| {
-                    (b.primary_alive && b.completion > e.time)
-                        || (b.hedge_alive && b.hedge_completion > e.time)
-                })
-            });
-            if !work_left && !kills_pending {
-                // Drain: finalise every surviving batch in admission order.
-                while let Some(b) = pending.pop_front() {
-                    if b.alive() {
-                        finalise!(b);
-                    }
-                }
-                break;
-            }
-
-            // Blocked: wait for the next arrival, retry release, estimated
-            // completion (when the window is full) or kill-relevant flip,
-            // whichever comes first.
-            let mut t = f64::INFINITY;
-            if next_arrival < n {
-                t = requests[order[next_arrival] as usize].arrival + 0.0;
-            }
-            if let Some(&Reverse(entry)) = retries.peek() {
-                t = t.min(entry.release);
-            }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            if kills_pending {
-                let down = next_down.expect("kills_pending implies a down event");
-                t = t.min(down.time + 0.0);
-            }
-            // Replay timeline events due by then. Each flip re-keys later
-            // planning; under kill semantics a down-flip additionally kills
-            // every pending copy whose plan touches the node and whose
-            // completion lies beyond the flip (work finished by the flip
-            // instant was already committed — the engine's rule).
-            while next_event < events.len() && events[next_event].time <= t {
-                let event = events[next_event];
-                let c = current.as_mut().expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
-                epoch += 1;
-                next_event += 1;
-                if adaptive.active {
-                    // The belief was derated from the previous epoch's
-                    // availability; the next admission rebuilds it from
-                    // this one (without consuming a re-plan).
-                    adaptive.stale = true;
-                }
-                if !kill || event.up {
-                    continue;
-                }
-                if let Some(cfg) = acfg.as_ref() {
-                    adaptive.observe_kill(event.node.0, cfg);
-                }
-                let bit = 1u64 << (event.node.0 as u64 & 63);
-                for b in pending.iter_mut() {
-                    let was_alive = b.alive();
-                    if b.primary_alive && b.completion > event.time && b.mask & bit != 0 {
-                        b.primary_alive = false;
-                    }
-                    if b.hedge_alive && b.hedge_completion > event.time && b.hedge_mask & bit != 0 {
-                        b.hedge_alive = false;
-                    }
-                    if !was_alive || b.alive() {
-                        continue;
-                    }
-                    // Every copy is gone: the members are killed and flow
-                    // through the recovery policy.
-                    robustness.killed += u64::from(b.members_len);
-                    let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                    for &m in &pending_members[span] {
-                        let i = m as usize;
-                        attempts[i] += 1;
-                        let retryable = retry_policy.is_some_and(|r| attempts[i] <= r.max_attempts);
-                        if !retryable {
-                            robustness.lost += 1;
-                            continue;
-                        }
-                        let policy = retry_policy.expect("retryable implies a policy");
-                        let backoff = policy.backoff_base_s
-                            * policy.backoff_factor.powi(attempts[i] as i32 - 1);
-                        let unit = fnv64(&[policy.seed, m as u64, u64::from(attempts[i])]) as f64
-                            / u64::MAX as f64;
-                        let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
-                        if recovery.deadline_abort
-                            && release > requests[i].arrival + requests[i].sla.deadline_seconds()
-                        {
-                            robustness.aborted += 1;
-                        } else {
-                            retries.push(Reverse(RetryEntry {
-                                release,
-                                seq: retry_seq,
-                                idx: m,
-                            }));
-                            retry_seq += 1;
-                            robustness.retried += 1;
-                        }
-                    }
-                }
-            }
-            if t > now {
-                now = t;
-            }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            // Finalise batches the clock has passed, front-first so the
-            // observation order stays the admission order.
-            while let Some(front) = pending.front() {
-                if !front.alive() {
-                    pending.pop_front();
-                    continue;
-                }
-                if front.effective_completion() <= now {
-                    let b = pending.pop_front().expect("front exists");
-                    finalise!(b);
-                } else {
-                    break;
-                }
-            }
-            // Released retries re-enter ahead of same-instant fresh
-            // arrivals: a retried request is strictly older work.
-            while let Some(&Reverse(entry)) = retries.peek() {
-                if entry.release <= now {
-                    retries.pop();
-                    queue.push(entry.idx, requests, self.config.policy);
-                } else {
-                    break;
-                }
-            }
-            while next_arrival < n && requests[order[next_arrival] as usize].arrival + 0.0 <= now {
-                queue.push(order[next_arrival], requests, self.config.policy);
-                next_arrival += 1;
-            }
-        }
-
         debug_assert!(
             robustness.accounts_for_every_request(),
             "request conservation violated: {robustness:?}"
         );
-        let latency = latency_tail
+        let latency = tails
+            .latency
             .summary()
             .ok_or_else(|| CoreError::Infeasible {
                 what: format!(
@@ -1255,33 +720,88 @@ impl ServingScenario {
             })?;
         let mut per_class = [None; 3];
         for (c, &class) in SlaClass::ALL.iter().enumerate() {
-            if let Some(latency) = class_tail[c].summary() {
+            if let Some(latency) = tails.class[c].summary() {
                 per_class[c] = Some(SlaClassReport {
                     class,
                     latency,
-                    mean_queueing_delay: class_queueing_sum[c] / latency.count as f64,
-                    deadline_misses: class_misses[c],
+                    mean_queueing_delay: tails.class_queueing_sum[c] / latency.count as f64,
+                    deadline_misses: tails.class_misses[c],
                 });
             }
         }
         Ok(ServingSummary {
-            requests: n,
-            batches: batch_count,
-            epochs_applied: epoch,
-            makespan,
+            requests: self.requests.len(),
+            batches: run.batches,
+            epochs_applied: run.epoch,
+            makespan: run.makespan,
             latency,
-            mean_queueing_delay: queueing_tail.mean(),
-            max_queueing_delay: queueing_tail.max(),
-            deadline_misses,
+            mean_queueing_delay: tails.queueing.mean(),
+            max_queueing_delay: tails.queueing.max(),
+            deadline_misses: tails.deadline_misses,
             per_class,
-            plan_cache: stats,
+            plan_cache: run.stats,
             robustness,
             drift: DriftStats {
-                replans: adaptive.replans,
-                observations: adaptive.observations,
-                energy_j: dispatch.energy_j,
+                replans: run.adaptive.replans,
+                observations: run.adaptive.observations,
+                energy_j: run.dispatch.energy_j,
             },
         })
+    }
+
+    /// Runs the cluster loop over the whole scenario as one round to +∞,
+    /// reporting into `sink`; the loop's counters stay in
+    /// `scratch.cluster`. `kill` arms kill semantics (the records mode
+    /// leaves kills to the event engine).
+    #[allow(clippy::too_many_arguments)]
+    fn run_loop<S: Sink>(
+        &self,
+        strategy: &dyn DistributedStrategy,
+        cluster: &Cluster,
+        leader: NodeIndex,
+        cache: &PlanCache,
+        scratch: &mut ServingScratch,
+        kill: bool,
+        sink: &mut S,
+    ) -> Result<(), CoreError> {
+        let requests = &self.requests;
+        let config = &self.config;
+        let ServingScratch {
+            order,
+            cluster: run,
+            ..
+        } = scratch;
+        // Arrival processing order: by time, ties by input order. Arrivals
+        // are normalised (+0.0) so a -0.0 arrival cannot jump a +0.0 one;
+        // with the index as tie-break the unstable sort reproduces the
+        // reference loop's stable sort exactly, without its merge buffer.
+        order.clear();
+        order.extend(0..requests.len() as u32);
+        order.sort_unstable_by(|&a, &b| {
+            (requests[a as usize].arrival + 0.0)
+                .total_cmp(&(requests[b as usize].arrival + 0.0))
+                .then(a.cmp(&b))
+        });
+        let ctx = LoopCtx {
+            strategy,
+            leader,
+            base: cluster,
+            cache,
+            events: config.timeline.events(),
+            slowdowns: &config.slowdowns,
+            drift: (!config.drift.is_empty()).then_some(&config.drift),
+            policy: config.policy,
+            max_batch: config.max_batch,
+            // A window of zero could never admit anything; serving requires
+            // at least one slot, so Some(0) is clamped like max_batch.
+            max_inflight: config.max_inflight.map(|w| w.max(1)),
+            kill,
+            recovery: config.recovery,
+            adaptive: config.adaptive.as_ref(),
+        };
+        run.reset(&ctx, requests.len());
+        let mut inbox = LocalInbox { requests, order };
+        run.advance_until(&ctx, &mut inbox, sink, f64::INFINITY)
     }
 
     /// Rejects empty scenarios, invalid arrivals/batches and timelines
@@ -1363,180 +883,6 @@ impl ServingScenario {
             });
         }
         Ok(())
-    }
-
-    /// The indexed virtual-clock loop shared by the records and streaming
-    /// modes: walks arrivals, timeline events and estimated completions;
-    /// admits batches per policy through the [`IndexedQueue`]; plans each
-    /// batch against the current epoch's cluster through `cache`; and hands
-    /// every admitted batch to `on_admit` as
-    /// `(now, epoch, members, plan, estimated completion)`. Completions are
-    /// estimated whenever the window is bounded or `always_estimate` is set
-    /// (streaming mode), via the persistent [`DispatchEstimator`].
-    #[allow(clippy::too_many_arguments)]
-    fn indexed_admission(
-        &self,
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
-        scratch: &mut ServingScratch,
-        always_estimate: bool,
-        mut on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>, Option<f64>),
-    ) -> Result<(PlanCacheStats, usize), CoreError> {
-        let requests = &self.requests;
-        let n = requests.len();
-        // A window of zero could never admit anything (the loop below would
-        // wait on an in-flight completion that cannot exist); serving
-        // requires at least one slot, so Some(0) is clamped like max_batch.
-        let max_inflight = self.config.max_inflight.map(|w| w.max(1));
-        let need_estimate = always_estimate || max_inflight.is_some();
-        let ServingScratch {
-            key,
-            order,
-            queue,
-            members,
-            graphs,
-            dispatch,
-            inflight,
-            epoch_cluster,
-            ..
-        } = scratch;
-
-        // Refresh the hoisted plan key in place: the strategy string reuses
-        // its buffer, so for default-config strategies a steady-state pass
-        // rebuilds the key without allocating.
-        key.strategy.clear();
-        key.strategy.push_str(strategy.name());
-        strategy.write_cache_config(&mut key.strategy_config);
-        key.graph_fingerprint = 0;
-        key.batch = 0;
-        key.leader = leader;
-        key.cluster_fingerprint = cluster.fingerprint();
-
-        // Arrival processing order: by time, ties by input order. Arrivals
-        // are normalised (+0.0) so a -0.0 arrival cannot jump a +0.0 one;
-        // with the index as tie-break the unstable sort reproduces the
-        // reference loop's stable sort exactly, without its merge buffer.
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| {
-            (requests[a as usize].arrival + 0.0)
-                .total_cmp(&(requests[b as usize].arrival + 0.0))
-                .then(a.cmp(&b))
-        });
-
-        queue.reset(n);
-        dispatch.reset();
-        inflight.clear();
-
-        // The epoch cluster is only materialised when the timeline actually
-        // has events; `clone_from` reuses the previous run's buffers.
-        let events = self.config.timeline.events();
-        let mut current: Option<&mut Cluster> = if events.is_empty() {
-            None
-        } else {
-            Some(match epoch_cluster {
-                Some(c) => {
-                    c.clone_from(cluster);
-                    c
-                }
-                None => epoch_cluster.insert(cluster.clone()),
-            })
-        };
-        let mut next_event = 0usize;
-        let mut epoch = 0usize;
-
-        let mut departure_seq = 0u64;
-        let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
-        let mut stats = PlanCacheStats::default();
-
-        loop {
-            // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head = queue.pick(self.config.policy);
-                queue.coalesce(head, self.config.max_batch, members);
-                for &m in members.iter() {
-                    queue.remove(m, requests);
-                }
-                let head = &requests[head as usize];
-                let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                let plan_cluster: &Cluster = current.as_deref().unwrap_or(cluster);
-                let (plan, hit) = cache.plan_keyed(key, strategy, graph, plan_cluster, leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-
-                // Measured-completion feedback: replay the plan against the
-                // resource free times every earlier admission left behind.
-                // Estimates run on the base cluster — the same one the
-                // records mode's final simulation measures on.
-                let completion = if need_estimate {
-                    Some(dispatch.estimate(plan.as_ref(), cluster, now)?)
-                } else {
-                    None
-                };
-                if max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: completion.expect("bounded window implies estimation"),
-                        seq: departure_seq,
-                    }));
-                    departure_seq += 1;
-                }
-                on_admit(now, epoch, members, &plan, completion);
-            }
-
-            if next_arrival >= n && queue.len() == 0 {
-                break;
-            }
-
-            // Blocked: wait for the next arrival or (when the window is
-            // full) the next estimated completion, whichever comes first.
-            let mut t = f64::INFINITY;
-            if next_arrival < n {
-                t = requests[order[next_arrival] as usize].arrival + 0.0;
-            }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            // Replay timeline events due by then: each flip starts a new
-            // epoch whose cluster fingerprint re-keys all later planning.
-            while next_event < events.len() && events[next_event].time <= t {
-                let event = &events[next_event];
-                let c = current.as_mut().expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
-                epoch += 1;
-                next_event += 1;
-            }
-            if t > now {
-                now = t;
-            }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            while next_arrival < n && requests[order[next_arrival] as usize].arrival + 0.0 <= now {
-                queue.push(order[next_arrival], requests, self.config.policy);
-                next_arrival += 1;
-            }
-        }
-
-        Ok((stats, epoch))
     }
 
     /// The original `Vec`-scan admission loop, kept verbatim as the frozen
@@ -1810,18 +1156,6 @@ impl ServingScenario {
 }
 
 impl ServingConfig {
-    /// Whether any robustness feature is enabled: kill semantics, a
-    /// recovery response, straggler windows, a drift model or the adaptive
-    /// loop. Robust configs take the failure-aware streaming loop;
-    /// everything else takes the legacy paths unchanged.
-    pub fn is_robust(&self) -> bool {
-        self.failures == FailureMode::Kill
-            || self.recovery.is_active()
-            || !self.slowdowns.is_empty()
-            || !self.drift.is_empty()
-            || self.adaptive.is_some()
-    }
-
     /// The queue position the configured policy admits next (queue is in
     /// arrival order, so FIFO is position 0 and every tie breaks toward the
     /// earlier position). Used only by the reference loop; the indexed
@@ -1849,107 +1183,101 @@ impl ServingConfig {
     }
 }
 
-/// An estimated batch completion in the admission window. `pub(crate)` so
-/// the fleet tier's per-cluster workers can reuse the same in-flight heap
-/// ordering (time, then admission sequence) the serving loop uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Departure {
-    pub(crate) at: f64,
-    pub(crate) seq: u64,
+/// The serving tier's request side: the scenario's requests in arrival
+/// order, no WAN, and killed requests retry on this same cluster.
+struct LocalInbox<'a> {
+    requests: &'a [ServingRequest],
+    order: &'a [u32],
 }
 
-impl Eq for Departure {}
+impl Inbox for LocalInbox<'_> {
+    fn requests(&self) -> &[ServingRequest] {
+        self.requests
+    }
 
-impl PartialOrd for Departure {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn arrival(&self, k: usize) -> Option<u32> {
+        self.order.get(k).copied()
+    }
+
+    fn wan(&self, _i: u32) -> f64 {
+        0.0
+    }
+
+    fn id(&self, i: u32) -> u32 {
+        i
+    }
+
+    fn requeue(&mut self, retries: &mut RetryHeap, i: u32, release: f64, _attempt: u32) {
+        retries.push(release, i);
     }
 }
 
-impl Ord for Departure {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.total_cmp(&other.at).then(self.seq.cmp(&other.seq))
+/// The records mode's sink: the admission log the event engine replays.
+struct AdmissionLog<'a> {
+    requests: &'a [ServingRequest],
+    stream: Vec<(f64, f64, Arc<ExecutionPlan>)>,
+    batches: Vec<AdmittedBatch>,
+}
+
+impl Sink for AdmissionLog<'_> {
+    fn admit(&mut self, admitted: f64, epoch: usize, members: &[u32], plan: &Arc<ExecutionPlan>) {
+        // The batch's sim arrival is its earliest member's (members are in
+        // arrival order).
+        let arrival = self.requests[members[0] as usize].arrival;
+        self.stream.push((arrival, admitted, Arc::clone(plan)));
+        self.batches.push(AdmittedBatch {
+            admitted,
+            epoch,
+            members: members.iter().map(|&m| m as usize).collect(),
+        });
     }
 }
 
-/// One admitted batch awaiting its estimated completion in the robust
-/// streaming loop, with kill-tracking state: which nodes each copy's plan
-/// touches (64-bit masks — `validate` gates kill semantics to ≤ 64-node
-/// clusters) and whether each copy is still alive. The member indices
-/// live in the scratch's shared pool at `members_start..+members_len`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingBatch {
-    pub(crate) admitted: f64,
-    pub(crate) completion: f64,
-    /// Estimated completion of the hedge copy (`INFINITY` when none).
-    pub(crate) hedge_completion: f64,
-    pub(crate) mask: u64,
-    pub(crate) hedge_mask: u64,
-    pub(crate) members_start: u32,
-    pub(crate) members_len: u32,
-    pub(crate) primary_alive: bool,
-    pub(crate) hedge_alive: bool,
+/// The streaming mode's sink: P² latency and queueing tails overall and
+/// per class, plus exact per-class sums and deadline counts.
+struct Tails {
+    latency: StreamingTail,
+    queueing: StreamingTail,
+    class: [StreamingTail; 3],
+    class_queueing_sum: [f64; 3],
+    class_misses: [usize; 3],
+    deadline_misses: usize,
 }
 
-impl PendingBatch {
-    pub(crate) fn alive(&self) -> bool {
-        self.primary_alive || self.hedge_alive
-    }
-
-    /// The earliest completion among surviving copies (`INFINITY` when
-    /// every copy is dead — callers skip such batches).
-    pub(crate) fn effective_completion(&self) -> f64 {
-        let mut t = f64::INFINITY;
-        if self.primary_alive {
-            t = self.completion;
-        }
-        if self.hedge_alive && self.hedge_completion < t {
-            t = self.hedge_completion;
-        }
-        t
-    }
-}
-
-/// A killed request awaiting its backoff release in the retry heap,
-/// ordered by release time, ties by push sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RetryEntry {
-    release: f64,
-    seq: u64,
-    idx: u32,
-}
-
-impl Eq for RetryEntry {}
-
-impl PartialOrd for RetryEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for RetryEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.release
-            .total_cmp(&other.release)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The set of nodes a plan's tasks touch — compute targets and both
-/// transfer endpoints — as a 64-bit mask. This is the same residency rule
-/// the failure-aware engine applies per task, lifted to whole batches.
-pub(crate) fn plan_node_mask(plan: &ExecutionPlan) -> u64 {
-    let mut mask = 0u64;
-    for task in plan.tasks() {
-        match &task.kind {
-            TaskKind::Compute { target, .. } => mask |= 1u64 << (target.node.0 as u64 & 63),
-            TaskKind::Transfer { from, to, .. } => {
-                mask |= 1u64 << (from.0 as u64 & 63);
-                mask |= 1u64 << (to.0 as u64 & 63);
-            }
+impl Tails {
+    fn new() -> Self {
+        Self {
+            latency: StreamingTail::new(),
+            queueing: StreamingTail::new(),
+            class: [StreamingTail::new(); 3],
+            class_queueing_sum: [0.0; 3],
+            class_misses: [0; 3],
+            deadline_misses: 0,
         }
     }
-    mask
+}
+
+impl Sink for Tails {
+    fn complete(
+        &mut self,
+        request: &ServingRequest,
+        _wan: f64,
+        _retried: bool,
+        admitted: f64,
+        completion: f64,
+    ) {
+        let latency = completion - request.arrival;
+        let delay = admitted - request.arrival;
+        self.latency.observe(latency);
+        self.queueing.observe(delay);
+        let class = request.sla.priority() as usize;
+        self.class[class].observe(latency);
+        self.class_queueing_sum[class] += delay;
+        if latency > request.sla.deadline_seconds() {
+            self.deadline_misses += 1;
+            self.class_misses[class] += 1;
+        }
+    }
 }
 
 /// What the admission loop hands to the simulation half.
@@ -2056,9 +1384,9 @@ impl ServingSummary {
 }
 
 /// Reusable working memory for the serving loop: the embedded [`SimScratch`]
-/// (records-mode simulation), the hoisted [`PlanKey`], the [`IndexedQueue`]
-/// arrays, the coalesce buffer, the `(model, batch) → graph` table, the
-/// [`DispatchEstimator`] and the in-flight heap.
+/// (records-mode simulation), the arrival order, and the cluster loop's
+/// state — indexed queue, plan key, graph table, dispatch model, pending
+/// FIFO, retry heap and adaptive estimators.
 ///
 /// Create one per worker thread and pass it to every serving run that
 /// thread performs: after the first run of a given workload shape, a
@@ -2069,26 +1397,8 @@ impl ServingSummary {
 #[derive(Debug)]
 pub struct ServingScratch {
     sim: SimScratch,
-    key: PlanKey,
     order: Vec<u32>,
-    queue: IndexedQueue,
-    members: Vec<u32>,
-    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
-    dispatch: DispatchEstimator,
-    inflight: BinaryHeap<Reverse<Departure>>,
-    epoch_cluster: Option<Cluster>,
-    /// Robust-loop state: admitted batches awaiting completion (FIFO in
-    /// admission order), their member indices (a shared pool the batches
-    /// slice into), the retry heap, per-request attempt counts and the
-    /// reusable hedge-planning cluster.
-    pending: VecDeque<PendingBatch>,
-    pending_members: Vec<u32>,
-    retries: BinaryHeap<Reverse<RetryEntry>>,
-    attempts: Vec<u32>,
-    hedge_cluster: Option<Cluster>,
-    /// Adaptive-loop state: per-node rate estimators, planned levels and
-    /// the believed cluster (reused across runs for in-place rescaling).
-    adaptive: AdaptiveState,
+    cluster: ClusterLoop,
 }
 
 impl ServingScratch {
@@ -2096,27 +1406,8 @@ impl ServingScratch {
     pub fn new() -> Self {
         Self {
             sim: SimScratch::new(),
-            key: PlanKey {
-                strategy: String::new(),
-                strategy_config: String::new(),
-                graph_fingerprint: 0,
-                batch: 0,
-                leader: NodeIndex(0),
-                cluster_fingerprint: 0,
-            },
             order: Vec::new(),
-            queue: IndexedQueue::default(),
-            members: Vec::new(),
-            graphs: HashMap::new(),
-            dispatch: DispatchEstimator::default(),
-            inflight: BinaryHeap::new(),
-            epoch_cluster: None,
-            pending: VecDeque::new(),
-            pending_members: Vec::new(),
-            retries: BinaryHeap::new(),
-            attempts: Vec::new(),
-            hedge_cluster: None,
-            adaptive: AdaptiveState::default(),
+            cluster: ClusterLoop::new(),
         }
     }
 
@@ -2125,7 +1416,7 @@ impl ServingScratch {
     /// off). Exposed so convergence tests can assert the estimates track
     /// an injected slowdown.
     pub fn drift_estimates(&self) -> &[Ewma] {
-        &self.adaptive.est
+        &self.cluster.adaptive.est
     }
 }
 
@@ -2214,10 +1505,8 @@ impl Ord for EdfEntry {
 /// Bucket ids persist across runs (`bucket_ids` is never cleared), so a
 /// steady-state pass re-derives every bucket without hashing allocations.
 ///
-/// `pub(crate)` so the fleet tier's per-cluster workers run the identical
-/// structure; the fleet loop additionally uses [`IndexedQueue::begin`] +
-/// [`IndexedQueue::ensure`] because its request list grows round by round
-/// as the router delivers arrivals.
+/// `pub(crate)` for the cluster loop, whose request list may grow round by
+/// round as the fleet router delivers ([`IndexedQueue::ensure`]).
 #[derive(Debug, Default)]
 pub(crate) struct IndexedQueue {
     /// Push sequence per request index (= position in arrival order).
@@ -2247,15 +1536,6 @@ impl IndexedQueue {
     /// Clears the queue for a run over `n` requests, keeping capacity (and
     /// the persistent bucket-id table).
     pub(crate) fn reset(&mut self, n: usize) {
-        self.begin();
-        self.ensure(n);
-    }
-
-    /// Clears the queue for a new run without sizing the index arrays —
-    /// the fleet loop's entry point, where the request count is unknown up
-    /// front and [`IndexedQueue::ensure`] grows the arrays as the router
-    /// delivers. Capacity (and the bucket-id table) is kept.
-    pub(crate) fn begin(&mut self) {
         for list in [
             &mut self.seq,
             &mut self.gnext,
@@ -2279,6 +1559,7 @@ impl IndexedQueue {
         self.edf.clear();
         self.len = 0;
         self.next_seq = 0;
+        self.ensure(n);
     }
 
     /// Grows the index arrays to cover request indices `< n` (no-op when
@@ -2308,19 +1589,9 @@ impl IndexedQueue {
     }
 
     /// Enqueues `idx` (called in arrival order, which makes `seq` the queue
-    /// order every pick tie-breaks on). The EDF deadline is the serving
-    /// tier's rule, `arrival + class deadline`.
-    pub(crate) fn push(&mut self, idx: u32, requests: &[ServingRequest], policy: AdmissionPolicy) {
-        let request = &requests[idx as usize];
-        let deadline = request.arrival + request.sla.deadline_seconds();
-        self.push_with_deadline(idx, requests, policy, deadline);
-    }
-
-    /// [`IndexedQueue::push`] with an explicit absolute EDF deadline — the
-    /// fleet tier passes `arrival + class deadline − WAN round trip`, so
-    /// earliest-deadline ranks by when a reply must *leave* the serving
-    /// cluster (the deadline rule in `hidp_sim::serving`).
-    pub(crate) fn push_with_deadline(
+    /// order every pick tie-breaks on) under the absolute `deadline`
+    /// earliest-deadline ranks by.
+    pub(crate) fn push(
         &mut self,
         idx: u32,
         requests: &[ServingRequest],
@@ -2468,9 +1739,8 @@ impl DispatchResource {
 /// mode they only gate the admission window while the reported metrics come
 /// from the full event engine.
 ///
-/// `pub(crate)` so every fleet-tier cluster worker owns one, and so the
-/// fleet router can read [`DispatchEstimator::horizon`] as its least-loaded
-/// backlog signal.
+/// `pub(crate)` so every cluster loop owns one, and so the fleet router can
+/// read [`DispatchEstimator::horizon`] as its least-loaded backlog signal.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchEstimator {
     /// Interned resource ids; persists across runs.
@@ -3018,8 +2288,8 @@ mod tests {
     #[test]
     fn no_fault_robust_config_is_bit_identical_to_run_streaming() {
         // Kill semantics + retry + deadline abort with an empty timeline
-        // (and with an up-only timeline) must reproduce the legacy
-        // streaming loop bit for bit, field by field.
+        // (and with an up-only timeline) must reproduce the inert config
+        // bit for bit, field by field.
         let cluster = presets::paper_cluster();
         let strategy = HidpStrategy::new();
         let up_only = {
@@ -3038,13 +2308,13 @@ mod tests {
                     .clone()
                     .with_failure_mode(FailureMode::Kill)
                     .with_recovery(RecoveryPolicy::standard());
-                let legacy = base
+                let inert = base
                     .run_streaming(&strategy, &cluster, NodeIndex(1))
                     .unwrap();
                 let recovered = robust
                     .run_streaming(&strategy, &cluster, NodeIndex(1))
                     .unwrap();
-                assert_eq!(legacy, recovered, "policy {}", policy.name());
+                assert_eq!(inert, recovered, "policy {}", policy.name());
                 assert_eq!(
                     recovered.robustness,
                     RobustnessStats::all_completed(base.len())
@@ -3276,6 +2546,58 @@ mod tests {
         assert!(bad_window
             .run_streaming(&strategy, &cluster, NodeIndex(1))
             .is_err());
+    }
+
+    #[test]
+    fn pending_member_pool_stays_bounded_by_in_flight_work() {
+        // Members leave the pool with their batch, so over a long run its
+        // high-water mark tracks the admission window, not the request
+        // count — and warm passes reuse it without growing it.
+        let cluster = presets::paper_cluster();
+        let strategy = HidpStrategy::new();
+        let models = [
+            WorkloadModel::EfficientNetB0,
+            WorkloadModel::InceptionV3,
+            WorkloadModel::ResNet152,
+        ];
+        let requests: Vec<ServingRequest> = (0..6_000)
+            .map(|i| {
+                ServingRequest::new(models[i % 3], i as f64 * 0.02).with_sla(SlaClass::ALL[i % 3])
+            })
+            .collect();
+        let scenario = ServingScenario::new(requests)
+            .with_policy(AdmissionPolicy::EarliestDeadline)
+            .with_max_batch(8)
+            .with_max_inflight(Some(4))
+            .with_failure_mode(FailureMode::Kill)
+            .with_recovery(RecoveryPolicy::standard());
+        let cache = PlanCache::new();
+        let mut scratch = ServingScratch::new();
+        let first = scenario
+            .run_streaming_with_cache_in(&strategy, &cluster, NodeIndex(1), &cache, &mut scratch)
+            .unwrap();
+        let pool = scratch.cluster.pending_members();
+        let high_water = pool.capacity();
+        assert!(pool.is_empty(), "a drained run leaves no members behind");
+        // Window 4 × batch 8 members in flight, with room for allocator
+        // rounding.
+        assert!(
+            high_water <= 2 * 4 * 8,
+            "pool grew to {high_water} over {} requests",
+            first.requests
+        );
+        for _ in 0..3 {
+            scenario
+                .run_streaming_with_cache_in(
+                    &strategy,
+                    &cluster,
+                    NodeIndex(1),
+                    &cache,
+                    &mut scratch,
+                )
+                .unwrap();
+            assert_eq!(scratch.cluster.pending_members().capacity(), high_water);
+        }
     }
 
     #[test]

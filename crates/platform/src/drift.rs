@@ -9,7 +9,7 @@
 //! [`DriftModel`] packages those three sources as pure data that the
 //! dispatch estimator evaluates per task, exactly like slowdown windows:
 //! a duration is multiplied **only** when a window applies, so a drift-free
-//! model leaves every estimate bit-identical to the legacy path.
+//! model leaves every estimate bit-identical to the drift-free arithmetic.
 //!
 //! Like [`crate::SlowdownWindow`] and [`crate::WanDegradation`], the seeded
 //! generator that composes drift models into reproducible traces lives in

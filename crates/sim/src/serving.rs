@@ -22,15 +22,19 @@
 //! waited through is inside the measured window: queueing delay, every
 //! retry backoff after an in-flight node failure (a retried request keeps
 //! its original arrival — its deadline does not reset), and, at the fleet
-//! tier, the WAN round trip of the final serving route. The
-//! earliest-deadline admission policy ranks by the same absolute deadline
-//! the miss check uses — `arrival + deadline` at the serving tier,
-//! `arrival + deadline − wan_round_trip` at the fleet tier (the WAN toll is
-//! paid outside the cluster, so the cluster-local slack is smaller by
-//! exactly that much) — keeping ordering and reporting consistent.
-//! Requests that never complete (shed at admission, aborted as unmeetable,
-//! or permanently lost after exhausting retries) are accounted as drops in
-//! the robustness counters, never as latency samples.
+//! tier, the WAN round trip of the final serving route.
+//!
+//! Every cluster ranks and sheds by one absolute deadline, the instant the
+//! reply must *leave* the cluster: `arrival + deadline − wan_round_trip`.
+//! The WAN toll is paid outside the cluster, so the cluster-local slack is
+//! smaller by exactly that much; on the serving tier the round trip is 0.
+//! Earliest-deadline admission orders by it, and load shedding drops a
+//! queued request whose earliest possible completion already overruns it.
+//! A killed request is aborted instead of retried when its backoff release
+//! lands after `arrival + deadline`. Requests that never complete (shed at
+//! admission, aborted as unmeetable, or permanently lost after exhausting
+//! retries) are accounted as drops in the robustness counters, never as
+//! latency samples.
 
 use crate::stats::{percentile, P2Quantile};
 use serde::{Deserialize, Serialize};

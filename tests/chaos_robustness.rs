@@ -3,8 +3,9 @@
 //! Four families of guarantees pin the chaos machinery:
 //!
 //! 1. **No-fault pinning** — enabling kill semantics and recovery with no
-//!    faults to act on must reproduce the legacy serving and fleet loops
-//!    bit for bit, summary field by summary field.
+//!    faults to act on must reproduce the inert configuration's serving and
+//!    fleet runs bit for bit, summary field by summary field, under FIFO
+//!    and earliest-deadline admission alike.
 //! 2. **Conservation** — under a seeded fault suite, every recovery policy
 //!    keeps the accounting invariant `offered == completed + dropped +
 //!    in_flight_at_horizon`; with bounded-but-generous retries and no
@@ -88,7 +89,7 @@ fn horizon_of(requests: &[FleetRequest]) -> f64 {
 }
 
 #[test]
-fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
+fn no_fault_robust_serving_and_fleet_pin_to_inert() {
     let strategy = HidpStrategy::new();
 
     // Serving tier: Kill + standard recovery with an empty timeline.
@@ -103,7 +104,7 @@ fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
         .with_policy(AdmissionPolicy::EarliestDeadline)
         .with_max_batch(4)
         .with_max_inflight(Some(2));
-    let legacy = base
+    let inert = base
         .clone()
         .run_streaming(&strategy, &cluster, LEADER)
         .unwrap();
@@ -112,7 +113,7 @@ fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
         .with_recovery(RecoveryPolicy::standard())
         .run_streaming(&strategy, &cluster, LEADER)
         .unwrap();
-    assert_eq!(legacy, robust, "serving no-fault robust path diverged");
+    assert_eq!(inert, robust, "serving no-fault robust path diverged");
     let r = robust.robustness;
     assert_eq!(r.offered, requests.len() as u64);
     assert_eq!(r.completed, requests.len() as u64);
@@ -122,29 +123,35 @@ fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
     );
     assert_eq!(r.in_flight_at_horizon, 0);
 
-    // Fleet tier: same pinning across three routing policies.
+    // Fleet tier: same pinning across three routing policies, under both
+    // FIFO and earliest-deadline admission (EDF ranks by the WAN-aware
+    // deadline whether or not kills are armed).
     let fleet = presets::generated_fleet(3, 2).unwrap();
     let fleet_requests = fleet_stream(90, 11);
-    for routing in [
-        RoutingPolicy::LeastLoaded,
-        RoutingPolicy::Locality,
-        RoutingPolicy::StaticHash,
-    ] {
-        let base = FleetScenario::new(fleet_requests.clone())
-            .with_routing(routing)
-            .with_max_batch(4)
-            .with_max_inflight(Some(2));
-        let legacy = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
-        let robust = base
-            .clone()
-            .with_failure_mode(FailureMode::Kill)
-            .with_recovery(RecoveryPolicy::standard())
-            .run_streaming(&strategy, &fleet, LEADER)
-            .unwrap();
-        assert_eq!(legacy, robust, "{} no-fault robust path", routing.name());
-        assert_eq!(robust.robustness.offered, fleet_requests.len() as u64);
-        assert_eq!(robust.robustness.completed, fleet_requests.len() as u64);
-        assert_eq!(robust.robustness.dropped(), 0);
+    for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::EarliestDeadline] {
+        for routing in [
+            RoutingPolicy::LeastLoaded,
+            RoutingPolicy::Locality,
+            RoutingPolicy::StaticHash,
+        ] {
+            let base = FleetScenario::new(fleet_requests.clone())
+                .with_routing(routing)
+                .with_policy(policy)
+                .with_max_batch(4)
+                .with_max_inflight(Some(2));
+            let inert = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
+            let robust = base
+                .clone()
+                .with_failure_mode(FailureMode::Kill)
+                .with_recovery(RecoveryPolicy::standard())
+                .run_streaming(&strategy, &fleet, LEADER)
+                .unwrap();
+            let tag = format!("{}/{}", policy.name(), routing.name());
+            assert_eq!(inert, robust, "{tag} no-fault robust path");
+            assert_eq!(robust.robustness.offered, fleet_requests.len() as u64);
+            assert_eq!(robust.robustness.completed, fleet_requests.len() as u64);
+            assert_eq!(robust.robustness.dropped(), 0);
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 //!    within a bounded number of completions, and nodes that do not drift
 //!    keep their estimate at exactly 1.0.
 //! 2. **No-drift pinning** — arming estimation with nothing drifting must
-//!    reproduce the legacy serving and fleet loops bit for bit; observing
+//!    reproduce the inert configuration's serving and fleet runs bit for
+//!    bit, under FIFO and earliest-deadline admission alike; observing
 //!    ratios of 1.0 never leaves the hysteresis band.
 //! 3. **Bounded re-planning** — under a seeded drift trace the loop
 //!    re-plans at least once and never more than `max_replans`, and the
@@ -137,7 +138,7 @@ fn ewma_tracks_an_injected_straggler_within_bounded_completions() {
 }
 
 #[test]
-fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
+fn no_drift_adaptive_serving_and_fleet_pin_to_inert() {
     let strategy = HidpStrategy::new();
 
     // Serving tier: estimation armed, nothing drifting.
@@ -147,7 +148,7 @@ fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
         .with_policy(AdmissionPolicy::EarliestDeadline)
         .with_max_batch(8)
         .with_max_inflight(Some(4));
-    let legacy = base
+    let inert = base
         .clone()
         .run_streaming(&strategy, &cluster, LEADER)
         .unwrap();
@@ -158,27 +159,41 @@ fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
     assert_eq!(adaptive.drift.replans, 0);
     assert!(adaptive.drift.observations > 0);
     let mut pinned = adaptive;
-    pinned.drift.observations = legacy.drift.observations;
-    assert_eq!(pinned, legacy, "serving no-drift adaptive path diverged");
+    pinned.drift.observations = inert.drift.observations;
+    assert_eq!(pinned, inert, "serving no-drift adaptive path diverged");
 
-    // Fleet tier: same pinning.
+    // Fleet tier: same pinning, under both FIFO and earliest-deadline
+    // admission.
     let fleet = presets::generated_fleet(3, 2).unwrap();
     let fleet_requests = fleet_stream(90, 11);
-    let base = FleetScenario::new(fleet_requests)
-        .with_routing(RoutingPolicy::LeastLoaded)
-        .with_max_batch(4)
-        .with_max_inflight(Some(2));
-    let legacy = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
-    let adaptive = base
-        .clone()
-        .with_adaptive(AdaptiveConfig::default())
-        .run_streaming(&strategy, &fleet, LEADER)
-        .unwrap();
-    assert_eq!(adaptive.drift.replans, 0);
-    assert!(adaptive.drift.observations > 0);
-    let mut pinned = adaptive;
-    pinned.drift.observations = legacy.drift.observations;
-    assert_eq!(pinned, legacy, "fleet no-drift adaptive path diverged");
+    for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::EarliestDeadline] {
+        for routing in [
+            RoutingPolicy::LeastLoaded,
+            RoutingPolicy::Locality,
+            RoutingPolicy::StaticHash,
+        ] {
+            let base = FleetScenario::new(fleet_requests.clone())
+                .with_routing(routing)
+                .with_policy(policy)
+                .with_max_batch(4)
+                .with_max_inflight(Some(2));
+            let inert = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
+            let adaptive = base
+                .clone()
+                .with_adaptive(AdaptiveConfig::default())
+                .run_streaming(&strategy, &fleet, LEADER)
+                .unwrap();
+            let tag = format!("{}/{}", policy.name(), routing.name());
+            assert_eq!(adaptive.drift.replans, 0, "{tag}");
+            assert!(adaptive.drift.observations > 0, "{tag}");
+            let mut pinned = adaptive;
+            pinned.drift.observations = inert.drift.observations;
+            assert_eq!(
+                pinned, inert,
+                "{tag}: fleet no-drift adaptive path diverged"
+            );
+        }
+    }
 }
 
 #[test]
