@@ -1,5 +1,5 @@
 //! Benchmarks the streaming serving loop — the soak path: indexed
-//! admission, the measured-completion dispatch model and P²-sketched
+//! admission, the measured-completion dispatch model and histogram-sketched
 //! summaries over a diurnal trace, at a bench-sized request count. The CI
 //! bench-smoke job runs this with `--test` (one untimed pass per benchmark)
 //! so the soak path compiles and executes on every PR; `exp_soak` is the

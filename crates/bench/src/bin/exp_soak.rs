@@ -1,6 +1,6 @@
 //! Soak experiment: the streaming serving loop over a 10^6-request diurnal
 //! trace — the production-scale gate for the indexed admission queue, the
-//! measured-completion dispatch model and the P²-sketched summary. Prints a
+//! measured-completion dispatch model and the histogram-sketched summary. Prints a
 //! markdown table and writes `BENCH_soak.json` to track the soak throughput
 //! trajectory across PRs.
 //!

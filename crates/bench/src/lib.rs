@@ -1443,9 +1443,9 @@ pub struct SoakPoint {
     pub sim_makespan_s: f64,
     /// Simulated served throughput: requests over the makespan.
     pub sim_requests_per_second: f64,
-    /// Median end-to-end latency, ms (P² estimate).
+    /// Median end-to-end latency, ms (histogram estimate, within 1%).
     pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency, ms (P² estimate).
+    /// 99th-percentile end-to-end latency, ms (histogram estimate, within 1%).
     pub p99_ms: f64,
     /// Mean queueing delay, ms (exact).
     pub mean_queueing_ms: f64,
@@ -1538,7 +1538,7 @@ pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<SoakP
 /// Renders soak points as an [`ExperimentTable`].
 pub fn soak_table(points: &[SoakPoint]) -> ExperimentTable {
     let mut table = ExperimentTable::new(
-        "Soak: streaming serving over a diurnal trace (P² tails, zero-alloc steady state)",
+        "Soak: streaming serving over a diurnal trace (histogram tails, zero-alloc steady state)",
         "req/s / ms",
         vec![
             "requests".to_string(),
@@ -1575,7 +1575,7 @@ pub fn soak_table(points: &[SoakPoint]) -> ExperimentTable {
 pub fn soak_json(points: &[SoakPoint]) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"soak\",\n");
     out.push_str(
-        "  \"workload\": \"diurnal Mix-5 trace (trough 8 req/s, peak 24 req/s around the ~18 req/s service capacity, 2000 s period, seed 42), SLA classes cycling, HiDP planning, max_batch 8, admission window 4, streaming mode (no per-request records, P2 latency sketches)\",\n",
+        "  \"workload\": \"diurnal Mix-5 trace (trough 8 req/s, peak 24 req/s around the ~18 req/s service capacity, 2000 s period, seed 42), SLA classes cycling, HiDP planning, max_batch 8, admission window 4, streaming mode (no per-request records, log-linear latency histograms)\",\n",
     );
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
@@ -2175,10 +2175,10 @@ pub struct DriftPoint {
     pub requests: usize,
     /// Batches admitted.
     pub batches: usize,
-    /// Median end-to-end latency, ms (P² estimate).
+    /// Median end-to-end latency, ms (histogram estimate, within 1%).
     pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency, ms (P² estimate) — the latency
-    /// headline the adaptive-vs-static gate compares.
+    /// 99th-percentile end-to-end latency, ms (histogram estimate, within
+    /// 1%) — the latency headline the adaptive-vs-static gate compares.
     pub p99_ms: f64,
     /// Fraction of requests missing their SLA deadline.
     pub sla_miss_rate: f64,

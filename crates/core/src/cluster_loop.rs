@@ -24,8 +24,8 @@
 //! Either way every [`Sink`] observes requests in admission order.
 //!
 //! The two type parameters are the only things that differ between
-//! callers, and both are monomorphized: the [`Sink`] (P² tails, the records
-//! mode's admission log, or the fleet's WAN-aware histograms) and the
+//! callers, and both are monomorphized: the [`Sink`] (the latency-histogram
+//! tails both tiers stream into, or the records mode's admission log) and the
 //! [`Inbox`] (where requests come from and where a killed one goes). The
 //! deadline rule the loop ranks and sheds by is stated once, in
 //! `hidp_sim::serving`.

@@ -28,7 +28,7 @@
 //! `tests/fleet_equivalence.rs`) and results are bit-identical at any worker
 //! thread count (each worker mutates only its own cluster; aggregates merge
 //! in cluster index order through the exact-merge
-//! [`LatencyHistogram`]).
+//! [`hidp_sim::LatencyHistogram`]).
 //!
 //! # Routing
 //!
@@ -54,11 +54,11 @@
 //! routing navigates.
 
 use crate::adaptive::{AdaptiveConfig, DriftStats};
-use crate::cluster_loop::{ClusterLoop, Inbox, LoopCtx, RetryHeap, Sink};
+use crate::cluster_loop::{ClusterLoop, Inbox, LoopCtx, RetryHeap};
 use crate::parallel::ParallelSweep;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    AdmissionPolicy, FailureMode, RecoveryPolicy, RobustnessStats, ServingRequest,
+    AdmissionPolicy, FailureMode, RecoveryPolicy, RobustnessStats, ServingRequest, Tails,
 };
 use crate::strategy::DistributedStrategy;
 use crate::CoreError;
@@ -66,7 +66,7 @@ use hidp_dnn::zoo::WorkloadModel;
 use hidp_platform::{
     Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow, WanDegradation,
 };
-use hidp_sim::serving::{LatencyHistogram, LatencySummary, SlaClass, SlaClassReport};
+use hidp_sim::serving::{LatencySummary, SlaClass, SlaClassReport};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -576,13 +576,7 @@ impl FleetScenario {
         clusters: usize,
         rounds: usize,
     ) -> Result<FleetSummary, CoreError> {
-        let mut latency = LatencyHistogram::new();
-        let mut class_latency = [LatencyHistogram::new(); 3];
-        let mut queueing_sum = 0.0f64;
-        let mut queueing_max = 0.0f64;
-        let mut class_queueing_sum = [0.0f64; 3];
-        let mut class_misses = [0usize; 3];
-        let mut deadline_misses = 0usize;
+        let mut tails = Tails::new();
         let mut makespan = 0.0f64;
         let mut batches = 0usize;
         let mut epochs_applied = 0usize;
@@ -593,9 +587,8 @@ impl FleetScenario {
         let mut robustness = RobustnessStats::default();
         let mut drift = DriftStats::default();
         let mut time_to_first_retry = f64::INFINITY;
-        let mut recovery_hist = LatencyHistogram::new();
         for worker in workers {
-            let (run, tails) = (&worker.run, &worker.tails);
+            let run = &worker.run;
             robustness.merge(&run.robustness);
             drift.merge(&DriftStats {
                 replans: run.adaptive.replans,
@@ -605,20 +598,7 @@ impl FleetScenario {
             if run.first_retry < time_to_first_retry {
                 time_to_first_retry = run.first_retry;
             }
-            recovery_hist.merge(&tails.recovered_latency);
-            latency.merge(&tails.latency);
-            for (c, hist) in class_latency.iter_mut().enumerate() {
-                hist.merge(&tails.class_latency[c]);
-            }
-            queueing_sum += tails.queueing_sum;
-            if tails.queueing_max > queueing_max {
-                queueing_max = tails.queueing_max;
-            }
-            for c in 0..3 {
-                class_queueing_sum[c] += tails.class_queueing_sum[c];
-                class_misses[c] += tails.class_misses[c];
-            }
-            deadline_misses += tails.deadline_misses;
+            tails.merge(&worker.tails);
             if run.makespan > makespan {
                 makespan = run.makespan;
             }
@@ -630,17 +610,6 @@ impl FleetScenario {
             idlest = idlest.min(worker.requests.len());
             wan_sum += worker.wan2.iter().sum::<f64>();
         }
-        let mut per_class = [None; 3];
-        for (c, &class) in SlaClass::ALL.iter().enumerate() {
-            if let Some(latency) = class_latency[c].summary() {
-                per_class[c] = Some(SlaClassReport {
-                    class,
-                    latency,
-                    mean_queueing_delay: class_queueing_sum[c] / latency.count as f64,
-                    deadline_misses: class_misses[c],
-                });
-            }
-        }
         // Workers count completions and drops; the offered side of the
         // conservation invariant is the global input stream.
         robustness.offered = n as u64;
@@ -648,7 +617,8 @@ impl FleetScenario {
             robustness.accounts_for_every_request(),
             "request conservation violated: {robustness:?}"
         );
-        let latency_summary = latency.summary().ok_or_else(|| CoreError::Infeasible {
+        let all = tails.latency();
+        let latency = all.summary().ok_or_else(|| CoreError::Infeasible {
             what: format!(
                 "fleet scenario '{}': no request completed under the fault timelines",
                 self.label
@@ -661,12 +631,12 @@ impl FleetScenario {
             batches,
             epochs_applied,
             makespan,
-            latency: latency_summary,
-            max_latency: latency.max(),
-            mean_queueing_delay: queueing_sum / n as f64,
-            max_queueing_delay: queueing_max,
-            deadline_misses,
-            per_class,
+            latency,
+            max_latency: all.max(),
+            mean_queueing_delay: tails.queueing_sum / n as f64,
+            max_queueing_delay: tails.queueing_max,
+            deadline_misses: tails.deadline_misses,
+            per_class: tails.per_class(),
             plan_cache,
             busiest_cluster_requests: busiest,
             idlest_cluster_requests: idlest,
@@ -674,7 +644,7 @@ impl FleetScenario {
             robustness,
             drift,
             time_to_first_retry,
-            recovery_latency: recovery_hist.summary(),
+            recovery_latency: tails.recovered_latency.summary(),
         })
     }
 
@@ -1065,7 +1035,7 @@ struct ClusterWorker {
     /// input index, under which a killed request goes back to the router.
     global: Vec<u32>,
     retry_out: Vec<FleetRetry>,
-    tails: FleetTails,
+    tails: Tails,
     // Routing signals read by the (serial) router.
     backlog: f64,
     routed_in_round: u32,
@@ -1080,7 +1050,7 @@ impl ClusterWorker {
             wan2: Vec::new(),
             global: Vec::new(),
             retry_out: Vec::new(),
-            tails: FleetTails::new(),
+            tails: Tails::new(),
             backlog: 0.0,
             routed_in_round: 0,
             error: None,
@@ -1095,7 +1065,7 @@ impl ClusterWorker {
         self.wan2.clear();
         self.global.clear();
         self.retry_out.clear();
-        self.tails = FleetTails::new();
+        self.tails = Tails::new();
         self.backlog = 0.0;
         self.routed_in_round = 0;
         self.error = None;
@@ -1175,67 +1145,6 @@ impl Inbox for FleetInbox<'_> {
             release,
             attempts: attempt,
         });
-    }
-}
-
-/// A fleet cluster's aggregates: exact-merge latency histograms (WAN round
-/// trip included) overall, per class and over retried completions, plus
-/// exact queueing sums and deadline counts.
-#[derive(Debug, Clone, Copy)]
-struct FleetTails {
-    latency: LatencyHistogram,
-    class_latency: [LatencyHistogram; 3],
-    /// Completions that only happened because a retry was re-routed here:
-    /// their latency is the recovery cost.
-    recovered_latency: LatencyHistogram,
-    queueing_sum: f64,
-    queueing_max: f64,
-    class_queueing_sum: [f64; 3],
-    class_misses: [usize; 3],
-    deadline_misses: usize,
-}
-
-impl FleetTails {
-    fn new() -> Self {
-        Self {
-            latency: LatencyHistogram::new(),
-            class_latency: [LatencyHistogram::new(); 3],
-            recovered_latency: LatencyHistogram::new(),
-            queueing_sum: 0.0,
-            queueing_max: 0.0,
-            class_queueing_sum: [0.0; 3],
-            class_misses: [0; 3],
-            deadline_misses: 0,
-        }
-    }
-}
-
-impl Sink for FleetTails {
-    fn complete(
-        &mut self,
-        request: &ServingRequest,
-        wan: f64,
-        retried: bool,
-        admitted: f64,
-        completion: f64,
-    ) {
-        let latency = completion - request.arrival + wan;
-        let delay = admitted - request.arrival;
-        self.latency.observe(latency);
-        if retried {
-            self.recovered_latency.observe(latency);
-        }
-        self.queueing_sum += delay;
-        if delay > self.queueing_max {
-            self.queueing_max = delay;
-        }
-        let class = request.sla.priority() as usize;
-        self.class_latency[class].observe(latency);
-        self.class_queueing_sum[class] += delay;
-        if latency > request.sla.deadline_seconds() {
-            self.deadline_misses += 1;
-            self.class_misses[class] += 1;
-        }
     }
 }
 

@@ -49,9 +49,10 @@
 //! (`crate::cluster_loop`), as a single round to +∞; they differ only in
 //! where admitted work is reported. The records mode keeps the admission
 //! log for the event engine. [`ServingScenario::run_streaming`] retains
-//! **no per-request state**: latency and queueing tails go into
-//! constant-memory P² sketches ([`StreamingTail`]), per-class aggregates
-//! into fixed arrays, and the result is an all-`Copy` [`ServingSummary`].
+//! **no per-request state**: latency tails go into constant-memory,
+//! mergeable [`LatencyHistogram`]s (the same sink the fleet's clusters
+//! feed), queueing delay and per-class aggregates into exact sums, and the
+//! result is an all-`Copy` [`ServingSummary`].
 //! After the first pass has sized the scratch buffers, a steady-state
 //! streaming pass performs zero heap allocations
 //! (`tests/zero_alloc_warm_path.rs`), which is what lets the 1M-request
@@ -110,7 +111,7 @@ use hidp_platform::{
     Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr, SlowdownWindow,
 };
 use hidp_sim::serving::{
-    LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass, SlaClassReport, StreamingTail,
+    LatencyHistogram, LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass, SlaClassReport,
 };
 use hidp_sim::Ewma;
 use hidp_sim::{
@@ -663,7 +664,7 @@ impl ServingScenario {
     /// Runs the serving loop in **streaming** mode: same indexed admission,
     /// but no per-request records, no admission log and no full-stream
     /// simulation — completions come from the dispatch model, latency tails
-    /// from constant-memory P² sketches, and the result is the all-`Copy`
+    /// from constant-memory latency histograms, and the result is the all-`Copy`
     /// [`ServingSummary`]. Memory is O(requests) for the input plus O(1)
     /// for the aggregates, which is what the 1M-request soak runs on.
     ///
@@ -710,7 +711,7 @@ impl ServingScenario {
             "request conservation violated: {robustness:?}"
         );
         let latency = tails
-            .latency
+            .latency()
             .summary()
             .ok_or_else(|| CoreError::Infeasible {
                 what: format!(
@@ -718,27 +719,16 @@ impl ServingScenario {
                     self.label
                 ),
             })?;
-        let mut per_class = [None; 3];
-        for (c, &class) in SlaClass::ALL.iter().enumerate() {
-            if let Some(latency) = tails.class[c].summary() {
-                per_class[c] = Some(SlaClassReport {
-                    class,
-                    latency,
-                    mean_queueing_delay: tails.class_queueing_sum[c] / latency.count as f64,
-                    deadline_misses: tails.class_misses[c],
-                });
-            }
-        }
         Ok(ServingSummary {
             requests: self.requests.len(),
             batches: run.batches,
             epochs_applied: run.epoch,
             makespan: run.makespan,
             latency,
-            mean_queueing_delay: tails.queueing.mean(),
-            max_queueing_delay: tails.queueing.max(),
+            mean_queueing_delay: tails.queueing_sum / latency.count as f64,
+            max_queueing_delay: tails.queueing_max,
             deadline_misses: tails.deadline_misses,
-            per_class,
+            per_class: tails.per_class(),
             plan_cache: run.stats,
             robustness,
             drift: DriftStats {
@@ -1233,27 +1223,75 @@ impl Sink for AdmissionLog<'_> {
     }
 }
 
-/// The streaming mode's sink: P² latency and queueing tails overall and
-/// per class, plus exact per-class sums and deadline counts.
-struct Tails {
-    latency: StreamingTail,
-    queueing: StreamingTail,
-    class: [StreamingTail; 3],
+/// The streaming sink of both tiers: [`LatencyHistogram`]s of latency (WAN
+/// round trip included; it is zero on the serving tier) per class and over
+/// retried completions, plus exact queueing sums and deadline counts. Every
+/// part merges exactly, so a fleet rolls its per-cluster sinks up into one,
+/// and the overall histogram is the merge of the per-class ones.
+#[derive(Debug)]
+pub(crate) struct Tails {
+    class_latency: [LatencyHistogram; 3],
+    /// Completions of a request on a later attempt: their latency is the
+    /// recovery cost.
+    pub(crate) recovered_latency: LatencyHistogram,
+    pub(crate) queueing_sum: f64,
+    pub(crate) queueing_max: f64,
     class_queueing_sum: [f64; 3],
     class_misses: [usize; 3],
-    deadline_misses: usize,
+    pub(crate) deadline_misses: usize,
 }
 
 impl Tails {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            latency: StreamingTail::new(),
-            queueing: StreamingTail::new(),
-            class: [StreamingTail::new(); 3],
+            class_latency: [LatencyHistogram::new(); 3],
+            recovered_latency: LatencyHistogram::new(),
+            queueing_sum: 0.0,
+            queueing_max: 0.0,
             class_queueing_sum: [0.0; 3],
             class_misses: [0; 3],
             deadline_misses: 0,
         }
+    }
+
+    /// Adds another sink's observations to this one.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.recovered_latency.merge(&other.recovered_latency);
+        for c in 0..3 {
+            self.class_latency[c].merge(&other.class_latency[c]);
+            self.class_queueing_sum[c] += other.class_queueing_sum[c];
+            self.class_misses[c] += other.class_misses[c];
+        }
+        self.queueing_sum += other.queueing_sum;
+        if other.queueing_max > self.queueing_max {
+            self.queueing_max = other.queueing_max;
+        }
+        self.deadline_misses += other.deadline_misses;
+    }
+
+    /// The latency histogram over every class.
+    pub(crate) fn latency(&self) -> LatencyHistogram {
+        let [mut all, standard, best_effort] = self.class_latency;
+        all.merge(&standard);
+        all.merge(&best_effort);
+        all
+    }
+
+    /// Per-class reports indexed by [`SlaClass::priority`]; `None` for
+    /// classes with no completion.
+    pub(crate) fn per_class(&self) -> [Option<SlaClassReport>; 3] {
+        let mut per_class = [None; 3];
+        for (c, &class) in SlaClass::ALL.iter().enumerate() {
+            if let Some(latency) = self.class_latency[c].summary() {
+                per_class[c] = Some(SlaClassReport {
+                    class,
+                    latency,
+                    mean_queueing_delay: self.class_queueing_sum[c] / latency.count as f64,
+                    deadline_misses: self.class_misses[c],
+                });
+            }
+        }
+        per_class
     }
 }
 
@@ -1261,17 +1299,22 @@ impl Sink for Tails {
     fn complete(
         &mut self,
         request: &ServingRequest,
-        _wan: f64,
-        _retried: bool,
+        wan: f64,
+        retried: bool,
         admitted: f64,
         completion: f64,
     ) {
-        let latency = completion - request.arrival;
+        let latency = completion - request.arrival + wan;
         let delay = admitted - request.arrival;
-        self.latency.observe(latency);
-        self.queueing.observe(delay);
+        if retried {
+            self.recovered_latency.observe(latency);
+        }
+        self.queueing_sum += delay;
+        if delay > self.queueing_max {
+            self.queueing_max = delay;
+        }
         let class = request.sla.priority() as usize;
-        self.class[class].observe(latency);
+        self.class_latency[class].observe(latency);
         self.class_queueing_sum[class] += delay;
         if latency > request.sla.deadline_seconds() {
             self.deadline_misses += 1;
@@ -1325,7 +1368,8 @@ impl ServingEvaluation {
 
 /// The bounded-memory result of a streaming serving run
 /// ([`ServingScenario::run_streaming`]): counts, the estimated makespan,
-/// P²-sketched latency/queueing tails and fixed-size per-class aggregates.
+/// histogram latency tails, exact queueing figures and fixed-size per-class
+/// aggregates.
 /// Everything is `Copy` — no per-request records, no heap — so a soak over
 /// millions of requests returns the same few hundred bytes as a toy run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1338,8 +1382,8 @@ pub struct ServingSummary {
     pub epochs_applied: usize,
     /// Estimated completion time of the last batch, seconds.
     pub makespan: f64,
-    /// Latency tail over all requests (p50/p95/p99 are P² estimates; count,
-    /// mean and the separately tracked max are exact).
+    /// Latency tail over all requests (p50/p95/p99 are histogram estimates
+    /// within 1% of the exact order statistic; count and mean are exact).
     pub latency: LatencySummary,
     /// Mean queueing delay over all requests, seconds (exact).
     pub mean_queueing_delay: f64,
@@ -2318,6 +2362,95 @@ mod tests {
                 assert_eq!(
                     recovered.robustness,
                     RobustnessStats::all_completed(base.len())
+                );
+            }
+        }
+    }
+
+    /// Records every completed request's exact latency, per class.
+    #[derive(Default)]
+    struct ExactLatencies([Vec<f64>; 3]);
+
+    impl Sink for ExactLatencies {
+        fn complete(
+            &mut self,
+            request: &ServingRequest,
+            wan: f64,
+            _retried: bool,
+            _admitted: f64,
+            completion: f64,
+        ) {
+            self.0[request.sla.priority() as usize].push(completion - request.arrival + wan);
+        }
+    }
+
+    #[test]
+    fn streaming_tails_track_exact_latencies_under_overload_kills_and_retries() {
+        let cluster = presets::paper_cluster();
+        let strategy = HidpStrategy::new();
+        let models = [
+            WorkloadModel::EfficientNetB0,
+            WorkloadModel::InceptionV3,
+            WorkloadModel::ResNet152,
+        ];
+        // ~25 req/s against a cluster that serves well under that: the
+        // queue, and with it every latency, grows for the whole run.
+        let requests: Vec<ServingRequest> = (0..3_000)
+            .map(|i| {
+                let jitter = (i * 7 % 11) as f64 * 0.003;
+                ServingRequest::new(models[i % 3], i as f64 * 0.04 + jitter)
+                    .with_sla(SlaClass::ALL[i % 3])
+            })
+            .collect();
+        let mut timeline = ClusterTimeline::new();
+        for k in 0..6 {
+            let at = 5.0 + 20.0 * k as f64;
+            let node = NodeIndex([0, 3][k % 2]);
+            timeline.push_event(at, node, false).unwrap();
+            timeline.push_event(at + 4.0, node, true).unwrap();
+        }
+        let scenario = ServingScenario::new(requests)
+            .with_policy(AdmissionPolicy::EarliestDeadline)
+            .with_max_batch(4)
+            .with_max_inflight(Some(2))
+            .with_timeline(timeline)
+            .with_failure_mode(FailureMode::Kill)
+            .with_recovery(RecoveryPolicy {
+                retry: Some(RetryPolicy::default()),
+                ..RecoveryPolicy::default()
+            });
+        let summary = scenario
+            .run_streaming(&strategy, &cluster, NodeIndex(1))
+            .unwrap();
+        assert!(summary.robustness.killed > 0, "{:?}", summary.robustness);
+        assert!(summary.robustness.retried > 0, "{:?}", summary.robustness);
+
+        let mut exact = ExactLatencies::default();
+        scenario
+            .run_loop(
+                &strategy,
+                &cluster,
+                NodeIndex(1),
+                &PlanCache::new(),
+                &mut ServingScratch::new(),
+                true,
+                &mut exact,
+            )
+            .unwrap();
+        let all: Vec<f64> = exact.0.concat();
+        let mut checks = vec![("overall", summary.latency, all)];
+        for (c, class) in SlaClass::ALL.iter().enumerate() {
+            let report = summary.class(*class).expect("every class completes");
+            checks.push((class.name(), report.latency, exact.0[c].clone()));
+        }
+        for (name, tail, latencies) in checks {
+            assert_eq!(tail.count, latencies.len(), "{name}");
+            for (p, estimated) in [(50.0, tail.p50), (95.0, tail.p95), (99.0, tail.p99)] {
+                let reference = hidp_sim::stats::percentile(&latencies, p).unwrap();
+                let err = (estimated - reference).abs() / reference;
+                assert!(
+                    err < 0.01,
+                    "{name} p{p}: streaming {estimated} vs exact {reference} ({err})"
                 );
             }
         }

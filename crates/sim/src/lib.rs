@@ -48,7 +48,7 @@ pub use serving::{
     LatencyHistogram, LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass,
     SlaClassReport, StreamingTail,
 };
-pub use stats::{Ewma, P2Quantile};
+pub use stats::Ewma;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, SimError>;

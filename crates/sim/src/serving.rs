@@ -36,7 +36,7 @@
 //! retries) are accounted as drops in the robustness counters, never as
 //! latency samples.
 
-use crate::stats::{percentile, P2Quantile};
+use crate::stats::percentile;
 use serde::{Deserialize, Serialize};
 
 /// The service-level class of a request: a scheduling priority and a
@@ -161,103 +161,29 @@ impl LatencySummary {
     }
 }
 
-/// Streaming latency-tail accumulator: mean, max and P²-estimated
-/// p50/p95/p99 in constant memory. This is the bounded-memory counterpart of
-/// [`LatencySummary::of`] — feed it one latency at a time and take a
-/// [`LatencySummary`] at the end, without ever materialising the latency
-/// vector. Below five observations the summary is exact; beyond that the
-/// percentiles are [`P2Quantile`] estimates (accuracy pinned in
-/// `stats::tests`), while `count`, `mean` and the separately tracked maximum
-/// stay exact at any scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingTail {
-    sum: f64,
-    max: f64,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
-}
+/// The former name of [`LatencyHistogram`], the one latency sketch of both tiers.
+pub type StreamingTail = LatencyHistogram;
 
-impl StreamingTail {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            sum: 0.0,
-            max: 0.0,
-            p50: P2Quantile::new(50.0),
-            p95: P2Quantile::new(95.0),
-            p99: P2Quantile::new(99.0),
-        }
-    }
-
-    /// Feeds one observation (a latency or delay, seconds).
-    pub fn observe(&mut self, value: f64) {
-        self.sum += value;
-        if value > self.max {
-            self.max = value;
-        }
-        self.p50.observe(value);
-        self.p95.observe(value);
-        self.p99.observe(value);
-    }
-
-    /// Observations seen so far.
-    pub fn count(&self) -> usize {
-        self.p50.count()
-    }
-
-    /// Mean of all observations, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count() == 0 {
-            0.0
-        } else {
-            self.sum / self.count() as f64
-        }
-    }
-
-    /// Largest observation, 0 when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The tail summary, `None` before the first observation.
-    pub fn summary(&self) -> Option<LatencySummary> {
-        Some(LatencySummary {
-            count: self.count(),
-            p50: self.p50.value()?,
-            p95: self.p95.value()?,
-            p99: self.p99.value()?,
-            mean: self.mean(),
-        })
-    }
-
-    /// Forgets all observations.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-}
-
-impl Default for StreamingTail {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A mergeable log-binned latency histogram: the fleet tier's per-cluster
-/// metrics rollup.
+/// A mergeable log-linear latency histogram: the one latency sketch of the
+/// serving and fleet tiers.
 ///
-/// [`StreamingTail`]'s P² sketches cannot be combined across clusters — two
-/// sketches do not merge into the sketch of the union — so a fleet that
-/// advances many per-cluster serving loops in parallel needs an accumulator
-/// whose merge is *exact* and order-independent: bin counts add. Each
-/// cluster worker feeds its own histogram; the rollup merges them in cluster
-/// index order, which makes the fleet summary bit-identical at any worker
-/// thread count.
+/// Bins are indexed straight from the bits of the `f64`, HdrHistogram-style:
+/// the exponent picks the octave and the top six mantissa bits pick one of
+/// 64 equal-width sub-buckets inside it, so observing is a shift, a clamp
+/// and an increment — no `ln()`, no search.
+/// Octaves span 2⁻¹⁶ s (~15 µs) to 2²⁴ s (~194 days); below and above sit
+/// one underflow and one overflow bucket (zero, negatives and NaN land in
+/// the underflow bucket).
 ///
-/// 256 logarithmic bins span 100 µs to 10⁴ s (~7.5% relative width);
-/// `count`, `mean`, `min` and `max` are exact, quantiles are bin-resolution
-/// estimates (the geometric mean of the containing bin's bounds, clamped to
-/// the observed range). Everything is `Copy` — no heap, ~2 KB.
+/// `count`, `mean`, `min` and `max` are exact. A quantile is the midpoint of
+/// the bin holding the nearest-rank order statistic, clamped to the observed
+/// range, so it is within half a sub-bucket — under 0.8% — of that order
+/// statistic; the smallest and largest ranks report the exact min and max.
+/// Bin counts add, so [`LatencyHistogram::merge`] yields exactly the
+/// histogram of the union of the two streams, in any merge order: a fleet
+/// merges its per-cluster histograms in cluster index order and its summary
+/// is bit-identical at any worker thread count. Everything is `Copy` — no
+/// heap, ~20 KB.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyHistogram {
     bins: [u64; Self::BINS],
@@ -268,9 +194,16 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    const BINS: usize = 256;
-    const LO: f64 = 1e-4;
-    const HI: f64 = 1e4;
+    /// Mantissa bits per octave: 2⁶ = 64 linear sub-buckets.
+    const SUB_BITS: u32 = 6;
+    /// Shifting an `f64`'s bits right by this leaves `exponent | sub-bucket`.
+    const SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - Self::SUB_BITS;
+    /// The key (`exponent | sub-bucket`) of 2⁻¹⁶, the first in-range bin.
+    const KEY_LO: u64 = ((1023 - 16) as u64) << Self::SUB_BITS;
+    /// The key of 2²⁴, the first value in the overflow bucket.
+    const KEY_HI: u64 = ((1023 + 24) as u64) << Self::SUB_BITS;
+    /// In-range bins plus the underflow and overflow buckets.
+    const BINS: usize = (Self::KEY_HI - Self::KEY_LO) as usize + 2;
 
     /// An empty histogram.
     pub fn new() -> Self {
@@ -284,33 +217,15 @@ impl LatencyHistogram {
     }
 
     /// The bin a value lands in: 0 is the underflow bucket, `BINS - 1` the
-    /// overflow bucket, everything between log-spaced over `LO..HI`.
+    /// overflow bucket.
     fn bin_of(value: f64) -> usize {
-        // NaN deliberately lands in the underflow bucket too.
-        if value.is_nan() || value <= Self::LO {
-            return 0;
-        }
-        if value >= Self::HI {
-            return Self::BINS - 1;
-        }
-        let t = (value / Self::LO).ln() / (Self::HI / Self::LO).ln();
-        1 + (t * (Self::BINS - 2) as f64) as usize
-    }
-
-    /// The lower and upper bounds of a bin.
-    fn bin_bounds(bin: usize) -> (f64, f64) {
-        if bin == 0 {
-            return (0.0, Self::LO);
-        }
-        let span = (Self::HI / Self::LO).ln();
-        let per = span / (Self::BINS - 2) as f64;
-        let lo = Self::LO * ((bin - 1) as f64 * per).exp();
-        let hi = if bin == Self::BINS - 1 {
-            f64::INFINITY
+        let key = if value > 0.0 {
+            value.to_bits() >> Self::SHIFT
         } else {
-            Self::LO * (bin as f64 * per).exp()
+            0
         };
-        (lo, hi)
+        key.saturating_sub(Self::KEY_LO - 1)
+            .min(Self::BINS as u64 - 1) as usize
     }
 
     /// Feeds one observation (a latency, seconds).
@@ -326,9 +241,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// Merges another histogram in: bin counts add, so
-    /// `a.merge(&b)` summarises exactly the union of the two observation
-    /// streams — the property P² sketches lack.
+    /// Merges another histogram in: bin counts add, so `a.merge(&b)`
+    /// summarises exactly the union of the two observation streams.
     pub fn merge(&mut self, other: &Self) {
         for (mine, theirs) in self.bins.iter_mut().zip(other.bins.iter()) {
             *mine += theirs;
@@ -341,6 +255,11 @@ impl LatencyHistogram {
         if other.max > self.max {
             self.max = other.max;
         }
+    }
+
+    /// Forgets all observations.
+    pub fn reset(&mut self) {
+        *self = Self::new();
     }
 
     /// Observations seen so far.
@@ -371,30 +290,42 @@ impl LatencyHistogram {
         }
     }
 
-    /// The `q`-th percentile (0–100), `None` when empty: the geometric mean
-    /// of the containing bin's bounds, clamped to the observed min/max.
+    /// The `q`-th percentile (0–100), `None` when empty: the midpoint of the
+    /// bin holding order statistic `round(q/100 · (count − 1))`, clamped to
+    /// the observed min/max; the first and last order statistics are the
+    /// exact min and max.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
-        let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let last = self.count - 1;
+        let rank = ((q.clamp(0.0, 100.0) / 100.0) * last as f64).round() as u64;
+        if rank == 0 {
+            return Some(self.min);
+        }
+        if rank == last {
+            return Some(self.max);
+        }
         let mut seen = 0u64;
         for (bin, &n) in self.bins.iter().enumerate() {
             seen += n;
-            if seen >= rank {
-                let (lo, hi) = Self::bin_bounds(bin);
-                if !hi.is_finite() {
-                    // Overflow bucket: the exact max is the best estimate.
+            if seen > rank {
+                if bin == 0 {
+                    return Some(self.min);
+                }
+                if bin == Self::BINS - 1 {
                     return Some(self.max);
                 }
-                let mid = (lo * hi).sqrt().max(lo);
-                return Some(mid.clamp(self.min, self.max));
+                let key = Self::KEY_LO + bin as u64 - 1;
+                let lo = f64::from_bits(key << Self::SHIFT);
+                let hi = f64::from_bits((key + 1) << Self::SHIFT);
+                return Some((0.5 * (lo + hi)).clamp(self.min, self.max));
             }
         }
         Some(self.max)
     }
 
-    /// The tail summary (p50/p95/p99 at bin resolution; count and mean
+    /// The tail summary (p50/p95/p99 within a sub-bucket; count and mean
     /// exact), `None` before the first observation.
     pub fn summary(&self) -> Option<LatencySummary> {
         Some(LatencySummary {
@@ -581,45 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_tail_is_exact_below_five_and_tracks_beyond() {
-        let mut tail = StreamingTail::new();
-        assert_eq!(tail.summary(), None);
-        assert_eq!(tail.count(), 0);
-        assert_eq!(tail.mean(), 0.0);
-        let small = [0.4, 0.1, 0.3, 0.2];
-        for v in small {
-            tail.observe(v);
-        }
-        let summary = tail.summary().unwrap();
-        let exact = LatencySummary::of(&small).unwrap();
-        assert_eq!(summary, exact);
-        assert!((tail.max() - 0.4).abs() < 1e-12);
-
-        // Larger stream: mean and max stay exact, percentiles stay close.
-        let values: Vec<f64> = (0..1_000).map(|i| 0.001 * (i % 97 + 1) as f64).collect();
-        tail.reset();
-        assert_eq!(tail.count(), 0);
-        for &v in &values {
-            tail.observe(v);
-        }
-        let summary = tail.summary().unwrap();
-        let exact = LatencySummary::of(&values).unwrap();
-        assert_eq!(summary.count, exact.count);
-        assert!((summary.mean - exact.mean).abs() < 1e-12);
-        assert!((tail.max() - 0.097).abs() < 1e-12);
-        for (estimated, reference) in [
-            (summary.p50, exact.p50),
-            (summary.p95, exact.p95),
-            (summary.p99, exact.p99),
-        ] {
-            assert!(
-                (estimated - reference).abs() / reference < 0.05,
-                "estimated {estimated} vs exact {reference}"
-            );
-        }
-    }
-
-    #[test]
     fn absent_classes_are_omitted() {
         let records = vec![record(0.0, 0.0, 0.1, SlaClass::Standard)];
         let metrics = ServingMetrics::from_records(&records).unwrap();
@@ -627,48 +519,130 @@ mod tests {
         assert!(metrics.class(SlaClass::Premium).is_none());
     }
 
+    /// Deterministic splitmix64 stream mapped to `[0, 1)`; keeps the
+    /// accuracy tests free of external RNG dependencies.
+    fn uniform_stream(seed: u64, count: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..count)
+            .map(|_| {
+                state = state.wrapping_add(0x9e3779b97f4a7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+                z ^= z >> 31;
+                (z >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect()
+    }
+
+    /// Feeds `values` in order and asserts the histogram's exact moments,
+    /// p50/p95/p99 within 1% of [`percentile`], and `quantile(100) == max`.
+    fn assert_tracks_exact(name: &str, values: &[f64]) -> LatencyHistogram {
+        let mut hist = LatencyHistogram::new();
+        for &v in values {
+            hist.observe(v);
+        }
+        let exact_max = values.iter().copied().fold(f64::MIN, f64::max);
+        let exact_min = values.iter().copied().fold(f64::MAX, f64::min);
+        assert_eq!(hist.count(), values.len(), "{name}");
+        assert_eq!(hist.max(), exact_max, "{name}");
+        assert_eq!(hist.min(), exact_min, "{name}");
+        let exact_mean = values.iter().sum::<f64>() / values.len() as f64;
+        assert!(
+            (hist.mean() - exact_mean).abs() <= 1e-12 * exact_mean,
+            "{name}"
+        );
+        for p in [50.0, 95.0, 99.0] {
+            let estimated = hist.quantile(p).unwrap();
+            let reference = percentile(values, p).unwrap();
+            let err = (estimated - reference).abs() / reference;
+            assert!(
+                err < 0.01,
+                "{name} p{p}: estimated {estimated} vs exact {reference} ({err})"
+            );
+        }
+        assert_eq!(hist.quantile(100.0), Some(exact_max), "{name}");
+        assert_eq!(hist.quantile(0.0), Some(exact_min), "{name}");
+        hist
+    }
+
+    /// A heavy-tailed (Pareto, α = 0.5) stream from 100 µs up to ~10⁶ s.
+    fn heavy_tailed(seed: u64, count: usize) -> Vec<f64> {
+        uniform_stream(seed, count)
+            .into_iter()
+            .map(|u| (1e-4 / (1.0 - u).powi(2)).min(1e7))
+            .collect()
+    }
+
     #[test]
-    fn histogram_tracks_exact_moments_and_bin_resolution_quantiles() {
+    fn histogram_tracks_uniform_bimodal_and_heavy_tailed_streams() {
         let mut hist = LatencyHistogram::new();
         assert_eq!(hist.summary(), None);
         assert_eq!(hist.quantile(50.0), None);
         assert_eq!(hist.mean(), 0.0);
         assert_eq!(hist.min(), 0.0);
-        let values: Vec<f64> = (0..1_000).map(|i| 0.001 * (i % 97 + 1) as f64).collect();
-        for &v in &values {
+
+        let uniform: Vec<f64> = uniform_stream(1, 50_000)
+            .into_iter()
+            .map(|u| 1e-4 + u * (1e7 - 1e-4))
+            .collect();
+        // 90% fast requests in 100 µs–1 ms, a 10% slow tail in 10⁶–10⁷ s:
+        // p50 sits in the fast mode, p95/p99 in the slow one.
+        let bimodal: Vec<f64> = uniform_stream(3, 50_000)
+            .iter()
+            .zip(uniform_stream(4, 50_000))
+            .map(|(&pick, u)| {
+                let scale = if pick < 0.9 { 1e-4 } else { 1e6 };
+                scale * (1.0 + 9.0 * u)
+            })
+            .collect();
+        for (name, values) in [
+            ("uniform", uniform),
+            ("bimodal", bimodal),
+            ("heavy-tailed", heavy_tailed(5, 100_000)),
+        ] {
+            hist = assert_tracks_exact(name, &values);
+        }
+        hist.reset();
+        assert_eq!(hist, LatencyHistogram::new());
+
+        // Out-of-range observations land in the clamp buckets; count, mean,
+        // min and max stay exact and the extreme quantiles report them.
+        for v in [0.0, 1e-9, 0.5, 2.0, 5e10] {
             hist.observe(v);
         }
-        let summary = hist.summary().unwrap();
-        let exact = LatencySummary::of(&values).unwrap();
-        assert_eq!(summary.count, exact.count);
-        assert!((summary.mean - exact.mean).abs() < 1e-12);
-        assert!((hist.max() - 0.097).abs() < 1e-12);
-        assert!((hist.min() - 0.001).abs() < 1e-12);
-        // Bins are ~7.5% wide, so quantiles land within ~8% of exact.
-        for (estimated, reference) in [
-            (summary.p50, exact.p50),
-            (summary.p95, exact.p95),
-            (summary.p99, exact.p99),
-        ] {
-            assert!(
-                (estimated - reference).abs() / reference < 0.08,
-                "estimated {estimated} vs exact {reference}"
-            );
-        }
-        // Out-of-range observations land in the clamp buckets, still exact
-        // in count/mean/min/max.
-        hist.observe(0.0);
-        hist.observe(5e4);
-        assert_eq!(hist.count(), 1_002);
-        assert_eq!(hist.max(), 5e4);
+        assert_eq!(hist.count(), 5);
         assert_eq!(hist.min(), 0.0);
-        assert_eq!(hist.quantile(100.0), Some(5e4));
+        assert_eq!(hist.max(), 5e10);
+        assert_eq!(hist.quantile(0.0), Some(0.0));
+        assert_eq!(hist.quantile(100.0), Some(5e10));
+        assert!((hist.quantile(50.0).unwrap() - 0.5).abs() < 0.005);
+    }
+
+    #[test]
+    fn histogram_quantiles_are_independent_of_arrival_order() {
+        // Sorted ascending, sorted descending, and an interleave of extremes:
+        // the orderings that drift marker-based streaming estimators the
+        // furthest. Bin counts do not depend on order, so all three agree.
+        let mut ascending = heavy_tailed(9, 100_000);
+        ascending.sort_by(f64::total_cmp);
+        let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+        let n = ascending.len();
+        let interleaved: Vec<f64> = (0..n / 2)
+            .flat_map(|i| [ascending[i], ascending[n - 1 - i]])
+            .collect();
+        let reference = assert_tracks_exact("ascending", &ascending);
+        for (name, values) in [("descending", &descending), ("interleaved", &interleaved)] {
+            let hist = assert_tracks_exact(name, values);
+            for p in [50.0, 95.0, 99.0] {
+                assert_eq!(hist.quantile(p), reference.quantile(p), "{name} p{p}");
+            }
+        }
     }
 
     #[test]
     fn histogram_merge_equals_union_stream() {
-        // The rollup property StreamingTail lacks: merging per-cluster
-        // histograms is exactly the histogram of the concatenated stream.
+        // Merging per-cluster histograms is exactly the histogram of the concatenated stream.
         let all: Vec<f64> = (0..500).map(|i| 0.002 * (i % 41 + 1) as f64).collect();
         let mut merged = LatencyHistogram::new();
         for (half, chunk) in all.chunks(250).enumerate() {
@@ -693,5 +667,32 @@ mod tests {
         let before = merged;
         merged.merge(&LatencyHistogram::new());
         assert_eq!(merged, before);
+    }
+
+    #[test]
+    fn histogram_merge_equals_union_beyond_ten_thousand_seconds() {
+        // Latencies up to 10⁶ s: every quantile resolves to its sub-bucket,
+        // none collapses onto the maximum.
+        let all: Vec<f64> = uniform_stream(11, 20_000)
+            .into_iter()
+            .map(|u| 10f64.powf(-3.0 + 9.0 * u))
+            .collect();
+        assert!(all.iter().any(|&v| v > 0.9e6));
+        let mut merged = LatencyHistogram::new();
+        for chunk in all.chunks(7_000) {
+            let mut part = LatencyHistogram::new();
+            for &v in chunk {
+                part.observe(v);
+            }
+            merged.merge(&part);
+        }
+        let whole = assert_tracks_exact("log-uniform to 1e6 s", &all);
+        for p in [0.0, 50.0, 95.0, 99.0, 99.9, 100.0] {
+            assert_eq!(merged.quantile(p), whole.quantile(p), "p{p}");
+        }
+        assert_eq!(merged.count(), whole.count());
+        assert_eq!(merged.min(), whole.min());
+        assert_eq!(merged.max(), whole.max());
+        assert!(merged.quantile(99.9).unwrap() < merged.max());
     }
 }

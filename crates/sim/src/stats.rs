@@ -84,148 +84,6 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lower] * (1.0 - weight) + sorted[upper] * weight)
 }
 
-/// A streaming quantile estimator using the P² algorithm
-/// (Jain & Chlamtac, CACM 1985): five markers track the target quantile,
-/// its two neighbours and the extremes, adjusted per observation with
-/// piecewise-parabolic interpolation. Memory is **constant** — five heights
-/// and five positions, no heap — which is what lets the serving soak report
-/// latency tails over millions of requests without retaining a single
-/// per-request record.
-///
-/// For the first four observations the estimator is *exact* (it holds the
-/// sorted sample and interpolates like [`percentile`]); from the fifth
-/// observation on it is an estimate whose accuracy is pinned against the
-/// exact percentile in this module's tests (uniform, bursty and
-/// adversarially-ordered inputs). The state is plain `Copy` data and every
-/// update is a deterministic function of the observation sequence, so two
-/// identical streams produce bit-identical estimates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct P2Quantile {
-    /// Target quantile in 0..=100 (same convention as [`percentile`]).
-    p: f64,
-    /// Observations seen.
-    count: usize,
-    /// Marker heights (the first `count` entries, sorted, while count < 5).
-    q: [f64; 5],
-    /// Marker positions, 1-based.
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    dn: [f64; 5],
-}
-
-impl P2Quantile {
-    /// A streaming estimator of the `p`-th percentile (0–100; clamped).
-    pub fn new(p: f64) -> Self {
-        let p = p.clamp(0.0, 100.0) / 100.0;
-        Self {
-            p,
-            count: 0,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-        }
-    }
-
-    /// Observations seen so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Forgets all observations, keeping the target quantile.
-    pub fn reset(&mut self) {
-        *self = Self::new(self.p * 100.0);
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            // Insertion sort into the startup buffer.
-            let mut i = self.count;
-            while i > 0 && self.q[i - 1] > x {
-                self.q[i] = self.q[i - 1];
-                i -= 1;
-            }
-            self.q[i] = x;
-            self.count += 1;
-            return;
-        }
-
-        // Find the cell k with q[k] <= x < q[k+1], clamping extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            // q has 5 entries, so this always finds a cell.
-            (0..4)
-                .find(|&i| self.q[i] <= x && x < self.q[i + 1])
-                .expect("x is within [q0, q4)")
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-        self.count += 1;
-
-        // Adjust the three interior markers towards their desired positions.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            let right = self.n[i + 1] - self.n[i];
-            let left = self.n[i - 1] - self.n[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                if self.q[i - 1] < candidate && candidate < self.q[i + 1] {
-                    self.q[i] = candidate;
-                } else {
-                    self.q[i] = self.linear(i, d);
-                }
-                self.n[i] += d;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height update for marker `i` moving by `d`.
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (q, n) = (&self.q, &self.n);
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic candidate leaves the bracket.
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// The current estimate, `None` before the first observation. Exact
-    /// (interpolated like [`percentile`]) below five observations, the P²
-    /// marker height from there on.
-    pub fn value(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count >= 5 {
-            return Some(self.q[2]);
-        }
-        // Startup: interpolate the sorted buffer exactly like `percentile`.
-        let sorted = &self.q[..self.count];
-        let rank = self.p * (sorted.len() - 1) as f64;
-        let lower = rank.floor() as usize;
-        let upper = rank.ceil() as usize;
-        let weight = rank - lower as f64;
-        Some(sorted[lower] * (1.0 - weight) + sorted[upper] * weight)
-    }
-}
-
 /// An exponentially weighted moving average over a stream of samples —
 /// the online effective-rate estimator the adaptive serving loop keeps per
 /// node. Plain `Copy` state (a level, the smoothing factor and a count), so
@@ -381,112 +239,6 @@ mod tests {
         assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(percentile(&values, 101.0), None);
         assert_eq!(percentile(&values, -1.0), None);
-    }
-
-    /// Deterministic splitmix64 stream mapped to `[0, 1)`; keeps the P²
-    /// accuracy tests free of external RNG dependencies.
-    fn uniform_stream(seed: u64, count: usize) -> Vec<f64> {
-        let mut state = seed;
-        (0..count)
-            .map(|_| {
-                state = state.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^= z >> 31;
-                (z >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect()
-    }
-
-    fn p2_relative_error(values: &[f64], p: f64) -> f64 {
-        let mut est = P2Quantile::new(p);
-        for &v in values {
-            est.observe(v);
-        }
-        assert_eq!(est.count(), values.len());
-        let estimated = est.value().unwrap();
-        let exact = percentile(values, p).unwrap();
-        (estimated - exact).abs() / exact.abs().max(1e-12)
-    }
-
-    #[test]
-    fn p2_is_exact_below_five_samples() {
-        let mut est = P2Quantile::new(50.0);
-        assert_eq!(est.value(), None);
-        assert_eq!(est.count(), 0);
-        for (i, v) in [4.0, 1.0, 3.0, 2.0].iter().enumerate() {
-            est.observe(*v);
-            let seen = &[4.0, 1.0, 3.0, 2.0][..=i];
-            assert_eq!(est.value(), percentile(seen, 50.0));
-        }
-        est.reset();
-        assert_eq!(est.count(), 0);
-        assert_eq!(est.value(), None);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_streams() {
-        for seed in [1u64, 7, 42] {
-            // Shift off zero so relative error is well defined at p50.
-            let values: Vec<f64> = uniform_stream(seed, 10_000)
-                .into_iter()
-                .map(|v| v + 0.5)
-                .collect();
-            for p in [50.0, 95.0, 99.0] {
-                let err = p2_relative_error(&values, p);
-                assert!(err < 0.02, "seed {seed} p{p}: relative error {err}");
-            }
-        }
-    }
-
-    #[test]
-    fn p2_tracks_bursty_streams() {
-        // A bimodal latency mix: a fast mode near 1 ms with a 10% slow tail
-        // near 100 ms, the shape serving latency tails actually take. p50
-        // sits inside the fast mode, p95/p99 inside the slow tail.
-        let values: Vec<f64> = uniform_stream(3, 20_000)
-            .iter()
-            .zip(uniform_stream(4, 20_000))
-            .map(|(&pick, jitter)| {
-                if pick < 0.90 {
-                    0.001 * (1.0 + jitter)
-                } else {
-                    0.1 * (1.0 + jitter)
-                }
-            })
-            .collect();
-        for p in [50.0, 95.0, 99.0] {
-            let err = p2_relative_error(&values, p);
-            assert!(err < 0.01, "p{p}: relative error {err}");
-        }
-    }
-
-    #[test]
-    fn p2_tracks_adversarially_ordered_streams() {
-        // Sorted ascending, sorted descending, and an interleave of extremes:
-        // the orderings that drift naive streaming estimators the furthest.
-        // Monotone orders stay within 1%; the extreme interleave is P²'s
-        // documented worst case (every observation lands outside the interior
-        // markers), so its bounds are looser but still asserted.
-        let base: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
-        let ascending = base.clone();
-        let descending: Vec<f64> = base.iter().rev().copied().collect();
-        let mut interleaved = Vec::with_capacity(base.len());
-        for i in 0..base.len() / 2 {
-            interleaved.push(base[i]);
-            interleaved.push(base[base.len() - 1 - i]);
-        }
-        for (name, values, bound) in [
-            ("ascending", &ascending, 0.01),
-            ("descending", &descending, 0.01),
-            ("interleaved", &interleaved, 0.6),
-        ] {
-            for p in [50.0, 95.0, 99.0] {
-                let err = p2_relative_error(values, p);
-                assert!(err < bound, "{name} p{p}: relative error {err}");
-            }
-        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!    policy collapses to "send everything to cluster 0" and the WAN cost
 //!    is zero, so the fleet run must agree with
 //!    `ServingScenario::run_streaming` on the same requests and serving
-//!    config — exactly, on every exactly-tracked aggregate. (Percentiles
-//!    are excluded by design: the single-cluster path estimates them with
-//!    P² sketches, the fleet with mergeable log-histograms.)
+//!    config — exactly, on every aggregate. Both tiers feed the same
+//!    latency histogram, so the percentiles are bit-identical too.
 //! 2. **Thread-count invariance**: the sweep only decides *which thread*
 //!    advances which cluster, so the whole `FleetSummary` must be
 //!    bit-identical at 1/2/4/8 threads, for every routing policy, with
@@ -84,7 +83,7 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
                 .expect("fleet run succeeds");
 
             let tag = format!("{}/{}", policy.name(), routing.name());
-            // Every exactly-tracked aggregate is bit-identical.
+            // Every aggregate is bit-identical, percentiles included.
             assert_eq!(fleet_summary.requests, reference.requests, "{tag}");
             assert_eq!(fleet_summary.batches, reference.batches, "{tag}");
             assert_eq!(
@@ -92,11 +91,7 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
                 "{tag}"
             );
             assert_eq!(fleet_summary.makespan, reference.makespan, "{tag}");
-            assert_eq!(
-                fleet_summary.latency.count, reference.latency.count,
-                "{tag}"
-            );
-            assert_eq!(fleet_summary.latency.mean, reference.latency.mean, "{tag}");
+            assert_eq!(fleet_summary.latency, reference.latency, "{tag}");
             assert_eq!(
                 fleet_summary.mean_queueing_delay, reference.mean_queueing_delay,
                 "{tag}"
@@ -112,15 +107,7 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
             assert_eq!(fleet_summary.plan_cache, reference.plan_cache, "{tag}");
             for class in SlaClass::ALL {
                 match (fleet_summary.class(class), reference.class(class)) {
-                    (Some(f), Some(r)) => {
-                        assert_eq!(f.latency.count, r.latency.count, "{tag}/{class:?}");
-                        assert_eq!(f.latency.mean, r.latency.mean, "{tag}/{class:?}");
-                        assert_eq!(
-                            f.mean_queueing_delay, r.mean_queueing_delay,
-                            "{tag}/{class:?}"
-                        );
-                        assert_eq!(f.deadline_misses, r.deadline_misses, "{tag}/{class:?}");
-                    }
+                    (Some(f), Some(r)) => assert_eq!(f, r, "{tag}/{class:?}"),
                     (None, None) => {}
                     (f, r) => panic!("{tag}/{class:?}: class presence differs: {f:?} vs {r:?}"),
                 }
