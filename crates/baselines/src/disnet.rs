@@ -14,10 +14,9 @@ use hidp_core::{
 use hidp_dnn::DnnGraph;
 use hidp_platform::{Cluster, NodeIndex};
 use hidp_sim::ExecutionPlan;
-use serde::{Deserialize, Serialize};
 
 /// The DisNet baseline: hybrid global partitioning, GPU-only local execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisNetStrategy {
     inner: HidpStrategy,
 }

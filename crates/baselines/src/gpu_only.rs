@@ -7,10 +7,9 @@ use hidp_core::{CoreError, DistributedStrategy, SystemModel};
 use hidp_dnn::DnnGraph;
 use hidp_platform::{Cluster, NodeIndex, ProcessorAddr};
 use hidp_sim::ExecutionPlan;
-use serde::{Deserialize, Serialize};
 
 /// Runs every request entirely on the leader's default (GPU) processor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GpuOnlyStrategy;
 
 impl GpuOnlyStrategy {

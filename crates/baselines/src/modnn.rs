@@ -14,11 +14,10 @@ use hidp_core::{workload_summary, CoreError, DistributedStrategy, SystemModel};
 use hidp_dnn::DnnGraph;
 use hidp_platform::{Cluster, NodeIndex, ProcessorAddr, ProcessorIndex};
 use hidp_sim::ExecutionPlan;
-use serde::{Deserialize, Serialize};
 
 /// The MoDNN baseline: GPU-rate-proportional data partitioning over all
 /// available nodes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModnnStrategy {
     /// Maximum number of parallel parts (0 = all available nodes).
     pub max_parts: usize,

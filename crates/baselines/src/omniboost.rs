@@ -18,10 +18,9 @@ use hidp_platform::{Cluster, NodeIndex, ProcessorAddr, ProcessorIndex};
 use hidp_sim::ExecutionPlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The OmniBoost baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OmniBoostStrategy {
     /// Number of MCTS iterations per request.
     pub iterations: usize,

@@ -1,5 +1,8 @@
 //! Regenerates every table and figure of the HiDP paper's evaluation and
-//! prints them as markdown, followed by a JSON dump (for EXPERIMENTS.md).
+//! prints them as markdown; `--json` appends the same tables as one JSON
+//! array.
+
+use hidp_bench::ToJson;
 
 fn main() {
     let tables = vec![
@@ -25,6 +28,6 @@ fn main() {
         println!("{}", table.to_markdown());
     }
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", hidp_bench::tables_to_json(&tables));
+        println!("{}", tables.to_json());
     }
 }

@@ -28,7 +28,7 @@ use hidp_platform::presets;
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     // 4 clusters over 2 regions at a load near capacity, so recovery work
@@ -153,12 +153,10 @@ fn main() {
         println!("determinism: {check} requests under faults bit-identical at 1/2/4 threads");
     }
 
-    let json = hidp_bench::chaos_json(&points, seed);
-    let path = "BENCH_chaos.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_chaos.json",
+        &hidp_bench::chaos_document(&points, seed),
+    )?;
 
     if violations > 0 {
         std::process::exit(1);
@@ -168,4 +166,5 @@ fn main() {
          no-recovery baseline measurably degrades, zero steady-state allocations, \
          bit-identical at 1/2/4 threads"
     );
+    Ok(())
 }

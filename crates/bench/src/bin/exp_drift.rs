@@ -32,7 +32,7 @@ use hidp_core::AdaptiveConfig;
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     // The full run stays near capacity (not past it): the diurnal trace at
@@ -183,12 +183,10 @@ fn main() {
         violations += 1;
     }
 
-    let json = hidp_bench::drift_json(&points, &bandit, seed);
-    let path = "BENCH_drift.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_drift.json",
+        &hidp_bench::drift_document(&points, &bandit, seed),
+    )?;
 
     if violations > 0 {
         std::process::exit(1);
@@ -198,4 +196,5 @@ fn main() {
          the hysteresis bound, no-drift runs bit-identical with estimation armed, zero \
          steady-state allocations, bandit settled on the best tuning"
     );
+    Ok(())
 }

@@ -26,7 +26,7 @@ use hidp_platform::presets;
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     // Routing comparison: 8 clusters across 4 regions; the rate scale pins
@@ -150,12 +150,10 @@ fn main() {
         Some(point)
     };
 
-    let json = hidp_bench::fleet_json(&points, soak.as_ref());
-    let path = "BENCH_fleet.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_fleet.json",
+        &hidp_bench::fleet_document(&points, soak.as_ref()),
+    )?;
 
     if violations > 0 {
         std::process::exit(1);
@@ -165,4 +163,5 @@ fn main() {
          zero steady-state allocations, bit-identical at 1/2/4 threads{}",
         if quick { "" } else { ", soak above floor" }
     );
+    Ok(())
 }

@@ -11,7 +11,7 @@
 //!
 //! Pass `--quick` (the CI bench-smoke mode) for a reduced sweep.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let quick = std::env::args().any(|a| a == "--quick");
     let (jobs, requests_per_job, runs) = if quick { (8, 50, 2) } else { (40, 200, 3) };
     let report = hidp_bench::parallel_eval(jobs, requests_per_job, runs);
@@ -25,10 +25,8 @@ fn main() {
         );
     }
 
-    let json = hidp_bench::parallel_eval_json(&report);
-    let path = "BENCH_parallel_eval.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_parallel_eval.json",
+        &hidp_bench::parallel_eval_document(&report),
+    )
 }

@@ -19,7 +19,7 @@
 //!   more requests per second than batch = 1 (simulated time, so the
 //!   comparison is deterministic).
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let quick = std::env::args().any(|a| a == "--quick");
     let count = if quick { 64 } else { 240 };
 
@@ -40,12 +40,16 @@ fn main() {
     let batching = hidp_bench::serving_batching_points(count);
     println!(
         "{}",
-        hidp_bench::serving_batching_table(&batching).to_markdown()
+        hidp_bench::serving_batching_table(
+            &batching,
+            "Dynamic batching: Inception-V3 burst train, serial dispatch window",
+        )
+        .to_markdown()
     );
     let batching_compute = hidp_bench::serving_batching_compute_points(count);
     println!(
         "{}",
-        hidp_bench::serving_batching_table_titled(
+        hidp_bench::serving_batching_table(
             &batching_compute,
             "Dynamic batching (compute-bound): ResNet-152 burst train, serial dispatch window",
         )
@@ -81,10 +85,8 @@ fn main() {
         );
     }
 
-    let json = hidp_bench::serving_json(&points, &batching, &batching_compute, count);
-    let path = "BENCH_serving.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_serving.json",
+        &hidp_bench::serving_document(&points, &batching, &batching_compute, count),
+    )
 }

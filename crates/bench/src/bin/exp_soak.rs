@@ -24,7 +24,7 @@ use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let (count, floor) = if quick {
@@ -37,12 +37,7 @@ fn main() {
     let points = hidp_bench::soak_points(count, Some(counter));
     println!("{}", hidp_bench::soak_table(&points).to_markdown());
 
-    let json = hidp_bench::soak_json(&points);
-    let path = "BENCH_soak.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench("BENCH_soak.json", &hidp_bench::soak_document(&points))?;
 
     let mut violations = 0usize;
     for p in &points {
@@ -74,4 +69,5 @@ fn main() {
         "soak: {} requests/config, zero steady-state allocations, all configs above {:.0} req/s",
         count, floor
     );
+    Ok(())
 }

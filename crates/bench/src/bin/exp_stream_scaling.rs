@@ -12,7 +12,7 @@
 //!
 //! Pass `--quick` (the CI bench-smoke mode) to run reduced sizes.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let reference_budget_ms = args
@@ -39,10 +39,8 @@ fn main() {
         hidp_bench::stream_scaling_table(&points).to_markdown()
     );
 
-    let json = hidp_bench::stream_scaling_json(&points, reference_budget_ms);
-    let path = "BENCH_stream_scaling.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_stream_scaling.json",
+        &hidp_bench::stream_scaling_document(&points, reference_budget_ms),
+    )
 }

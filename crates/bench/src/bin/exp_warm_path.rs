@@ -19,7 +19,7 @@ use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
 
@@ -34,12 +34,10 @@ fn main() {
     let points = hidp_bench::warm_path_points(sizes, Some(counter));
     println!("{}", hidp_bench::warm_path_table(&points).to_markdown());
 
-    let json = hidp_bench::warm_path_json(&points);
-    let path = "BENCH_warm_path.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    hidp_bench::write_bench(
+        "BENCH_warm_path.json",
+        &hidp_bench::warm_path_document(&points),
+    )?;
 
     // The zero-copy contract, enforced in CI: a steady-state pass allocates
     // nothing. (The audit runs after a warm-up pass sized every buffer.)
@@ -62,4 +60,5 @@ fn main() {
         std::process::exit(1);
     }
     println!("steady-state warm path: 0 allocations at every point");
+    Ok(())
 }

@@ -14,6 +14,11 @@
 #![warn(missing_docs)]
 
 pub mod alloc_count;
+pub mod json;
+
+pub use json::{write_bench, Fields, Json, ToJson};
+
+use json::record;
 
 use hidp_baselines::paper_strategies;
 use hidp_core::{
@@ -35,7 +40,6 @@ use hidp_workloads::{
     bursty_stream, dynamic_scenario, mixes, poisson_stream_classed, standard_fault_suite,
     DriftPlanConfig, FaultPlan, InferenceRequest,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,19 +47,21 @@ use std::time::Instant;
 /// Jetson TX2, index 1 of [`presets::paper_cluster`]).
 pub const LEADER: NodeIndex = NodeIndex(1);
 
-/// A simple result table: named rows × named columns of floating point
-/// values, with a unit label. Printable as GitHub-flavoured markdown and
-/// serialisable to JSON for EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentTable {
-    /// Table title (e.g. `"Fig. 5(a): inference latency"`).
-    pub title: String,
-    /// Unit of the values (e.g. `"ms"`).
-    pub unit: String,
-    /// Column headers.
-    pub columns: Vec<String>,
-    /// Rows: `(label, values)`, one value per column.
-    pub rows: Vec<(String, Vec<f64>)>,
+record! {
+    /// A simple result table: named rows × named columns of floating point
+    /// values, with a unit label. Printable as GitHub-flavoured markdown; its
+    /// [`Fields`] are the `exp_all --json` dump.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExperimentTable {
+        /// Table title (e.g. `"Fig. 5(a): inference latency"`).
+        pub title: String,
+        /// Unit of the values (e.g. `"ms"`).
+        pub unit: String,
+        /// Column headers.
+        pub columns: Vec<String>,
+        /// Rows: `(label, values)`, one value per column.
+        pub rows: Vec<(String, Vec<f64>)>,
+    }
 }
 
 impl ExperimentTable {
@@ -67,6 +73,36 @@ impl ExperimentTable {
             columns,
             rows: Vec::new(),
         }
+    }
+
+    /// Builds a table with one row per point: the label from `label`, one
+    /// column per key of the whitespace-separated `columns`, each cell read
+    /// from the point's [`Fields`]. Dotted keys (`robustness.completed`)
+    /// reach nested objects; a `null` cell is NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a key does not name a number, bool or null field.
+    pub fn from_points<P: Fields>(
+        title: impl Into<String>,
+        unit: impl Into<String>,
+        points: &[P],
+        label: impl Fn(&P) -> String,
+        columns: &str,
+    ) -> Self {
+        let columns: Vec<&str> = columns.split_whitespace().collect();
+        let mut table = Self::new(title, unit, columns.iter().map(|c| c.to_string()).collect());
+        for p in points {
+            let record = p.to_json();
+            let cells = columns.iter().map(|key| {
+                record
+                    .get(key)
+                    .and_then(Json::cell)
+                    .unwrap_or_else(|| panic!("column `{key}` is not a numeric field"))
+            });
+            table.push_row(label(p), cells.collect());
+        }
+        table
     }
 
     /// Appends a row.
@@ -155,7 +191,7 @@ fn sweep_evaluations(jobs: &[SweepJob<'_>]) -> Vec<Evaluation> {
 
 /// One of the Fig. 1 partitioning configurations: a number of data-wise
 /// partitions and a CPU/GPU workload split on a single node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitioningConfig {
     /// Configuration name (`"P1"` … `"P9"`).
     pub name: &'static str,
@@ -580,24 +616,26 @@ pub fn scaling_stream(count: usize, interval_seconds: f64) -> Vec<(f64, Arc<Exec
         .collect()
 }
 
-/// One measured point of the stream-scaling experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StreamScalingPoint {
-    /// Stream length in requests.
-    pub requests: usize,
-    /// Total task count across all plans.
-    pub tasks: usize,
-    /// Wall-clock of the event-driven engine over the whole stream, ms.
-    pub event_sim_ms: f64,
-    /// Wall-clock of the O(n²) list-scheduling baseline, ms (`None` when the
-    /// point was too large to run the baseline).
-    pub list_sim_ms: Option<f64>,
-    /// Baseline time over event-engine time.
-    pub speedup: Option<f64>,
-    /// Per-request planning cost through a warm [`PlanCache`], µs.
-    pub cached_plan_us_per_request: f64,
-    /// Per-request plan-and-simulate cost (warm cache + event engine), µs.
-    pub plan_and_simulate_us_per_request: f64,
+record! {
+    /// One measured point of the stream-scaling experiment.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct StreamScalingPoint {
+        /// Stream length in requests.
+        pub requests: usize,
+        /// Total task count across all plans.
+        pub tasks: usize,
+        /// Wall-clock of the event-driven engine over the whole stream, ms.
+        pub event_sim_ms: f64,
+        /// Wall-clock of the O(n²) list-scheduling baseline, ms (`None` when the
+        /// point was too large to run the baseline).
+        pub list_sim_ms: Option<f64>,
+        /// Baseline time over event-engine time.
+        pub speedup: Option<f64>,
+        /// Per-request planning cost through a warm [`PlanCache`], µs.
+        pub cached_plan_us_per_request: f64,
+        /// Per-request plan-and-simulate cost (warm cache + event engine), µs.
+        pub plan_and_simulate_us_per_request: f64,
+    }
 }
 
 fn time_best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -693,95 +731,69 @@ pub fn stream_scaling_points(sizes: &[usize], reference_budget_ms: f64) -> Vec<S
 }
 
 /// Renders stream-scaling points as an [`ExperimentTable`] (ms / µs mix; the
-/// unit column names carry the units).
+/// column keys carry the units).
 pub fn stream_scaling_table(points: &[StreamScalingPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Stream scaling: event-driven engine vs list-scheduling baseline",
         "ms / µs / ×",
-        vec![
-            "tasks".to_string(),
-            "event_sim_ms".to_string(),
-            "list_sim_ms".to_string(),
-            "speedup_x".to_string(),
-            "cached_plan_us_per_req".to_string(),
-            "plan+sim_us_per_req".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            format!("{} requests", p.requests),
-            vec![
-                p.tasks as f64,
-                p.event_sim_ms,
-                p.list_sim_ms.unwrap_or(f64::NAN),
-                p.speedup.unwrap_or(f64::NAN),
-                p.cached_plan_us_per_request,
-                p.plan_and_simulate_us_per_request,
-            ],
-        );
-    }
-    table
+        points,
+        |p| format!("{} requests", p.requests),
+        "tasks event_sim_ms list_sim_ms speedup cached_plan_us_per_request \
+         plan_and_simulate_us_per_request",
+    )
 }
 
-/// Serialises stream-scaling points as the `BENCH_stream_scaling.json`
-/// perf-trajectory document (hand-rolled like [`tables_to_json`]: the build
-/// environment has no serde_json). `reference_budget_ms` is the cap passed
-/// to [`stream_scaling_points`], recorded so a `null` `list_sim_ms` is
-/// attributable to the budget rather than silent skipping.
-pub fn stream_scaling_json(points: &[StreamScalingPoint], reference_budget_ms: f64) -> String {
-    fn opt(v: Option<f64>) -> String {
-        match v {
-            Some(v) if v.is_finite() => format!("{v}"),
-            _ => "null".to_string(),
-        }
-    }
-    let mut out = String::from("{\n  \"benchmark\": \"stream_scaling\",\n");
-    out.push_str("  \"workload\": \"Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via PlanCache\",\n");
-    out.push_str(&format!(
-        "  \"reference_budget_ms\": {reference_budget_ms},\n"
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"requests\": {}, \"tasks\": {}, \"event_sim_ms\": {}, \"list_sim_ms\": {}, \"speedup\": {}, \"cached_plan_us_per_request\": {}, \"plan_and_simulate_us_per_request\": {}}}{}\n",
-            p.requests,
-            p.tasks,
-            opt(Some(p.event_sim_ms)),
-            opt(p.list_sim_ms),
-            opt(p.speedup),
-            opt(Some(p.cached_plan_us_per_request)),
-            opt(Some(p.plan_and_simulate_us_per_request)),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// A `BENCH_*.json` document: the benchmark name, its workload description,
+/// then `rest` in order.
+fn bench_document(benchmark: &str, workload: &str, rest: Vec<(&'static str, Json)>) -> Json {
+    let mut fields = vec![
+        ("benchmark", benchmark.to_json()),
+        ("workload", workload.to_json()),
+    ];
+    fields.extend(rest);
+    Json::Obj(fields)
+}
+
+/// The `BENCH_stream_scaling.json` document. `reference_budget_ms` is the
+/// cap passed to [`stream_scaling_points`], recorded so a `null`
+/// `list_sim_ms` is attributable to the budget rather than silent skipping.
+pub fn stream_scaling_document(points: &[StreamScalingPoint], reference_budget_ms: f64) -> Json {
+    bench_document(
+        "stream_scaling",
+        "Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via PlanCache",
+        vec![
+            ("reference_budget_ms", reference_budget_ms.to_json()),
+            ("points", points.to_json()),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Warm path: the zero-copy steady-state serving loop
 // ---------------------------------------------------------------------------
 
-/// One measured point of the warm-path experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WarmPathPoint {
-    /// Stream length in requests.
-    pub requests: usize,
-    /// Total task count across all plans.
-    pub tasks: usize,
-    /// Per-request cost of resolving a cached plan through the borrowed
-    /// keyed probe (reused [`PlanKey`], read lock, `Arc` bump), µs.
-    pub cached_plan_us_per_request: f64,
-    /// Per-request cost of the full steady-state pass: resolve every plan
-    /// and simulate the stream into a reused [`SimScratch`] at
-    /// [`TraceDetail::Summary`], µs.
-    pub plan_and_simulate_us_per_request: f64,
-    /// Steady-state serving rate implied by the full pass.
-    pub requests_per_second: f64,
-    /// Heap allocations performed by one steady-state pass after warm-up
-    /// (`None` when no counting allocator was supplied; the zero-copy
-    /// contract is that this is zero).
-    pub steady_state_allocs: Option<u64>,
+record! {
+    /// One measured point of the warm-path experiment.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct WarmPathPoint {
+        /// Stream length in requests.
+        pub requests: usize,
+        /// Total task count across all plans.
+        pub tasks: usize,
+        /// Per-request cost of resolving a cached plan through the borrowed
+        /// keyed probe (reused [`PlanKey`], read lock, `Arc` bump), µs.
+        pub cached_plan_us_per_request: f64,
+        /// Per-request cost of the full steady-state pass: resolve every plan
+        /// and simulate the stream into a reused [`SimScratch`] at
+        /// [`TraceDetail::Summary`], µs.
+        pub plan_and_simulate_us_per_request: f64,
+        /// Steady-state serving rate implied by the full pass.
+        pub requests_per_second: f64,
+        /// Heap allocations performed by one steady-state pass after warm-up
+        /// (`None` when no counting allocator was supplied; the zero-copy
+        /// contract is that this is zero).
+        pub steady_state_allocs: Option<u64>,
+    }
 }
 
 /// Measures the warm (steady-state) evaluation path at each stream length
@@ -875,55 +887,23 @@ pub fn warm_path_points(
 
 /// Renders warm-path points as an [`ExperimentTable`].
 pub fn warm_path_table(points: &[WarmPathPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Warm path: zero-copy plan-and-simulate steady state",
         "µs / req/s / allocs",
-        vec![
-            "tasks".to_string(),
-            "cached_plan_us_per_req".to_string(),
-            "plan+sim_us_per_req".to_string(),
-            "requests_per_s".to_string(),
-            "steady_state_allocs".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            format!("{} requests", p.requests),
-            vec![
-                p.tasks as f64,
-                p.cached_plan_us_per_request,
-                p.plan_and_simulate_us_per_request,
-                p.requests_per_second,
-                p.steady_state_allocs.map(|a| a as f64).unwrap_or(f64::NAN),
-            ],
-        );
-    }
-    table
+        points,
+        |p| format!("{} requests", p.requests),
+        "tasks cached_plan_us_per_request plan_and_simulate_us_per_request requests_per_second \
+         steady_state_allocs",
+    )
 }
 
-/// Serialises warm-path points as the `BENCH_warm_path.json` perf-trajectory
-/// document (hand-rolled like [`tables_to_json`]: the build environment has
-/// no serde_json).
-pub fn warm_path_json(points: &[WarmPathPoint]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"warm_path\",\n");
-    out.push_str("  \"workload\": \"Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via warm PlanCache, Arc-shared plans, reused SimScratch, TraceDetail::Summary\",\n");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"requests\": {}, \"tasks\": {}, \"cached_plan_us_per_request\": {}, \"plan_and_simulate_us_per_request\": {}, \"requests_per_second\": {}, \"steady_state_allocs\": {}}}{}\n",
-            p.requests,
-            p.tasks,
-            p.cached_plan_us_per_request,
-            p.plan_and_simulate_us_per_request,
-            p.requests_per_second,
-            p.steady_state_allocs
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_warm_path.json` document.
+pub fn warm_path_document(points: &[WarmPathPoint]) -> Json {
+    bench_document(
+        "warm_path",
+        "Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via warm PlanCache, Arc-shared plans, reused SimScratch, TraceDetail::Summary",
+        vec![("points", points.to_json())],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,35 +1108,37 @@ pub fn serving_evaluations(
         .collect()
 }
 
-/// One cell of the serving experiment grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingGridPoint {
-    /// Admission-policy variant name (see [`serving_policies`]).
-    pub policy: String,
-    /// Batching limit of the variant.
-    pub max_batch: usize,
-    /// Failure-pattern name (see [`serving_failure_patterns`]).
-    pub failure: String,
-    /// Requests served.
-    pub requests: usize,
-    /// Admitted batches (`< requests` once the batcher coalesces).
-    pub batches: usize,
-    /// Timeline events applied during the run.
-    pub epochs: usize,
-    /// Completion time of the whole served stream, simulated seconds.
-    pub makespan_s: f64,
-    /// Served throughput: requests over the serving makespan.
-    pub requests_per_second: f64,
-    /// Median end-to-end latency (queueing included), ms.
-    pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency, ms.
-    pub p99_ms: f64,
-    /// Mean queueing delay (admission − arrival), ms.
-    pub mean_queueing_ms: f64,
-    /// Fraction of requests that missed their class deadline.
-    pub sla_miss_rate: f64,
-    /// 99th-percentile latency of the premium class, ms.
-    pub premium_p99_ms: f64,
+record! {
+    /// One cell of the serving experiment grid.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServingGridPoint {
+        /// Admission-policy variant name (see [`serving_policies`]).
+        pub policy: String,
+        /// Batching limit of the variant.
+        pub max_batch: usize,
+        /// Failure-pattern name (see [`serving_failure_patterns`]).
+        pub failure: String,
+        /// Requests served.
+        pub requests: usize,
+        /// Admitted batches (`< requests` once the batcher coalesces).
+        pub batches: usize,
+        /// Timeline events applied during the run.
+        pub epochs: usize,
+        /// Completion time of the whole served stream, simulated seconds.
+        pub makespan_s: f64,
+        /// Served throughput: requests over the serving makespan.
+        pub requests_per_second: f64,
+        /// Median end-to-end latency (queueing included), ms.
+        pub p50_ms: f64,
+        /// 99th-percentile end-to-end latency, ms.
+        pub p99_ms: f64,
+        /// Mean queueing delay (admission − arrival), ms.
+        pub mean_queueing_ms: f64,
+        /// Fraction of requests that missed their class deadline.
+        pub sla_miss_rate: f64,
+        /// 99th-percentile latency of the premium class, ms.
+        pub premium_p99_ms: f64,
+    }
 }
 
 /// Distills grid evaluations into [`ServingGridPoint`]s (same order).
@@ -1193,56 +1175,34 @@ pub fn serving_points(
 
 /// Renders serving grid points as an [`ExperimentTable`].
 pub fn serving_table(points: &[ServingGridPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Serving runtime: admission policy x failure pattern (bursty Mix-5 traffic)",
         "req/s / ms / rate",
-        vec![
-            "batches".to_string(),
-            "epochs".to_string(),
-            "makespan_s".to_string(),
-            "requests_per_s".to_string(),
-            "p50_ms".to_string(),
-            "p99_ms".to_string(),
-            "queueing_ms".to_string(),
-            "sla_miss_rate".to_string(),
-            "premium_p99_ms".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            format!("{} / {}", p.policy, p.failure),
-            vec![
-                p.batches as f64,
-                p.epochs as f64,
-                p.makespan_s,
-                p.requests_per_second,
-                p.p50_ms,
-                p.p99_ms,
-                p.mean_queueing_ms,
-                p.sla_miss_rate,
-                p.premium_p99_ms,
-            ],
-        );
-    }
-    table
+        points,
+        |p| format!("{} / {}", p.policy, p.failure),
+        "batches epochs makespan_s requests_per_second p50_ms p99_ms mean_queueing_ms \
+         sla_miss_rate premium_p99_ms",
+    )
 }
 
-/// One point of the dynamic-batching comparison: the same workload served
-/// with a different batching limit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingBatchingPoint {
-    /// The batcher's coalescing limit (1 = no batching).
-    pub max_batch: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Admitted batches.
-    pub batches: usize,
-    /// Served throughput: requests over the serving makespan.
-    pub requests_per_second: f64,
-    /// 99th-percentile end-to-end latency, ms.
-    pub p99_ms: f64,
-    /// Throughput relative to the `max_batch == 1` point.
-    pub speedup_vs_unbatched: f64,
+record! {
+    /// One point of the dynamic-batching comparison: the same workload served
+    /// with a different batching limit.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServingBatchingPoint {
+        /// The batcher's coalescing limit (1 = no batching).
+        pub max_batch: usize,
+        /// Requests served.
+        pub requests: usize,
+        /// Admitted batches.
+        pub batches: usize,
+        /// Served throughput: requests over the serving makespan.
+        pub requests_per_second: f64,
+        /// 99th-percentile end-to-end latency, ms.
+        pub p99_ms: f64,
+        /// Throughput relative to the `max_batch == 1` point.
+        pub speedup_vs_unbatched: f64,
+    }
 }
 
 /// Serves one burst-train workload with batching limits 1, 4 and 8 under a
@@ -1316,146 +1276,83 @@ pub fn serving_batching_compute_points(count: usize) -> Vec<ServingBatchingPoint
     )))
 }
 
-/// Renders batching points as an [`ExperimentTable`].
-pub fn serving_batching_table(points: &[ServingBatchingPoint]) -> ExperimentTable {
-    serving_batching_table_titled(
+/// Renders batching points as an [`ExperimentTable`] (the transfer- and
+/// compute-bound regimes share the format and differ in `title`).
+pub fn serving_batching_table(points: &[ServingBatchingPoint], title: &str) -> ExperimentTable {
+    ExperimentTable::from_points(
+        title,
+        "req/s / ms / x",
         points,
-        "Dynamic batching: Inception-V3 burst train, serial dispatch window",
+        |p| format!("k={}", p.max_batch),
+        "batches requests_per_second p99_ms speedup_vs_unbatched",
     )
 }
 
-/// [`serving_batching_table`] with a caller-supplied title (the transfer-
-/// and compute-bound regimes share the format).
-pub fn serving_batching_table_titled(
-    points: &[ServingBatchingPoint],
-    title: &str,
-) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
-        title,
-        "req/s / ms / x",
-        vec![
-            "batches".to_string(),
-            "requests_per_s".to_string(),
-            "p99_ms".to_string(),
-            "speedup_x".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            format!("k={}", p.max_batch),
-            vec![
-                p.batches as f64,
-                p.requests_per_second,
-                p.p99_ms,
-                p.speedup_vs_unbatched,
-            ],
-        );
-    }
-    table
-}
-
-/// Serialises the serving grid and the batching comparison as the
-/// `BENCH_serving.json` perf-trajectory document (hand-rolled like
-/// [`tables_to_json`]: the build environment has no serde_json).
-pub fn serving_json(
+/// The `BENCH_serving.json` document: the grid, then the transfer- and
+/// compute-bound batching comparisons.
+pub fn serving_document(
     points: &[ServingGridPoint],
     batching: &[ServingBatchingPoint],
     batching_compute: &[ServingBatchingPoint],
     count: usize,
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"serving\",\n");
-    out.push_str(&format!(
-        "  \"workload\": \"bursty Mix-5 traffic: {count} requests in bursts of 8 (one model per burst, 0.4 s apart), SLA classes cycling premium/standard/best_effort, HiDP planning, admission window 2\",\n"
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"max_batch\": {}, \"failure\": \"{}\", \"requests\": {}, \"batches\": {}, \"epochs\": {}, \"makespan_s\": {}, \"requests_per_second\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"mean_queueing_ms\": {}, \"sla_miss_rate\": {}, \"premium_p99_ms\": {}}}{}\n",
-            p.policy,
-            p.max_batch,
-            p.failure,
-            p.requests,
-            p.batches,
-            p.epochs,
-            p.makespan_s,
-            p.requests_per_second,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queueing_ms,
-            p.sla_miss_rate,
-            p.premium_p99_ms,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"batching_workload\": \"Inception-V3 burst train (bursts of 8, 0.3 s apart), serial dispatch window (max_inflight 1), FIFO\",\n",
-    );
-    out.push_str("  \"batching\": [\n");
-    push_batching_points(&mut out, batching);
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"batching_compute_workload\": \"ResNet-152 burst train (bursts of 8, 0.3 s apart), serial dispatch window (max_inflight 1), FIFO — compute-bound, wins via the sublinear batch cost model\",\n",
-    );
-    out.push_str("  \"batching_compute\": [\n");
-    push_batching_points(&mut out, batching_compute);
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Appends batching points as JSON array elements (shared by the transfer-
-/// and compute-bound sections of [`serving_json`]).
-fn push_batching_points(out: &mut String, batching: &[ServingBatchingPoint]) {
-    for (i, p) in batching.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"max_batch\": {}, \"requests\": {}, \"batches\": {}, \"requests_per_second\": {}, \"p99_ms\": {}, \"speedup_vs_unbatched\": {}}}{}\n",
-            p.max_batch,
-            p.requests,
-            p.batches,
-            p.requests_per_second,
-            p.p99_ms,
-            p.speedup_vs_unbatched,
-            if i + 1 < batching.len() { "," } else { "" }
-        ));
-    }
+) -> Json {
+    bench_document(
+        "serving",
+        &format!("bursty Mix-5 traffic: {count} requests in bursts of 8 (one model per burst, 0.4 s apart), SLA classes cycling premium/standard/best_effort, HiDP planning, admission window 2"),
+        vec![
+            ("points", points.to_json()),
+            (
+                "batching_workload",
+                "Inception-V3 burst train (bursts of 8, 0.3 s apart), serial dispatch window (max_inflight 1), FIFO".to_json(),
+            ),
+            ("batching", batching.to_json()),
+            (
+                "batching_compute_workload",
+                "ResNet-152 burst train (bursts of 8, 0.3 s apart), serial dispatch window (max_inflight 1), FIFO — compute-bound, wins via the sublinear batch cost model".to_json(),
+            ),
+            ("batching_compute", batching_compute.to_json()),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Soak: the streaming serving loop at 10^6-request scale, bounded memory
 // ---------------------------------------------------------------------------
 
-/// One measured soak pass: the streaming serving loop
-/// ([`ServingScenario::run_streaming_with_cache_in`]) over a diurnal trace,
-/// timed wall-clock and audited for steady-state allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SoakPoint {
-    /// Admission policy + batching config of the pass.
-    pub config: String,
-    /// Requests served.
-    pub requests: usize,
-    /// Admitted batches.
-    pub batches: usize,
-    /// Wall-clock time of the audited steady-state pass, seconds.
-    pub wall_seconds: f64,
-    /// Requests processed per wall-clock second (the soak throughput gate).
-    pub requests_per_wall_second: f64,
-    /// Simulated makespan of the served trace, seconds.
-    pub sim_makespan_s: f64,
-    /// Simulated served throughput: requests over the makespan.
-    pub sim_requests_per_second: f64,
-    /// Median end-to-end latency, ms (histogram estimate, within 1%).
-    pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency, ms (histogram estimate, within 1%).
-    pub p99_ms: f64,
-    /// Mean queueing delay, ms (exact).
-    pub mean_queueing_ms: f64,
-    /// Fraction of requests missing their SLA deadline.
-    pub sla_miss_rate: f64,
-    /// Heap allocations during the audited steady-state pass (`None` when
-    /// no counter was supplied). The bounded-memory contract is 0: after
-    /// the warm pass, the loop runs entirely on reused buffers and `Copy`
-    /// accumulators, so memory cannot grow with the request count.
-    pub steady_state_allocs: Option<u64>,
+record! {
+    /// One measured soak pass: the streaming serving loop
+    /// ([`ServingScenario::run_streaming_with_cache_in`]) over a diurnal trace,
+    /// timed wall-clock and audited for steady-state allocations.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SoakPoint {
+        /// Admission policy + batching config of the pass.
+        pub config: String,
+        /// Requests served.
+        pub requests: usize,
+        /// Admitted batches.
+        pub batches: usize,
+        /// Wall-clock time of the audited steady-state pass, seconds.
+        pub wall_seconds: f64,
+        /// Requests processed per wall-clock second (the soak throughput gate).
+        pub requests_per_wall_second: f64,
+        /// Simulated makespan of the served trace, seconds.
+        pub sim_makespan_s: f64,
+        /// Simulated served throughput: requests over the makespan.
+        pub sim_requests_per_second: f64,
+        /// Median end-to-end latency, ms (histogram estimate, within 1%).
+        pub p50_ms: f64,
+        /// 99th-percentile end-to-end latency, ms (histogram estimate, within 1%).
+        pub p99_ms: f64,
+        /// Mean queueing delay, ms (exact).
+        pub mean_queueing_ms: f64,
+        /// Fraction of requests missing their SLA deadline.
+        pub sla_miss_rate: f64,
+        /// Heap allocations during the audited steady-state pass (`None` when
+        /// no counter was supplied). The bounded-memory contract is 0: after
+        /// the warm pass, the loop runs entirely on reused buffers and `Copy`
+        /// accumulators, so memory cannot grow with the request count.
+        pub steady_state_allocs: Option<u64>,
+    }
 }
 
 /// The soak trace: a diurnal (day/night sinusoidal-rate) Poisson stream over
@@ -1537,110 +1434,67 @@ pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<SoakP
 
 /// Renders soak points as an [`ExperimentTable`].
 pub fn soak_table(points: &[SoakPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Soak: streaming serving over a diurnal trace (histogram tails, zero-alloc steady state)",
         "req/s / ms",
-        vec![
-            "requests".to_string(),
-            "batches".to_string(),
-            "wall_s".to_string(),
-            "req_per_wall_s".to_string(),
-            "p50_ms".to_string(),
-            "p99_ms".to_string(),
-            "queueing_ms".to_string(),
-            "allocs".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            p.config.clone(),
-            vec![
-                p.requests as f64,
-                p.batches as f64,
-                p.wall_seconds,
-                p.requests_per_wall_second,
-                p.p50_ms,
-                p.p99_ms,
-                p.mean_queueing_ms,
-                p.steady_state_allocs.map_or(-1.0, |a| a as f64),
-            ],
-        );
-    }
-    table
+        points,
+        |p| p.config.clone(),
+        "requests batches wall_seconds requests_per_wall_second p50_ms p99_ms mean_queueing_ms \
+         steady_state_allocs",
+    )
 }
 
-/// Serialises soak points as the `BENCH_soak.json` perf-trajectory document
-/// (hand-rolled like [`tables_to_json`]: the build environment has no
-/// serde_json).
-pub fn soak_json(points: &[SoakPoint]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"soak\",\n");
-    out.push_str(
-        "  \"workload\": \"diurnal Mix-5 trace (trough 8 req/s, peak 24 req/s around the ~18 req/s service capacity, 2000 s period, seed 42), SLA classes cycling, HiDP planning, max_batch 8, admission window 4, streaming mode (no per-request records, log-linear latency histograms)\",\n",
-    );
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"requests\": {}, \"batches\": {}, \"wall_seconds\": {}, \"requests_per_wall_second\": {}, \"sim_makespan_s\": {}, \"sim_requests_per_second\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"mean_queueing_ms\": {}, \"sla_miss_rate\": {}, \"steady_state_allocs\": {}}}{}\n",
-            p.config,
-            p.requests,
-            p.batches,
-            p.wall_seconds,
-            p.requests_per_wall_second,
-            p.sim_makespan_s,
-            p.sim_requests_per_second,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queueing_ms,
-            p.sla_miss_rate,
-            p.steady_state_allocs
-                .map_or("null".to_string(), |a| a.to_string()),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_soak.json` document.
+pub fn soak_document(points: &[SoakPoint]) -> Json {
+    bench_document(
+        "soak",
+        "diurnal Mix-5 trace (trough 8 req/s, peak 24 req/s around the ~18 req/s service capacity, 2000 s period, seed 42), SLA classes cycling, HiDP planning, max_batch 8, admission window 4, streaming mode (no per-request records, log-linear latency histograms)",
+        vec![("points", points.to_json())],
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Fleet: multi-cluster routing on one clock, at soak scale
 // ---------------------------------------------------------------------------
 
-/// One measured fleet pass: [`FleetScenario::run_streaming_in`] over a
-/// skewed regional diurnal trace under one routing policy, timed wall-clock
-/// and (at one thread) audited for steady-state allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetPoint {
-    /// Routing policy of the pass.
-    pub routing: String,
-    /// Requests served.
-    pub requests: usize,
-    /// Clusters in the fleet.
-    pub clusters: usize,
-    /// Wall-clock time of the audited steady-state pass, seconds.
-    pub wall_seconds: f64,
-    /// Requests processed per wall-clock second.
-    pub requests_per_wall_second: f64,
-    /// Simulated served throughput: requests over the fleet makespan.
-    pub sim_requests_per_second: f64,
-    /// Median end-to-end latency, ms (histogram-bin resolution).
-    pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency, ms (histogram-bin resolution).
-    pub p99_ms: f64,
-    /// Mean queueing delay, ms (exact).
-    pub mean_queueing_ms: f64,
-    /// Mean WAN round trip paid per request, ms (exact).
-    pub mean_wan_ms: f64,
-    /// Fraction of requests missing their SLA deadline.
-    pub sla_miss_rate: f64,
-    /// Requests on the most-loaded cluster (routing balance signal).
-    pub busiest_cluster_requests: usize,
-    /// Requests on the least-loaded cluster.
-    pub idlest_cluster_requests: usize,
-    /// Heap allocations during the audited steady-state pass (`None` when
-    /// no counter was supplied). The contract is 0 at one thread: every
-    /// cluster's serving loop runs on reused scratch, and per-request fleet
-    /// state is `Copy`.
-    pub steady_state_allocs: Option<u64>,
+record! {
+    /// One measured fleet pass: [`FleetScenario::run_streaming_in`] over a
+    /// skewed regional diurnal trace under one routing policy, timed wall-clock
+    /// and (at one thread) audited for steady-state allocations.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FleetPoint {
+        /// Routing policy of the pass.
+        pub routing: String,
+        /// Requests served.
+        pub requests: usize,
+        /// Clusters in the fleet.
+        pub clusters: usize,
+        /// Wall-clock time of the audited steady-state pass, seconds.
+        pub wall_seconds: f64,
+        /// Requests processed per wall-clock second.
+        pub requests_per_wall_second: f64,
+        /// Simulated served throughput: requests over the fleet makespan.
+        pub sim_requests_per_second: f64,
+        /// Median end-to-end latency, ms (histogram-bin resolution).
+        pub p50_ms: f64,
+        /// 99th-percentile end-to-end latency, ms (histogram-bin resolution).
+        pub p99_ms: f64,
+        /// Mean queueing delay, ms (exact).
+        pub mean_queueing_ms: f64,
+        /// Mean WAN round trip paid per request, ms (exact).
+        pub mean_wan_ms: f64,
+        /// Fraction of requests missing their SLA deadline.
+        pub sla_miss_rate: f64,
+        /// Requests on the most-loaded cluster (routing balance signal).
+        pub busiest_cluster_requests: usize,
+        /// Requests on the least-loaded cluster.
+        pub idlest_cluster_requests: usize,
+        /// Heap allocations during the audited steady-state pass (`None` when
+        /// no counter was supplied). The contract is 0 at one thread: every
+        /// cluster's serving loop runs on reused scratch, and per-request fleet
+        /// state is `Copy`.
+        pub steady_state_allocs: Option<u64>,
+    }
 }
 
 /// The four routing policies the fleet experiment compares, dumb to smart.
@@ -1796,129 +1650,69 @@ pub fn fleet_soak_point(
 
 /// Renders fleet points as an [`ExperimentTable`].
 pub fn fleet_table(points: &[FleetPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Fleet: routing policies over a skewed regional diurnal trace (equal offered load)",
         "req/s / ms",
-        vec![
-            "requests".to_string(),
-            "clusters".to_string(),
-            "wall_s".to_string(),
-            "req_per_wall_s".to_string(),
-            "p50_ms".to_string(),
-            "p99_ms".to_string(),
-            "queueing_ms".to_string(),
-            "wan_ms".to_string(),
-            "miss_rate".to_string(),
-            "busiest".to_string(),
-            "allocs".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            p.routing.clone(),
-            vec![
-                p.requests as f64,
-                p.clusters as f64,
-                p.wall_seconds,
-                p.requests_per_wall_second,
-                p.p50_ms,
-                p.p99_ms,
-                p.mean_queueing_ms,
-                p.mean_wan_ms,
-                p.sla_miss_rate,
-                p.busiest_cluster_requests as f64,
-                p.steady_state_allocs.map_or(-1.0, |a| a as f64),
-            ],
-        );
-    }
-    table
+        points,
+        |p| p.routing.clone(),
+        "requests clusters wall_seconds requests_per_wall_second p50_ms p99_ms mean_queueing_ms \
+         mean_wan_ms sla_miss_rate busiest_cluster_requests steady_state_allocs",
+    )
 }
 
-/// Serialises the routing comparison and the soak as the `BENCH_fleet.json`
-/// perf-trajectory document (hand-rolled like [`tables_to_json`]: the build
-/// environment has no serde_json).
-pub fn fleet_json(points: &[FleetPoint], soak: Option<&FleetPoint>) -> String {
-    let point_json = |p: &FleetPoint| {
-        format!(
-            "{{\"routing\": \"{}\", \"requests\": {}, \"clusters\": {}, \"wall_seconds\": {}, \"requests_per_wall_second\": {}, \"sim_requests_per_second\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"mean_queueing_ms\": {}, \"mean_wan_ms\": {}, \"sla_miss_rate\": {}, \"busiest_cluster_requests\": {}, \"idlest_cluster_requests\": {}, \"steady_state_allocs\": {}}}",
-            p.routing,
-            p.requests,
-            p.clusters,
-            p.wall_seconds,
-            p.requests_per_wall_second,
-            p.sim_requests_per_second,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queueing_ms,
-            p.mean_wan_ms,
-            p.sla_miss_rate,
-            p.busiest_cluster_requests,
-            p.idlest_cluster_requests,
-            p.steady_state_allocs
-                .map_or("null".to_string(), |a| a.to_string()),
-        )
-    };
-    let mut out = String::from("{\n  \"benchmark\": \"fleet\",\n");
-    out.push_str(
-        "  \"workload\": \"skewed regional diurnal trace (region weights 4/2/1/..., phase-shifted sinusoidal rates, seed 42), Mix-5 model cycle, SLA classes cycling, HiDP planning, EDF admission, max_batch 8, window 4 per cluster, 1 s router rounds\",\n",
-    );
-    out.push_str("  \"routing_points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&point_json(p));
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    match soak {
-        Some(p) => {
-            out.push_str("  \"soak\": ");
-            out.push_str(&point_json(p));
-            out.push('\n');
-        }
-        None => out.push_str("  \"soak\": null\n"),
-    }
-    out.push_str("}\n");
-    out
+/// The `BENCH_fleet.json` document: the routing comparison, then the soak
+/// (`null` when it did not run).
+pub fn fleet_document(points: &[FleetPoint], soak: Option<&FleetPoint>) -> Json {
+    bench_document(
+        "fleet",
+        "skewed regional diurnal trace (region weights 4/2/1/..., phase-shifted sinusoidal rates, seed 42), Mix-5 model cycle, SLA classes cycling, HiDP planning, EDF admission, max_batch 8, window 4 per cluster, 1 s router rounds",
+        vec![
+            ("routing_points", points.to_json()),
+            ("soak", soak.map_or(Json::Null, ToJson::to_json)),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Chaos: failure-domain robustness under a seeded fault suite
 // ---------------------------------------------------------------------------
 
-/// One measured chaos pass: the fleet under a seeded fault suite with one
-/// recovery configuration, timed wall-clock and (at one thread) audited for
-/// steady-state allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosPoint {
-    /// Recovery configuration of the pass (see [`chaos_points`]).
-    pub config: String,
-    /// Requests offered to the fleet.
-    pub requests: usize,
-    /// Offered/completed/dropped accounting including recovery traffic.
-    pub robustness: RobustnessStats,
-    /// In-deadline completions over offered requests — the robustness
-    /// headline. A shed, aborted, lost or merely late request all count
-    /// against it equally.
-    pub sla_goodput: f64,
-    /// 99th-percentile end-to-end latency of completed requests, ms.
-    pub p99_ms: f64,
-    /// Fraction of completed requests that missed their class deadline.
-    pub sla_miss_rate: f64,
-    /// Fleet makespan, simulated seconds.
-    pub makespan_s: f64,
-    /// Virtual time of the first kill that produced a re-routed retry
-    /// (`None` when nothing was retried — fault-free and no-recovery runs).
-    pub time_to_first_retry_s: Option<f64>,
-    /// Latency tail over completions that needed at least one retry — the
-    /// per-policy recovery cost; `None` when no retried request completed.
-    pub recovery_latency: Option<LatencySummary>,
-    /// Wall-clock time of the audited steady-state pass, seconds.
-    pub wall_seconds: f64,
-    /// Heap allocations during the audited steady-state pass (`None` when
-    /// no counter was supplied). The contract is 0 at one thread: the
-    /// recovery machinery — pending FIFO, retry heap, re-routing — runs
-    /// entirely on reused scratch once warmed.
-    pub steady_state_allocs: Option<u64>,
+record! {
+    /// One measured chaos pass: the fleet under a seeded fault suite with one
+    /// recovery configuration, timed wall-clock and (at one thread) audited for
+    /// steady-state allocations.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ChaosPoint {
+        /// Recovery configuration of the pass (see [`chaos_points`]).
+        pub config: String,
+        /// Requests offered to the fleet.
+        pub requests: usize,
+        /// Offered/completed/dropped accounting including recovery traffic.
+        pub robustness: RobustnessStats,
+        /// In-deadline completions over offered requests — the robustness
+        /// headline. A shed, aborted, lost or merely late request all count
+        /// against it equally.
+        pub sla_goodput: f64,
+        /// 99th-percentile end-to-end latency of completed requests, ms.
+        pub p99_ms: f64,
+        /// Fraction of completed requests that missed their class deadline.
+        pub sla_miss_rate: f64,
+        /// Fleet makespan, simulated seconds.
+        pub makespan_s: f64,
+        /// Virtual time of the first kill that produced a re-routed retry
+        /// (`None` when nothing was retried — fault-free and no-recovery runs).
+        pub time_to_first_retry_s: Option<f64>,
+        /// Latency tail over completions that needed at least one retry — the
+        /// per-policy recovery cost; `None` when no retried request completed.
+        pub recovery_latency: Option<LatencySummary>,
+        /// Wall-clock time of the audited steady-state pass, seconds.
+        pub wall_seconds: f64,
+        /// Heap allocations during the audited steady-state pass (`None` when
+        /// no counter was supplied). The contract is 0 at one thread: the
+        /// recovery machinery — pending FIFO, retry heap, re-routing — runs
+        /// entirely on reused scratch once warmed.
+        pub steady_state_allocs: Option<u64>,
+    }
 }
 
 /// The fault suite the chaos experiment injects: one seeded
@@ -2067,96 +1861,59 @@ fn chaos_point(
     }
 }
 
+impl Fields for RobustnessStats {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("offered", self.offered.to_json()),
+            ("completed", self.completed.to_json()),
+            ("shed", self.shed.to_json()),
+            ("aborted", self.aborted.to_json()),
+            ("lost", self.lost.to_json()),
+            ("killed", self.killed.to_json()),
+            ("retried", self.retried.to_json()),
+            ("hedged", self.hedged.to_json()),
+            ("in_flight_at_horizon", self.in_flight_at_horizon.to_json()),
+        ]
+    }
+}
+
+/// A latency tail in milliseconds, the shape the chaos document nests for
+/// recovery latency.
+impl Fields for LatencySummary {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("count", self.count.to_json()),
+            ("p50_ms", (self.p50 * 1e3).to_json()),
+            ("p95_ms", (self.p95 * 1e3).to_json()),
+            ("p99_ms", (self.p99 * 1e3).to_json()),
+            ("mean_ms", (self.mean * 1e3).to_json()),
+        ]
+    }
+}
+
 /// Renders chaos points as an [`ExperimentTable`].
 pub fn chaos_table(points: &[ChaosPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Chaos: recovery policies under a seeded fault suite (equal offered load)",
         "req / rate / ms",
+        points,
+        |p| p.config.clone(),
+        "requests robustness.completed robustness.killed robustness.retried robustness.lost \
+         robustness.shed robustness.aborted sla_goodput p99_ms time_to_first_retry_s \
+         recovery_latency.p99_ms steady_state_allocs",
+    )
+}
+
+/// The `BENCH_chaos.json` document.
+pub fn chaos_document(points: &[ChaosPoint], seed: u64) -> Json {
+    bench_document(
+        "chaos",
+        "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation",
         vec![
-            "requests".to_string(),
-            "completed".to_string(),
-            "killed".to_string(),
-            "retried".to_string(),
-            "lost".to_string(),
-            "shed".to_string(),
-            "aborted".to_string(),
-            "sla_goodput".to_string(),
-            "p99_ms".to_string(),
-            "ttfr_s".to_string(),
-            "recovery_p99_ms".to_string(),
-            "allocs".to_string(),
+            ("fault_seed", seed.to_json()),
+            ("points", points.to_json()),
         ],
-    );
-    for p in points {
-        table.push_row(
-            p.config.clone(),
-            vec![
-                p.requests as f64,
-                p.robustness.completed as f64,
-                p.robustness.killed as f64,
-                p.robustness.retried as f64,
-                p.robustness.lost as f64,
-                p.robustness.shed as f64,
-                p.robustness.aborted as f64,
-                p.sla_goodput,
-                p.p99_ms,
-                p.time_to_first_retry_s.unwrap_or(-1.0),
-                p.recovery_latency.map_or(-1.0, |l| l.p99 * 1e3),
-                p.steady_state_allocs.map_or(-1.0, |a| a as f64),
-            ],
-        );
-    }
-    table
-}
-
-/// Renders an optional latency summary as a JSON object (or `null`), the
-/// shape the chaos and drift documents nest for recovery tails.
-fn latency_summary_json(summary: Option<&LatencySummary>) -> String {
-    match summary {
-        None => "null".to_string(),
-        Some(l) => format!(
-            "{{\"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"mean_ms\": {}}}",
-            l.count,
-            l.p50 * 1e3,
-            l.p95 * 1e3,
-            l.p99 * 1e3,
-            l.mean * 1e3
-        ),
-    }
-}
-
-/// Serialises chaos points as the `BENCH_chaos.json` perf-trajectory
-/// document (hand-rolled like [`tables_to_json`]: the build environment has
-/// no serde_json). Robustness accounting nests uniformly via
-/// [`RobustnessStats::to_json`], the same shape `BENCH_drift.json` emits.
-pub fn chaos_json(points: &[ChaosPoint], seed: u64) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"chaos\",\n");
-    out.push_str(
-        "  \"workload\": \"skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation\",\n",
-    );
-    out.push_str(&format!("  \"fault_seed\": {seed},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"requests\": {}, \"robustness\": {}, \"sla_goodput\": {}, \"p99_ms\": {}, \"sla_miss_rate\": {}, \"makespan_s\": {}, \"time_to_first_retry_s\": {}, \"recovery_latency\": {}, \"wall_seconds\": {}, \"steady_state_allocs\": {}}}{}\n",
-            p.config,
-            p.requests,
-            p.robustness.to_json(),
-            p.sla_goodput,
-            p.p99_ms,
-            p.sla_miss_rate,
-            p.makespan_s,
-            p.time_to_first_retry_s
-                .map_or("null".to_string(), |t| t.to_string()),
-            latency_summary_json(p.recovery_latency.as_ref()),
-            p.wall_seconds,
-            p.steady_state_allocs
-                .map_or("null".to_string(), |a| a.to_string()),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -2167,7 +1924,7 @@ pub fn chaos_json(points: &[ChaosPoint], seed: u64) -> String {
 /// drift trace (thermal throttle ramps, background load, network
 /// contention) with or without the adaptive estimation/re-planning loop,
 /// timed wall-clock and audited for steady-state allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftPoint {
     /// Drift/adaptive configuration of the pass (see [`drift_configs`]).
     pub config: String,
@@ -2350,48 +2107,47 @@ fn drift_point(
     }
 }
 
+impl Fields for DriftPoint {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        let drift = vec![
+            ("replans", self.replans.to_json()),
+            ("observations", self.observations.to_json()),
+            ("energy_j", self.dynamic_energy_j.to_json()),
+        ];
+        vec![
+            ("config", self.config.to_json()),
+            ("requests", self.requests.to_json()),
+            ("batches", self.batches.to_json()),
+            ("p50_ms", self.p50_ms.to_json()),
+            ("p99_ms", self.p99_ms.to_json()),
+            ("sla_miss_rate", self.sla_miss_rate.to_json()),
+            ("makespan_s", self.makespan_s.to_json()),
+            ("dynamic_energy_j", self.dynamic_energy_j.to_json()),
+            ("total_energy_j", self.total_energy_j.to_json()),
+            ("drift", Json::Obj(drift)),
+            ("robustness", self.robustness.to_json()),
+            ("wall_seconds", self.wall_seconds.to_json()),
+            ("steady_state_allocs", self.steady_state_allocs.to_json()),
+        ]
+    }
+}
+
 /// Renders drift points as an [`ExperimentTable`].
 pub fn drift_table(points: &[DriftPoint]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         "Drift: adaptive re-planning under a seeded throttling/contention trace (equal offered load)",
         "ms / J",
-        vec![
-            "requests".to_string(),
-            "batches".to_string(),
-            "p50_ms".to_string(),
-            "p99_ms".to_string(),
-            "miss_rate".to_string(),
-            "makespan_s".to_string(),
-            "energy_j".to_string(),
-            "replans".to_string(),
-            "observations".to_string(),
-            "allocs".to_string(),
-        ],
-    );
-    for p in points {
-        table.push_row(
-            p.config.clone(),
-            vec![
-                p.requests as f64,
-                p.batches as f64,
-                p.p50_ms,
-                p.p99_ms,
-                p.sla_miss_rate,
-                p.makespan_s,
-                p.total_energy_j,
-                p.replans as f64,
-                p.observations as f64,
-                p.steady_state_allocs.map_or(-1.0, |a| a as f64),
-            ],
-        );
-    }
-    table
+        points,
+        |p| p.config.clone(),
+        "requests batches p50_ms p99_ms sla_miss_rate makespan_s total_energy_j drift.replans \
+         drift.observations steady_state_allocs",
+    )
 }
 
 /// The report of the episode-level strategy bandit: a deterministic UCB1
 /// choosing between adaptive tunings, one full drift run per episode,
 /// reward = negated p99 latency (milliseconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftBanditReport {
     /// Arm labels, in arm-index order.
     pub arms: Vec<String>,
@@ -2490,83 +2246,63 @@ pub fn drift_bandit(count: usize, seed: u64, episodes: u32) -> DriftBanditReport
     }
 }
 
-/// Serialises drift points (and the bandit report) as the
-/// `BENCH_drift.json` perf-trajectory document (hand-rolled like
-/// [`tables_to_json`]: the build environment has no serde_json).
-/// Robustness accounting nests uniformly via [`RobustnessStats::to_json`],
-/// the same shape `BENCH_chaos.json` emits.
-pub fn drift_json(points: &[DriftPoint], bandit: &DriftBanditReport, seed: u64) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"drift\",\n");
-    out.push_str(
-        "  \"workload\": \"diurnal Mix-5 trace (soak shape), EDF admission, max_batch 8, window 4, paper cluster; seeded drift trace: two thermal throttle ramps (peak 3x), two background-load bursts (1.6x), one network-contention window (2x), leader protected\",\n",
-    );
-    out.push_str(&format!("  \"drift_seed\": {seed},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"requests\": {}, \"batches\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"sla_miss_rate\": {}, \"makespan_s\": {}, \"dynamic_energy_j\": {}, \"total_energy_j\": {}, \"drift\": {{\"replans\": {}, \"observations\": {}, \"energy_j\": {}}}, \"robustness\": {}, \"wall_seconds\": {}, \"steady_state_allocs\": {}}}{}\n",
-            p.config,
-            p.requests,
-            p.batches,
-            p.p50_ms,
-            p.p99_ms,
-            p.sla_miss_rate,
-            p.makespan_s,
-            p.dynamic_energy_j,
-            p.total_energy_j,
-            p.replans,
-            p.observations,
-            p.dynamic_energy_j,
-            p.robustness.to_json(),
-            p.wall_seconds,
-            p.steady_state_allocs
-                .map_or("null".to_string(), |a| a.to_string()),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
+impl Fields for DriftBanditReport {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        let arms = self.arms.iter().enumerate().map(|(i, arm)| {
+            Json::Obj(vec![
+                ("arm", arm.to_json()),
+                ("pulls", self.pulls[i].to_json()),
+                ("p99_ms", self.p99_ms[i].to_json()),
+            ])
+        });
+        vec![
+            ("episodes", self.episodes.to_json()),
+            ("best", self.best.to_json()),
+            ("arms", Json::Arr(arms.collect())),
+        ]
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"bandit\": {\n");
-    out.push_str(&format!("    \"episodes\": {},\n", bandit.episodes));
-    out.push_str(&format!("    \"best\": \"{}\",\n", bandit.best));
-    out.push_str("    \"arms\": [\n");
-    for (i, arm) in bandit.arms.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"arm\": \"{}\", \"pulls\": {}, \"p99_ms\": {}}}{}\n",
-            arm,
-            bandit.pulls[i],
-            bandit.p99_ms[i],
-            if i + 1 < bandit.arms.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
+}
+
+/// The `BENCH_drift.json` document: the drift points, then the bandit report.
+pub fn drift_document(points: &[DriftPoint], bandit: &DriftBanditReport, seed: u64) -> Json {
+    bench_document(
+        "drift",
+        "diurnal Mix-5 trace (soak shape), EDF admission, max_batch 8, window 4, paper cluster; seeded drift trace: two thermal throttle ramps (peak 3x), two background-load bursts (1.6x), one network-contention window (2x), leader protected",
+        vec![
+            ("drift_seed", seed.to_json()),
+            ("points", points.to_json()),
+            ("bandit", bandit.to_json()),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Parallel evaluation: end-to-end requests/s of the sweep engine vs threads
 // ---------------------------------------------------------------------------
 
-/// One measured point of the parallel-evaluation experiment: the Mix-5
-/// sweep's end-to-end throughput at a given worker-thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ParallelEvalPoint {
-    /// Worker threads of the [`ParallelSweep`].
-    pub threads: usize,
-    /// Wall-clock of the whole sweep (plan every request through a cold
-    /// shared cache + simulate every stream), best of the measured runs, ms.
-    pub wall_ms: f64,
-    /// End-to-end throughput: total requests across all jobs over `wall_ms`.
-    pub requests_per_second: f64,
-    /// `requests_per_second` over the 1-thread point's.
-    pub speedup_vs_one_thread: f64,
-    /// Whether every job's [`Evaluation`] was bit-identical to the 1-thread
-    /// run's (must always be true — the sweep is deterministic).
-    pub identical_to_one_thread: bool,
+record! {
+    /// One measured point of the parallel-evaluation experiment: the Mix-5
+    /// sweep's end-to-end throughput at a given worker-thread count.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ParallelEvalPoint {
+        /// Worker threads of the [`ParallelSweep`].
+        pub threads: usize,
+        /// Wall-clock of the whole sweep (plan every request through a cold
+        /// shared cache + simulate every stream), best of the measured runs, ms.
+        pub wall_ms: f64,
+        /// End-to-end throughput: total requests across all jobs over `wall_ms`.
+        pub requests_per_second: f64,
+        /// `requests_per_second` over the 1-thread point's.
+        pub speedup_vs_one_thread: f64,
+        /// Whether every job's [`Evaluation`] was bit-identical to the 1-thread
+        /// run's (must always be true — the sweep is deterministic).
+        pub identical_to_one_thread: bool,
+    }
 }
 
 /// The full parallel-evaluation report: the workload shape, the host's
 /// parallelism (speedups are bounded by it) and one point per thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelEvalReport {
     /// Number of independent Mix-5 stream jobs in the sweep.
     pub jobs: usize,
@@ -2694,60 +2430,31 @@ pub fn parallel_eval(jobs: usize, requests_per_job: usize, runs: usize) -> Paral
 
 /// Renders a parallel-evaluation report as an [`ExperimentTable`].
 pub fn parallel_eval_table(report: &ParallelEvalReport) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
+    ExperimentTable::from_points(
         format!(
             "Parallel evaluation: Mix-5 sweep ({} jobs x {} requests), host parallelism {}",
             report.jobs, report.requests_per_job, report.available_parallelism
         ),
         "ms / req/s / x",
-        vec![
-            "wall_ms".to_string(),
-            "requests_per_s".to_string(),
-            "speedup_x".to_string(),
-            "identical".to_string(),
-        ],
-    );
-    for p in &report.points {
-        table.push_row(
-            format!("{} threads", p.threads),
-            vec![
-                p.wall_ms,
-                p.requests_per_second,
-                p.speedup_vs_one_thread,
-                if p.identical_to_one_thread { 1.0 } else { 0.0 },
-            ],
-        );
-    }
-    table
+        &report.points,
+        |p| format!("{} threads", p.threads),
+        "wall_ms requests_per_second speedup_vs_one_thread identical_to_one_thread",
+    )
 }
 
-/// Serialises a parallel-evaluation report as the
-/// `BENCH_parallel_eval.json` perf-trajectory document (hand-rolled like
-/// [`tables_to_json`]: the build environment has no serde_json).
-pub fn parallel_eval_json(report: &ParallelEvalReport) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"parallel_eval\",\n");
-    out.push_str(&format!(
-        "  \"workload\": \"Mix-5 sweep: {} independent streams x {} requests, HiDP, leaders cycling over 5 nodes, cold shared sharded PlanCache per measurement\",\n",
-        report.jobs, report.requests_per_job
-    ));
-    out.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        report.available_parallelism
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in report.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_ms\": {}, \"requests_per_second\": {}, \"speedup_vs_one_thread\": {}, \"identical_to_one_thread\": {}}}{}\n",
-            p.threads,
-            p.wall_ms,
-            p.requests_per_second,
-            p.speedup_vs_one_thread,
-            p.identical_to_one_thread,
-            if i + 1 < report.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_parallel_eval.json` document.
+pub fn parallel_eval_document(report: &ParallelEvalReport) -> Json {
+    bench_document(
+        "parallel_eval",
+        &format!(
+            "Mix-5 sweep: {} independent streams x {} requests, HiDP, leaders cycling over 5 nodes, cold shared sharded PlanCache per measurement",
+            report.jobs, report.requests_per_job
+        ),
+        vec![
+            ("available_parallelism", report.available_parallelism.to_json()),
+            ("points", report.points.to_json()),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -2970,66 +2677,6 @@ pub fn table2_platform() -> ExperimentTable {
     table
 }
 
-/// Serialises a set of tables as a JSON document (used to regenerate
-/// EXPERIMENTS.md). Hand-rolled: the table shape is fixed and the build
-/// environment has no serde_json, so the emitter lives here.
-pub fn tables_to_json(tables: &[ExperimentTable]) -> String {
-    fn json_string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-    fn json_number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            // JSON has no NaN/Inf; null is the conventional stand-in.
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("[\n");
-    for (t_idx, table) in tables.iter().enumerate() {
-        out.push_str("  {\n");
-        out.push_str(&format!("    \"title\": {},\n", json_string(&table.title)));
-        out.push_str(&format!("    \"unit\": {},\n", json_string(&table.unit)));
-        let columns: Vec<String> = table.columns.iter().map(|c| json_string(c)).collect();
-        out.push_str(&format!("    \"columns\": [{}],\n", columns.join(", ")));
-        out.push_str("    \"rows\": [\n");
-        for (r_idx, (label, values)) in table.rows.iter().enumerate() {
-            let cells: Vec<String> = values.iter().map(|v| json_number(*v)).collect();
-            out.push_str(&format!(
-                "      [{}, [{}]]{}\n",
-                json_string(label),
-                cells.join(", "),
-                if r_idx + 1 < table.rows.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("    ]\n");
-        out.push_str(&format!(
-            "  }}{}\n",
-            if t_idx + 1 < tables.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3043,7 +2690,7 @@ mod tests {
         assert_eq!(t.value("missing", "a"), None);
         let md = t.to_markdown();
         assert!(md.contains("| r1 | 1.00 | 250 |"));
-        let json = tables_to_json(&[t]);
+        let json = t.to_json().to_string();
         assert!(json.contains("demo"));
     }
 

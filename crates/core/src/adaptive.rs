@@ -136,15 +136,6 @@ impl DriftStats {
         self.observations += other.observations;
         self.energy_j += other.energy_j;
     }
-
-    /// Renders the stats as one JSON object (hand-rolled: the build
-    /// environment has no serde_json), the shape `BENCH_drift.json` nests.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"replans\": {}, \"observations\": {}, \"energy_j\": {}}}",
-            self.replans, self.observations, self.energy_j
-        )
-    }
 }
 
 /// Per-run state of the adaptive loop: one rate estimator per node plus

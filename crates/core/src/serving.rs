@@ -341,26 +341,6 @@ impl RobustnessStats {
         self.shed + self.aborted + self.lost
     }
 
-    /// Renders the stats as one JSON object (hand-rolled: the build
-    /// environment has no serde_json). Every robustness benchmark document
-    /// (`BENCH_chaos.json`, `BENCH_drift.json`) nests this same shape.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"offered\": {}, \"completed\": {}, \"shed\": {}, \"aborted\": {}, \
-             \"lost\": {}, \"killed\": {}, \"retried\": {}, \"hedged\": {}, \
-             \"in_flight_at_horizon\": {}}}",
-            self.offered,
-            self.completed,
-            self.shed,
-            self.aborted,
-            self.lost,
-            self.killed,
-            self.retried,
-            self.hedged,
-            self.in_flight_at_horizon
-        )
-    }
-
     /// Whether the conservation invariant holds: every offered request is
     /// completed, dropped, or still in flight.
     pub fn accounts_for_every_request(&self) -> bool {

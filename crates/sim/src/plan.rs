@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// wraps an `Arc<str>`, so cloning is a reference-count increment and the
 /// character data is shared between the plan and every record emitted from
 /// it. Everything observable — `Display`, comparisons, ordering, the
-/// hand-rolled JSON emitters — sees exactly the text the plan was built
+/// bench JSON writer — sees exactly the text the plan was built
 /// with, so interning changes cost, never output.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Label(Arc<str>);

@@ -185,7 +185,7 @@ proptest! {
 
         // And a plan built with the string carries it verbatim into the
         // simulator's records (the serde stand-in serialises nothing at
-        // run time — the hand-rolled emitters and Display are the output
+        // run time — the bench JSON writer and Display are the output
         // format, and both read `as_str`).
         let mut plan = hidp::sim::ExecutionPlan::new();
         plan.add_compute(
