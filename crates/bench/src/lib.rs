@@ -916,10 +916,10 @@ pub fn warm_path_document(points: &[WarmPathPoint]) -> Json {
 /// premium/standard/best-effort — through the **serving runtime** in its
 /// degenerate mode (FIFO, batch = 1, unbounded window, static cluster),
 /// which is bit-identical to the old static pipeline. Latency percentiles
-/// come from the sim layer's [`ServingMetrics`] reporter: overall
-/// p50/p95/p99 plus a per-SLA-class breakdown, all in milliseconds. The
-/// strategy × rate grid fans out on [`ParallelSweep`] against one shared
-/// sharded [`PlanCache`].
+/// come from the sim layer's [`ServingMetrics`](hidp_sim::ServingMetrics)
+/// reporter: overall p50/p95/p99 plus a per-SLA-class breakdown, all in
+/// milliseconds. The strategy × rate grid fans out on [`ParallelSweep`]
+/// against one shared sharded [`PlanCache`].
 pub fn poisson_stress(rates: &[f64], count: usize, seed: u64) -> ExperimentTable {
     let cluster = presets::paper_cluster();
     let strategies = paper_strategies();

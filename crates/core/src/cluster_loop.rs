@@ -43,7 +43,7 @@ use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{AvailabilityEvent, Cluster, DriftModel, NodeIndex, SlowdownWindow};
 use hidp_sim::serving::SlaClass;
-use hidp_sim::{ExecutionPlan, TaskKind};
+use hidp_sim::ExecutionPlan;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -828,19 +828,13 @@ impl Ord for RetryEntry {
     }
 }
 
-/// The set of nodes a plan's tasks touch — compute targets and both
-/// transfer endpoints — as a 64-bit mask. This is the same residency rule
-/// the failure-aware engine applies per task, lifted to whole batches.
+/// The set of nodes a plan's tasks are resident on
+/// ([`PlanTask::nodes`](hidp_sim::PlanTask::nodes): compute targets and
+/// both transfer endpoints) as a 64-bit mask — the failure-aware engine's
+/// per-task residency rule lifted to whole batches.
 fn plan_node_mask(plan: &ExecutionPlan) -> u64 {
-    let mut mask = 0u64;
-    for task in plan.tasks() {
-        match &task.kind {
-            TaskKind::Compute { target, .. } => mask |= 1u64 << (target.node.0 as u64 & 63),
-            TaskKind::Transfer { from, to, .. } => {
-                mask |= 1u64 << (from.0 as u64 & 63);
-                mask |= 1u64 << (to.0 as u64 & 63);
-            }
-        }
-    }
-    mask
+    plan.tasks().iter().fold(0u64, |mask, task| {
+        let (a, b) = task.nodes();
+        mask | 1u64 << (a.0 as u64 & 63) | 1u64 << (b.0 as u64 & 63)
+    })
 }

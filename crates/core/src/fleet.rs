@@ -945,7 +945,7 @@ pub(crate) fn fnv64(parts: &[u64]) -> u64 {
     hash ^ (hash >> 31)
 }
 
-/// Reusable working memory for a fleet run: one [`ClusterWorker`] and one
+/// Reusable working memory for a fleet run: one cluster worker and one
 /// sharded [`PlanCache`] per cluster, plus the global routing order. Create
 /// one and pass it to every run: after the first pass has sized the buffers,
 /// a steady-state pass over the same workload shape performs zero heap

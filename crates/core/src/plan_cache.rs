@@ -64,10 +64,10 @@ pub const SHARD_COUNT: usize = 16;
 pub struct PlanKey {
     /// Strategy display name.
     pub strategy: String,
-    /// [`DistributedStrategy::cache_config`]: distinguishes
-    /// differently-configured instances sharing a display name (ablation
-    /// variants, MCTS iteration counts) so they never serve each other's
-    /// plans.
+    /// The strategy's [`DistributedStrategy::cache_config`], which
+    /// distinguishes differently-configured instances sharing a display
+    /// name (ablation variants, MCTS iteration counts) so they never serve
+    /// each other's plans.
     pub strategy_config: String,
     /// [`DnnGraph::fingerprint`] of the request's graph.
     pub graph_fingerprint: u64,
@@ -293,7 +293,9 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Propagates planning failures (nothing is inserted in that case).
+    /// Propagates planning failures, including a planned
+    /// [`ExecutionPlan::validate`] failure as [`CoreError::Sim`] (nothing is
+    /// inserted in either case).
     pub fn plan(
         &self,
         strategy: &dyn DistributedStrategy,
@@ -418,7 +420,12 @@ impl PlanCache {
             shard,
             pending: Some((key.clone(), Arc::clone(&slot))),
         };
-        let outcome = strategy.plan(graph, cluster, leader);
+        // Validate before publishing: every consumer (the dispatch
+        // estimator included, which runs before any engine pass) may then
+        // index a cached plan's dependencies without checking them.
+        let outcome = strategy
+            .plan(graph, cluster, leader)
+            .and_then(|plan| plan.validate().map(|()| plan).map_err(CoreError::from));
         match outcome {
             Ok(mut plan) => {
                 let (key, slot) = guard.defuse();

@@ -32,7 +32,8 @@
 //!
 //! Admission control gates on **measured** estimated completions: a
 //! persistent per-resource dispatch model replays every admitted plan's
-//! tasks (same durations as the event engine) against the resource free
+//! tasks (the event engine's durations: both take them from
+//! [`PlanTask::cost`](hidp_sim::PlanTask::cost)) against the resource free
 //! times left by all earlier admissions, so with
 //! [`ServingConfig::max_inflight`] set the window sees queueing *contention*
 //! rather than idle-cluster solo makespans — a saturated processor pushes
@@ -107,16 +108,14 @@ use crate::strategy::DistributedStrategy;
 use crate::{CoreError, PlanKey};
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
-use hidp_platform::{
-    Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr, SlowdownWindow,
-};
+use hidp_platform::{Cluster, ClusterTimeline, DriftModel, NodeIndex, SlowdownWindow};
 use hidp_sim::serving::{
     LatencyHistogram, LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass, SlaClassReport,
 };
 use hidp_sim::Ewma;
 use hidp_sim::{
     simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, ExecutionPlan, FailureEvent,
-    SimScratch, TaskKind, TraceDetail,
+    Resource, SimScratch, TaskCost, TraceDetail,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -1730,31 +1729,15 @@ impl IndexedQueue {
     }
 }
 
-/// The resource a dispatch-model task occupies, mirroring the engine's
-/// resource model: a processor, or an undirected inter-node link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum DispatchResource {
-    Processor(ProcessorAddr),
-    Link(NodeIndex, NodeIndex),
-}
-
-impl DispatchResource {
-    fn link(a: NodeIndex, b: NodeIndex) -> Self {
-        if a.0 <= b.0 {
-            DispatchResource::Link(a, b)
-        } else {
-            DispatchResource::Link(b, a)
-        }
-    }
-}
-
 /// The admission layer's measured-completion model: a persistent
 /// per-resource free-time vector that every admitted plan is list-scheduled
-/// against, in submission order, with the **same task durations the event
-/// engine derives** (sublinear batched compute, network transfer times,
-/// free same-node moves). Because the free times persist across batches, an
-/// estimate sees the congestion every earlier admission left behind — the
-/// feedback that replaces the old idle-cluster solo-makespan estimate.
+/// against, in submission order, with the **task durations and resources
+/// the event engine uses** — both take them from
+/// [`PlanTask::cost`](hidp_sim::PlanTask::cost) (sublinear batched compute,
+/// network transfer times, free same-node moves). Because the free times
+/// persist across batches, an estimate sees the congestion every earlier
+/// admission left behind — the feedback that replaces the old idle-cluster
+/// solo-makespan estimate.
 ///
 /// It is an *estimate*, not a re-simulation: within one batch, tasks commit
 /// in submission order rather than the engine's global earliest-start
@@ -1768,7 +1751,7 @@ impl DispatchResource {
 #[derive(Debug, Default)]
 pub(crate) struct DispatchEstimator {
     /// Interned resource ids; persists across runs.
-    resource_ids: HashMap<DispatchResource, u32>,
+    resource_ids: HashMap<Resource, u32>,
     /// Free time per resource id, reset to 0 each run.
     free: Vec<f64>,
     /// Per-task finish times within the current plan (indexed by task id).
@@ -1846,32 +1829,11 @@ impl DispatchEstimator {
         self.finish.clear();
         let mut completion = release;
         for task in plan.tasks() {
-            let (duration, resource, compute_node, power_w) = match &task.kind {
-                TaskKind::Compute {
-                    target,
-                    flops,
-                    gpu_affinity,
-                } => {
-                    let proc = cluster.processor(*target)?;
-                    (
-                        proc.batched_compute_time(*flops, *gpu_affinity, batch),
-                        Some(DispatchResource::Processor(*target)),
-                        Some(target.node),
-                        proc.dynamic_power_w(),
-                    )
-                }
-                TaskKind::Transfer { from, to, bytes } => {
-                    cluster.node(*from)?;
-                    cluster.node(*to)?;
-                    let duration = cluster.network().transfer_time(*from, *to, *bytes);
-                    let resource = if from == to {
-                        None
-                    } else {
-                        Some(DispatchResource::link(*from, *to))
-                    };
-                    (duration, resource, None, 0.0)
-                }
-            };
+            let TaskCost {
+                duration: nominal,
+                resource,
+                processor,
+            } = task.cost(cluster, batch)?;
             let mut start = release;
             for dep in &task.deps {
                 start = start.max(self.finish[dep.0]);
@@ -1887,9 +1849,9 @@ impl DispatchEstimator {
             if let Some(id) = id {
                 start = start.max(self.free[id]);
             }
-            let nominal = duration;
-            let mut duration = duration;
-            if let Some(node) = compute_node {
+            let mut duration = nominal;
+            if let Some(addr) = processor {
+                let node = addr.node;
                 for window in slowdowns {
                     if window.applies(node, start) {
                         duration *= window.factor;
@@ -1898,7 +1860,7 @@ impl DispatchEstimator {
                 if let Some(model) = drift {
                     duration = model.scale_compute(node, start, duration);
                 }
-                self.energy_j += duration * power_w;
+                self.energy_j += duration * cluster.processor(addr)?.dynamic_power_w();
                 if let Some((_, state)) = observer.as_mut() {
                     if nominal > 0.0 {
                         state.observe_compute(node.0, duration / nominal);
@@ -2714,26 +2676,101 @@ mod tests {
     }
 
     #[test]
+    fn dangling_dependency_is_a_typed_error_on_every_entry_point() {
+        // A plan whose only task depends on a task that does not exist.
+        struct Dangling;
+        impl DistributedStrategy for Dangling {
+            fn name(&self) -> &str {
+                "dangling"
+            }
+            fn plan(
+                &self,
+                _graph: &DnnGraph,
+                _cluster: &Cluster,
+                leader: NodeIndex,
+            ) -> Result<ExecutionPlan, CoreError> {
+                let target = hidp_platform::ProcessorAddr {
+                    node: leader,
+                    processor: hidp_platform::ProcessorIndex(0),
+                };
+                let mut plan = ExecutionPlan::new();
+                plan.add_compute("c", target, 1_000_000, 1.0, &[hidp_sim::TaskId(5)]);
+                Ok(plan)
+            }
+        }
+        let dangling = |r: Result<(), CoreError>| {
+            assert_eq!(
+                r.unwrap_err(),
+                CoreError::Sim(hidp_sim::SimError::UnknownTask { id: 5 })
+            );
+        };
+        let cluster = presets::paper_cluster();
+        let requests = burst(WorkloadModel::EfficientNetB0, 0.0, 3, SlaClass::Standard);
+        let scenario = ServingScenario::new(requests.clone());
+        dangling(scenario.run(&Dangling, &cluster, NodeIndex(1)).map(drop));
+        dangling(
+            scenario
+                .run_streaming(&Dangling, &cluster, NodeIndex(1))
+                .map(drop),
+        );
+        let cache = PlanCache::new();
+        dangling(
+            scenario
+                .run_with_cache(&Dangling, &cluster, NodeIndex(1), &cache)
+                .map(drop),
+        );
+        dangling(
+            scenario
+                .run_streaming_with_cache_in(
+                    &Dangling,
+                    &cluster,
+                    NodeIndex(1),
+                    &cache,
+                    &mut ServingScratch::new(),
+                )
+                .map(drop),
+        );
+        assert!(cache.is_empty(), "a failed plan is never published");
+        let fleet = presets::generated_fleet(2, 1).unwrap();
+        let fleet_requests = requests
+            .into_iter()
+            .map(|r| crate::FleetRequest::new(r, 0))
+            .collect();
+        dangling(
+            crate::FleetScenario::new(fleet_requests)
+                .run_streaming(&Dangling, &fleet, NodeIndex(0))
+                .map(drop),
+        );
+    }
+
+    #[test]
     fn dispatch_estimator_matches_engine_on_a_solo_chain() {
         // For a single linear-chain plan on an idle cluster, submission-
-        // order list scheduling and the event engine agree exactly.
+        // order list scheduling and the event engine agree exactly — at
+        // batch 1 and at a batch whose sublinear compute cost both sides
+        // must take from the plan's stamped batch.
         use hidp_sim::simulate_stream_detailed;
         let cluster = presets::paper_cluster();
-        let graph = WorkloadModel::EfficientNetB0.graph(1);
         let strategy = HidpStrategy::new();
-        let plan = strategy.plan(&graph, &cluster, NodeIndex(1)).unwrap();
-        let engine = simulate_stream_detailed(&[(0.0, &plan)], &cluster, TraceDetail::Summary)
-            .unwrap()
-            .makespan;
-        let mut dispatch = DispatchEstimator::default();
-        dispatch.reset();
-        let estimated = dispatch.estimate(&plan, &cluster, 0.0).unwrap();
-        assert!(
-            (estimated - engine).abs() < 1e-9,
-            "estimated {estimated} vs engine {engine}"
-        );
-        // A second batch released later sees the first one's congestion.
-        let later = dispatch.estimate(&plan, &cluster, 0.0).unwrap();
-        assert!(later > estimated, "persistent free times accumulate");
+        for batch in [1, 8] {
+            let graph = WorkloadModel::EfficientNetB0.graph(batch);
+            let plan = strategy
+                .plan(&graph, &cluster, NodeIndex(1))
+                .unwrap()
+                .with_batch(batch);
+            let engine = simulate_stream_detailed(&[(0.0, &plan)], &cluster, TraceDetail::Summary)
+                .unwrap()
+                .makespan;
+            let mut dispatch = DispatchEstimator::default();
+            dispatch.reset();
+            let estimated = dispatch.estimate(&plan, &cluster, 0.0).unwrap();
+            assert!(
+                (estimated - engine).abs() < 1e-9,
+                "batch {batch}: estimated {estimated} vs engine {engine}"
+            );
+            // A second batch released later sees the first one's congestion.
+            let later = dispatch.estimate(&plan, &cluster, 0.0).unwrap();
+            assert!(later > estimated, "persistent free times accumulate");
+        }
     }
 }

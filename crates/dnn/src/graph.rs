@@ -33,7 +33,8 @@ pub struct LayerNode {
     pub inputs: Vec<NodeId>,
 }
 
-/// Analytical annotations for one node, computed by [`DnnGraph::new`].
+/// Analytical annotations for one node, computed when the graph is built
+/// ([`GraphBuilder::build`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeCost {
     /// Output tensor shape.

@@ -5,7 +5,11 @@
 //! deterministic earliest-start policy: among all tasks whose dependencies
 //! have finished, the one that can start first (ties broken by submission
 //! order) is placed on its resource. Per-resource execution is FIFO,
-//! matching the run-queue behaviour of the real middleware.
+//! matching the run-queue behaviour of the real middleware. A task's
+//! duration and resource come from [`PlanTask::cost`](crate::PlanTask::cost)
+//! and its residency from [`PlanTask::nodes`](crate::PlanTask::nodes) — the
+//! one rule [`crate::reference`] and the serving tier's dispatch estimator
+//! share.
 //!
 //! The engine is event-driven: a pre-pass interns every resource into a
 //! dense index and flattens all plans into one task array with indegree
@@ -42,7 +46,7 @@
 //! differ (the reference's epsilon rule is scan-order-dependent and not a
 //! total order, so no heap key can reproduce it).
 
-use crate::plan::{ExecutionPlan, Label, TaskId, TaskKind};
+use crate::plan::{ExecutionPlan, Label, Resource, TaskId};
 use crate::SimError;
 use hidp_platform::{AvailabilityEvent, Cluster, EnergyMeter, NodeIndex, ProcessorAddr};
 use serde::{Deserialize, Serialize};
@@ -148,7 +152,7 @@ impl SimReport {
 }
 
 /// One in-flight request killed by a node failure: emitted by the
-/// failure-aware admitted-stream mode ([`simulate_admitted_stream_faulty`])
+/// failure-aware admitted-stream mode ([`simulate_admitted_stream_faulty_in`])
 /// instead of a fictitious completion on dead hardware.
 ///
 /// A down-flip at time `t` kills every request that still has **unstarted**
@@ -166,21 +170,6 @@ pub struct FailureEvent {
     pub at: f64,
     /// The node whose down-flip killed the request.
     pub node: NodeIndex,
-}
-
-/// Resource identifier used while interning (processor or unordered link).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Resource {
-    Processor(ProcessorAddr),
-    Link(usize, usize),
-}
-
-pub(crate) fn link_key(a: NodeIndex, b: NodeIndex) -> Resource {
-    if a.0 <= b.0 {
-        Resource::Link(a.0, b.0)
-    } else {
-        Resource::Link(b.0, a.0)
-    }
 }
 
 /// One entry of a simulated request stream: the arrival time used for
@@ -229,20 +218,19 @@ impl<P: Borrow<ExecutionPlan>> StreamEntry for (f64, f64, P) {
     }
 }
 
-/// One flattened task: the plain-data view of a plan task (derived duration,
-/// interned resource, accounting fields). Holds no borrow of the plans, so
-/// the flat array persists inside [`SimScratch`] across runs.
+/// One flattened task: the plain-data view of a plan task (its
+/// [`PlanTask::cost`](crate::PlanTask::cost) with the resource interned).
+/// Holds no borrow of the plans, so the flat array persists inside
+/// [`SimScratch`] across runs.
 #[derive(Debug, Clone, Copy)]
 struct TaskMeta {
     request: usize,
     duration: f64,
     resource: Option<u32>,
     processor: Option<ProcessorAddr>,
-    flops: u64,
-    bytes: u64,
-    /// The node(s) the task occupies: a compute task's node twice, a
-    /// transfer's two endpoints. Used by the failure-aware mode to decide
-    /// which unstarted tasks a down-flip invalidates.
+    /// The task's [`PlanTask::nodes`](crate::PlanTask::nodes). Used by the
+    /// failure-aware mode to decide which unstarted tasks a down-flip
+    /// invalidates.
     node_a: u32,
     node_b: u32,
 }
@@ -407,58 +395,19 @@ impl SimScratch {
             let batch = plan.batch();
             self.request_base.push(self.tasks.len());
             for task in plan.tasks() {
-                let (duration, resource, processor, flops, bytes, node_a, node_b) = match &task.kind
-                {
-                    TaskKind::Compute {
-                        target,
-                        flops,
-                        gpu_affinity,
-                    } => {
-                        let proc = cluster.processor(*target)?;
-                        (
-                            proc.batched_compute_time(*flops, *gpu_affinity, batch),
-                            Some(Resource::Processor(*target)),
-                            Some(*target),
-                            *flops,
-                            0u64,
-                            target.node.0 as u32,
-                            target.node.0 as u32,
-                        )
-                    }
-                    TaskKind::Transfer { from, to, bytes } => {
-                        // Validate node indices.
-                        cluster.node(*from)?;
-                        cluster.node(*to)?;
-                        let duration = cluster.network().transfer_time(*from, *to, *bytes);
-                        let resource = if from == to {
-                            None
-                        } else {
-                            Some(link_key(*from, *to))
-                        };
-                        (
-                            duration,
-                            resource,
-                            None,
-                            0u64,
-                            *bytes,
-                            from.0 as u32,
-                            to.0 as u32,
-                        )
-                    }
-                };
-                let resource = resource.map(|r| {
+                let cost = task.cost(cluster, batch)?;
+                let resource = cost.resource.map(|r| {
                     let next = self.resources.len() as u32;
                     *self.resources.entry(r).or_insert(next)
                 });
+                let (node_a, node_b) = task.nodes();
                 self.tasks.push(TaskMeta {
                     request: req_idx,
-                    duration,
+                    duration: cost.duration,
                     resource,
-                    processor,
-                    flops,
-                    bytes,
-                    node_a,
-                    node_b,
+                    processor: cost.processor,
+                    node_a: node_a.0 as u32,
+                    node_b: node_b.0 as u32,
                 });
                 self.ready_time.push(release);
                 self.indegree.push(task.deps.len() as u32);
@@ -619,14 +568,15 @@ impl SimScratch {
             if detail == TraceDetail::Full {
                 let local = i - request_base[t.request];
                 let task = &requests[t.request].plan().tasks()[local];
+                let (flops, bytes) = task.work();
                 report.records.push(TaskRecord {
                     task: task.id,
                     request: t.request,
                     name: task.name.clone(),
                     start,
                     finish: end,
-                    flops: t.flops,
-                    bytes: t.bytes,
+                    flops,
+                    bytes,
                     processor: t.processor,
                 });
             }
@@ -731,33 +681,18 @@ pub fn simulate_stream_in<'s, P: Borrow<ExecutionPlan>>(
     Ok(&scratch.report)
 }
 
-/// Simulates an **admitted** request stream: each entry is
-/// `(arrival, admitted, plan)`, and the request's subgraph is released at
-/// its admitted time while latency accounting still runs from arrival —
-/// `SimReport::latencies` then includes the queueing delay the admission
-/// layer imposed. With `admitted == arrival` for every entry this is
-/// bit-identical to [`simulate_stream_detailed`].
+/// Simulates an **admitted** request stream against caller-owned working
+/// memory (see [`SimScratch`]): each entry is `(arrival, admitted, plan)`,
+/// and the request's subgraph is released at its admitted time while
+/// latency accounting still runs from arrival — `SimReport::latencies` then
+/// includes the queueing delay the admission layer imposed. With
+/// `admitted == arrival` for every entry this is bit-identical to
+/// [`simulate_stream_in`]. The report borrow is valid until the next run.
 ///
 /// # Errors
 ///
 /// Same conditions as [`simulate_stream`], plus an error when any admitted
-/// time is non-finite or earlier than its arrival.
-pub fn simulate_admitted_stream<P: Borrow<ExecutionPlan>>(
-    requests: &[(f64, f64, P)],
-    cluster: &Cluster,
-    detail: TraceDetail,
-) -> Result<SimReport, SimError> {
-    let mut scratch = SimScratch::new();
-    scratch.run(requests, cluster, detail, &[])?;
-    Ok(std::mem::take(&mut scratch.report))
-}
-
-/// [`simulate_admitted_stream`] against caller-owned working memory (see
-/// [`SimScratch`]); the report borrow is valid until the next run.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_admitted_stream`]. On error the scratch
+/// time is non-finite or earlier than its arrival. On error the scratch
 /// stays valid for further runs.
 pub fn simulate_admitted_stream_in<'s, P: Borrow<ExecutionPlan>>(
     scratch: &'s mut SimScratch,
@@ -770,49 +705,32 @@ pub fn simulate_admitted_stream_in<'s, P: Borrow<ExecutionPlan>>(
 }
 
 /// Simulates an **admitted** request stream under a failure timeline — the
-/// failure-aware admitted-stream mode.
+/// failure-aware admitted-stream mode — against caller-owned working memory
+/// (see [`SimScratch`]).
 ///
 /// `faults` is a time-sorted availability timeline (what
 /// [`hidp_platform::ClusterTimeline::events`] yields). When a down-flip at
 /// time `t` hits a node, every request that still has **unstarted** work
-/// touching that node is killed: it surfaces as a [`FailureEvent`] instead
-/// of a fictitious completion on dead hardware. Tasks that started before
-/// the flip run to completion and keep their resource reservations — the
-/// abandoned work occupies real hardware, exactly the cost a recovery
-/// policy has to route around. Up-flips never affect in-flight work (new
-/// capacity only matters to future planning, which the admission layer
-/// re-keys by epoch fingerprint).
+/// resident on that node ([`PlanTask::nodes`](crate::PlanTask::nodes)) is
+/// killed: it surfaces as a [`FailureEvent`] instead of a fictitious
+/// completion on dead hardware. Tasks that started before the flip run to
+/// completion and keep their resource reservations — the abandoned work
+/// occupies real hardware, exactly the cost a recovery policy has to route
+/// around. Up-flips never affect in-flight work (new capacity only matters
+/// to future planning, which the admission layer re-keys by epoch
+/// fingerprint).
 ///
 /// With no down-flips in `faults` this is **bit-identical** to
-/// [`simulate_admitted_stream`] (pinned by test): the kill bookkeeping is
+/// [`simulate_admitted_stream_in`] (pinned by test): the kill bookkeeping is
 /// gated on the presence of down events and no commit arithmetic changes.
+/// The report and failure borrows are valid until the next run. Failures
+/// are ordered by flip time, then request index.
 ///
 /// # Errors
 ///
-/// Same conditions as [`simulate_admitted_stream`], plus an error when the
-/// fault timeline is unsorted, non-finite, or names an unknown node.
-pub fn simulate_admitted_stream_faulty<P: Borrow<ExecutionPlan>>(
-    requests: &[(f64, f64, P)],
-    cluster: &Cluster,
-    faults: &[AvailabilityEvent],
-    detail: TraceDetail,
-) -> Result<(SimReport, Vec<FailureEvent>), SimError> {
-    let mut scratch = SimScratch::new();
-    scratch.run(requests, cluster, detail, faults)?;
-    Ok((
-        std::mem::take(&mut scratch.report),
-        std::mem::take(&mut scratch.failures),
-    ))
-}
-
-/// [`simulate_admitted_stream_faulty`] against caller-owned working memory
-/// (see [`SimScratch`]); the report and failure borrows are valid until the
-/// next run. Failures are ordered by flip time, then request index.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_admitted_stream_faulty`]. On error the
-/// scratch stays valid for further runs.
+/// Same conditions as [`simulate_admitted_stream_in`], plus an error when
+/// the fault timeline is unsorted, non-finite, or names an unknown node. On
+/// error the scratch stays valid for further runs.
 pub fn simulate_admitted_stream_faulty_in<'s, P: Borrow<ExecutionPlan>>(
     scratch: &'s mut SimScratch,
     requests: &[(f64, f64, P)],
@@ -1115,8 +1033,10 @@ mod tests {
             plain.iter().map(|(t, p)| (*t, *t, p.clone())).collect();
         for detail in [TraceDetail::Full, TraceDetail::Summary] {
             let from_plain = simulate_stream_detailed(&plain, &cluster, detail).unwrap();
-            let from_gated = simulate_admitted_stream(&gated, &cluster, detail).unwrap();
-            assert_eq!(from_plain, from_gated);
+            let mut scratch = SimScratch::new();
+            let from_gated =
+                simulate_admitted_stream_in(&mut scratch, &gated, &cluster, detail).unwrap();
+            assert_eq!(from_plain, *from_gated);
         }
     }
 
@@ -1131,9 +1051,14 @@ mod tests {
             .compute_time(1_000_000_000, 1.0);
         // Arrives at 0.1, admitted at 0.5: tasks start at 0.5, latency is
         // measured from arrival.
-        let report =
-            simulate_admitted_stream(&[(0.1, 0.5, plan.clone())], &cluster, TraceDetail::Full)
-                .unwrap();
+        let mut scratch = SimScratch::new();
+        let report = simulate_admitted_stream_in(
+            &mut scratch,
+            &[(0.1, 0.5, plan.clone())],
+            &cluster,
+            TraceDetail::Full,
+        )
+        .unwrap();
         assert_eq!(report.records[0].start, 0.5);
         assert!((report.latency(0).unwrap() - (0.4 + single)).abs() < 1e-12);
         assert_eq!(report.request_arrival, vec![0.1]);
@@ -1144,14 +1069,22 @@ mod tests {
         let cluster = presets::paper_cluster();
         let mut plan = ExecutionPlan::new();
         plan.add_compute("only", addr(0, 0), 1, 1.0, &[]);
-        assert!(
-            simulate_admitted_stream(&[(1.0, 0.5, plan.clone())], &cluster, TraceDetail::Full)
-                .is_err()
-        );
-        assert!(
-            simulate_admitted_stream(&[(1.0, f64::NAN, plan)], &cluster, TraceDetail::Full)
-                .is_err()
-        );
+        let mut scratch = SimScratch::new();
+        assert!(simulate_admitted_stream_in(
+            &mut scratch,
+            &[(1.0, 0.5, plan.clone())],
+            &cluster,
+            TraceDetail::Full
+        )
+        .is_err());
+        let mut scratch = SimScratch::new();
+        assert!(simulate_admitted_stream_in(
+            &mut scratch,
+            &[(1.0, f64::NAN, plan)],
+            &cluster,
+            TraceDetail::Full
+        )
+        .is_err());
     }
 
     #[test]
@@ -1179,10 +1112,19 @@ mod tests {
             },
         ];
         for detail in [TraceDetail::Full, TraceDetail::Summary] {
-            let plain = simulate_admitted_stream(&stream, &cluster, detail).unwrap();
+            let mut plain_scratch = SimScratch::new();
+            let plain =
+                simulate_admitted_stream_in(&mut plain_scratch, &stream, &cluster, detail).unwrap();
             for faults in [&[] as &[AvailabilityEvent], &ups] {
-                let (report, failures) =
-                    simulate_admitted_stream_faulty(&stream, &cluster, faults, detail).unwrap();
+                let mut scratch = SimScratch::new();
+                let (report, failures) = simulate_admitted_stream_faulty_in(
+                    &mut scratch,
+                    &stream,
+                    &cluster,
+                    faults,
+                    detail,
+                )
+                .unwrap();
                 assert_eq!(report, plain);
                 assert!(failures.is_empty());
             }
@@ -1207,8 +1149,15 @@ mod tests {
             node: NodeIndex(1),
             up: false,
         }];
-        let (report, failures) =
-            simulate_admitted_stream_faulty(&stream, &cluster, &faults, TraceDetail::Full).unwrap();
+        let mut scratch = SimScratch::new();
+        let (report, failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
+            &stream,
+            &cluster,
+            &faults,
+            TraceDetail::Full,
+        )
+        .unwrap();
         assert_eq!(
             failures,
             vec![FailureEvent {
@@ -1237,8 +1186,15 @@ mod tests {
             node: NodeIndex(2),
             up: false,
         }];
-        let (report, failures) =
-            simulate_admitted_stream_faulty(&stream, &cluster, &faults, TraceDetail::Full).unwrap();
+        let mut scratch = SimScratch::new();
+        let (report, failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
+            &stream,
+            &cluster,
+            &faults,
+            TraceDetail::Full,
+        )
+        .unwrap();
         assert_eq!(failures.len(), 2);
         assert_eq!(failures[0].request, 0);
         assert_eq!(failures[1].request, 1);
@@ -1266,7 +1222,9 @@ mod tests {
             node: NodeIndex(3),
             up: false,
         }];
-        let (_, failures) = simulate_admitted_stream_faulty(
+        let mut scratch = SimScratch::new();
+        let (_, failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
             &[(0.0, 0.0, plan)],
             &cluster,
             &faults,
@@ -1294,7 +1252,9 @@ mod tests {
             vec![event(-1.0, 0)],
             vec![event(1.0, 99)],
         ] {
-            assert!(simulate_admitted_stream_faulty(
+            let mut scratch = SimScratch::new();
+            assert!(simulate_admitted_stream_faulty_in(
+                &mut scratch,
                 &stream,
                 &cluster,
                 &faults,

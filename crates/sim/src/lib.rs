@@ -36,13 +36,12 @@ pub mod serving;
 pub mod stats;
 
 pub use engine::{
-    simulate, simulate_admitted_stream, simulate_admitted_stream_faulty,
-    simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, simulate_stream,
+    simulate, simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, simulate_stream,
     simulate_stream_detailed, simulate_stream_in, FailureEvent, SimReport, SimScratch, TaskRecord,
     TraceDetail,
 };
 pub use error::SimError;
-pub use plan::{ExecutionPlan, Label, PlanTask, TaskId, TaskKind};
+pub use plan::{ExecutionPlan, Label, PlanTask, Resource, TaskCost, TaskId, TaskKind};
 pub use reference::simulate_stream_reference;
 pub use serving::{
     LatencyHistogram, LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass,

@@ -8,7 +8,7 @@
 //! `(DnnGraph, Cluster)` to `ExecutionPlan`.
 
 use crate::SimError;
-use hidp_platform::{NodeIndex, ProcessorAddr};
+use hidp_platform::{Cluster, NodeIndex, ProcessorAddr};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -156,6 +156,90 @@ pub struct PlanTask {
     pub deps: Vec<TaskId>,
 }
 
+/// A resource a task occupies exclusively while it runs: a processor, or
+/// the undirected link between two distinct nodes (stored lower index
+/// first, so both directions of a transfer contend for one link).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Resource {
+    /// One processor.
+    Processor(ProcessorAddr),
+    /// The link between two distinct nodes, lower index first.
+    Link(NodeIndex, NodeIndex),
+}
+
+/// What one task costs on a cluster at a launch batch — the single rule
+/// the event engine, the reference scheduler and the serving dispatch
+/// estimator all take their durations and resources from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskCost {
+    /// Nominal duration in seconds: batched compute time on the target
+    /// processor, or the network transfer time (zero within a node).
+    pub duration: f64,
+    /// The resource the task holds while it runs; `None` for a same-node
+    /// move, which occupies nothing.
+    pub resource: Option<Resource>,
+    /// The processor a compute task keeps busy (`None` for transfers) —
+    /// what energy accounting charges.
+    pub processor: Option<ProcessorAddr>,
+}
+
+impl PlanTask {
+    /// The task's cost on `cluster` when its plan is launched at `batch`:
+    /// compute runs [`hidp_platform::Processor::batched_compute_time`] on
+    /// its target, a transfer takes the network's transfer time and holds
+    /// the link between its endpoints unless both are the same node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Platform`] when the target processor or either
+    /// transfer endpoint does not exist in `cluster`.
+    pub fn cost(&self, cluster: &Cluster, batch: usize) -> Result<TaskCost, SimError> {
+        Ok(match &self.kind {
+            TaskKind::Compute {
+                target,
+                flops,
+                gpu_affinity,
+            } => TaskCost {
+                duration: cluster.processor(*target)?.batched_compute_time(
+                    *flops,
+                    *gpu_affinity,
+                    batch,
+                ),
+                resource: Some(Resource::Processor(*target)),
+                processor: Some(*target),
+            },
+            TaskKind::Transfer { from, to, bytes } => {
+                cluster.node(*from)?;
+                cluster.node(*to)?;
+                TaskCost {
+                    duration: cluster.network().transfer_time(*from, *to, *bytes),
+                    resource: (from != to).then(|| Resource::Link(*from.min(to), *from.max(to))),
+                    processor: None,
+                }
+            }
+        })
+    }
+
+    /// The task's work as `(flops, bytes)`: a compute task's flops, or a
+    /// transfer's payload (counted even within a node).
+    pub(crate) fn work(&self) -> (u64, u64) {
+        match self.kind {
+            TaskKind::Compute { flops, .. } => (flops, 0),
+            TaskKind::Transfer { bytes, .. } => (0, bytes),
+        }
+    }
+
+    /// The nodes the task is resident on: a compute task's node twice, a
+    /// transfer's two endpoints. A node failure invalidates every unstarted
+    /// task resident on it.
+    pub fn nodes(&self) -> (NodeIndex, NodeIndex) {
+        match &self.kind {
+            TaskKind::Compute { target, .. } => (target.node, target.node),
+            TaskKind::Transfer { from, to, .. } => (*from, *to),
+        }
+    }
+}
+
 /// A complete schedule for one inference request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionPlan {
@@ -265,13 +349,7 @@ impl ExecutionPlan {
 
     /// Total compute flops scheduled by the plan.
     pub fn total_flops(&self) -> u64 {
-        self.tasks
-            .iter()
-            .map(|t| match &t.kind {
-                TaskKind::Compute { flops, .. } => *flops,
-                TaskKind::Transfer { .. } => 0,
-            })
-            .sum()
+        self.tasks.iter().map(|t| t.work().0).sum()
     }
 
     /// Total bytes moved across node boundaries.
@@ -406,6 +484,77 @@ mod tests {
         a.add_compute("a", addr(0, 0), 1, 1.0, &[]);
         let b = a.clone().with_batch(2);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn link_keys_ignore_transfer_direction() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        let mut plan = ExecutionPlan::new();
+        plan.add_transfer("up", NodeIndex(3), NodeIndex(1), 4_000, &[]);
+        plan.add_transfer("down", NodeIndex(1), NodeIndex(3), 4_000, &[]);
+        let [up, down] = [0, 1].map(|i| plan.tasks()[i].cost(&cluster, 1).unwrap());
+        assert_eq!(
+            up.resource,
+            Some(Resource::Link(NodeIndex(1), NodeIndex(3)))
+        );
+        assert_eq!(up, down);
+        assert_eq!(
+            up.duration,
+            cluster
+                .network()
+                .transfer_time(NodeIndex(3), NodeIndex(1), 4_000)
+        );
+        assert_eq!(up.processor, None);
+        assert_eq!(plan.tasks()[0].nodes(), (NodeIndex(3), NodeIndex(1)));
+    }
+
+    #[test]
+    fn same_node_transfer_holds_no_resource() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        let mut plan = ExecutionPlan::new();
+        plan.add_transfer("loop", NodeIndex(2), NodeIndex(2), 4_000, &[]);
+        let task = &plan.tasks()[0];
+        let cost = task.cost(&cluster, 1).unwrap();
+        assert_eq!(cost.resource, None);
+        assert_eq!(cost.duration, 0.0);
+        assert_eq!(task.nodes(), (NodeIndex(2), NodeIndex(2)));
+    }
+
+    #[test]
+    fn batched_compute_divides_by_batch_efficiency() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        let mut plan = ExecutionPlan::new();
+        plan.add_compute("c", addr(1, 2), 3_000_000_000, 0.7, &[]);
+        let task = &plan.tasks()[0];
+        let proc = cluster.processor(addr(1, 2)).unwrap();
+        for batch in [1, 8] {
+            let cost = task.cost(&cluster, batch).unwrap();
+            assert_eq!(
+                cost.duration,
+                proc.compute_time(3_000_000_000, 0.7) / proc.batch_efficiency(batch)
+            );
+            assert_eq!(cost.resource, Some(Resource::Processor(addr(1, 2))));
+            assert_eq!(cost.processor, Some(addr(1, 2)));
+        }
+        assert!(proc.batch_efficiency(8) > 1.0);
+        assert_eq!(task.nodes(), (NodeIndex(1), NodeIndex(1)));
+    }
+
+    #[test]
+    fn unknown_processor_or_node_is_an_error() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        let mut plan = ExecutionPlan::new();
+        plan.add_compute("no node", addr(9, 0), 1, 1.0, &[]);
+        plan.add_compute("no processor", addr(0, 9), 1, 1.0, &[]);
+        plan.add_transfer("no sender", NodeIndex(9), NodeIndex(0), 1, &[]);
+        plan.add_transfer("no receiver", NodeIndex(0), NodeIndex(9), 1, &[]);
+        for task in plan.tasks() {
+            assert!(
+                matches!(task.cost(&cluster, 1), Err(SimError::Platform(_))),
+                "{}",
+                task.name
+            );
+        }
     }
 
     #[test]

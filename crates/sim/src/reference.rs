@@ -9,8 +9,8 @@
 //! records the speedup of the event-driven engine. New code should call
 //! [`crate::simulate_stream`].
 
-use crate::engine::{link_key, Resource, SimReport, TaskRecord};
-use crate::plan::{ExecutionPlan, PlanTask, TaskId, TaskKind};
+use crate::engine::{SimReport, TaskRecord};
+use crate::plan::{ExecutionPlan, PlanTask, Resource, TaskId};
 use crate::SimError;
 use hidp_platform::{Cluster, EnergyMeter, ProcessorAddr};
 use std::borrow::Borrow;
@@ -19,8 +19,9 @@ use std::collections::HashMap;
 /// Simulates a stream of requests with the original earliest-start
 /// list-scheduling loop. Produces the same report as
 /// [`crate::simulate_stream`], in O(n²). Plans are taken by [`Borrow`] like
-/// the event engine's, so both accept the same streams; the scheduling loop
-/// itself is unchanged.
+/// the event engine's, so both accept the same streams, and task costs come
+/// from the same [`PlanTask::cost`]; the scheduling loop itself is
+/// unchanged.
 ///
 /// # Errors
 ///
@@ -55,43 +56,16 @@ pub fn simulate_stream_reference<Pl: Borrow<ExecutionPlan>>(
         }
         let plan = plan.borrow();
         plan.validate()?;
-        let batch = plan.batch();
         for task in plan.tasks() {
-            let (duration, resource, processor, flops, bytes) = match &task.kind {
-                TaskKind::Compute {
-                    target,
-                    flops,
-                    gpu_affinity,
-                } => {
-                    let proc = cluster.processor(*target)?;
-                    (
-                        proc.batched_compute_time(*flops, *gpu_affinity, batch),
-                        Some(Resource::Processor(*target)),
-                        Some(*target),
-                        *flops,
-                        0u64,
-                    )
-                }
-                TaskKind::Transfer { from, to, bytes } => {
-                    // Validate node indices.
-                    cluster.node(*from)?;
-                    cluster.node(*to)?;
-                    let duration = cluster.network().transfer_time(*from, *to, *bytes);
-                    let resource = if from == to {
-                        None
-                    } else {
-                        Some(link_key(*from, *to))
-                    };
-                    (duration, resource, None, 0u64, *bytes)
-                }
-            };
+            let cost = task.cost(cluster, plan.batch())?;
+            let (flops, bytes) = task.work();
             pending.push(Pending {
                 request: req_idx,
                 arrival: *arrival,
                 task,
-                duration,
-                resource,
-                processor,
+                duration: cost.duration,
+                resource: cost.resource,
+                processor: cost.processor,
                 flops,
                 bytes,
             });
