@@ -9,6 +9,17 @@
 //! through the shared [`PlanCache`]; and estimates its completion with the
 //! persistent [`DispatchEstimator`].
 //!
+//! A plan and its per-task costs are fixed once the plan and the execution
+//! cluster are known, so the loop works them out once per distinct plan
+//! per run, not once per batch. Its plan memo is keyed by `(model, combined
+//! batch, plan-cluster fingerprint)`. The first use of a key in a run goes
+//! through the graph map and [`PlanCache::plan_keyed`] as an unmemoized
+//! admission would, then compiles the plan into a flat
+//! [`DispatchProgram`] on the execution cluster. Every later use in the
+//! run is a memo hit: it counts as a plan-cache hit in the loop's
+//! [`PlanCacheStats`] and runs the stored program directly. Hedge copies
+//! share the memo under the hedge cluster's fingerprint.
+//!
 //! The loop is incremental: it returns — before mutating anything — as soon
 //! as its next virtual-time step would cross `t_end`, and resumes from
 //! exactly that point on the next call. The fleet calls it once per router
@@ -34,8 +45,8 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::fleet::fnv64;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    AdmissionPolicy, DispatchEstimator, IndexedQueue, RecoveryPolicy, RobustnessStats,
-    ServingRequest,
+    AdmissionPolicy, DispatchEstimator, DispatchProgram, IndexedQueue, RecoveryPolicy,
+    RobustnessStats, ServingRequest,
 };
 use crate::strategy::DistributedStrategy;
 use crate::{CoreError, PlanKey};
@@ -119,10 +130,9 @@ pub(crate) trait Sink {
 /// shape already seen performs zero heap allocations.
 #[derive(Debug)]
 pub(crate) struct ClusterLoop {
-    key: PlanKey,
     queue: IndexedQueue,
     members: Vec<u32>,
-    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
+    memo: PlanMemo,
     pub(crate) dispatch: DispatchEstimator,
     inflight: BinaryHeap<Reverse<Departure>>,
     /// The current epoch's cluster (`None` when the timeline is empty).
@@ -161,17 +171,9 @@ pub(crate) struct ClusterLoop {
 impl ClusterLoop {
     pub(crate) fn new() -> Self {
         Self {
-            key: PlanKey {
-                strategy: String::new(),
-                strategy_config: String::new(),
-                graph_fingerprint: 0,
-                batch: 0,
-                leader: NodeIndex(0),
-                cluster_fingerprint: 0,
-            },
             queue: IndexedQueue::default(),
             members: Vec::new(),
-            graphs: HashMap::new(),
+            memo: PlanMemo::new(),
             dispatch: DispatchEstimator::default(),
             inflight: BinaryHeap::new(),
             epoch_cluster: None,
@@ -200,17 +202,7 @@ impl ClusterLoop {
     /// indices known up front (0 when they are delivered later through
     /// [`ClusterLoop::accept`]).
     pub(crate) fn reset(&mut self, ctx: &LoopCtx<'_>, requests: usize) {
-        // The strategy string reuses its buffer, so for default-config
-        // strategies a steady-state pass rebuilds the key without
-        // allocating.
-        self.key.strategy.clear();
-        self.key.strategy.push_str(ctx.strategy.name());
-        ctx.strategy
-            .write_cache_config(&mut self.key.strategy_config);
-        self.key.graph_fingerprint = 0;
-        self.key.batch = 0;
-        self.key.leader = ctx.leader;
-        self.key.cluster_fingerprint = ctx.base.fingerprint();
+        self.memo.reset(ctx);
         self.queue.reset(requests);
         self.dispatch.reset();
         self.inflight.clear();
@@ -286,10 +278,9 @@ impl ClusterLoop {
         t_end: f64,
     ) -> Result<(), CoreError> {
         let ClusterLoop {
-            key,
             queue,
             members,
-            graphs,
+            memo,
             dispatch,
             inflight,
             epoch_cluster,
@@ -321,10 +312,10 @@ impl ClusterLoop {
                 let requests = inbox.requests();
                 let head = queue.pick(ctx.policy);
                 if recovery.shed {
-                    // Load shedding: every admitted completion is ≥
-                    // max(now, earliest free resource) — when even that
-                    // sound lower bound overruns the head's deadline,
-                    // serving it would burn capacity on a guaranteed miss.
+                    // Load shedding: when max(now, the earliest free time
+                    // over the resources this run has touched) overruns
+                    // the head's deadline, serving it would most likely
+                    // burn capacity on a miss.
                     let request = &requests[head as usize];
                     let bound = now.max(dispatch.earliest_free());
                     if bound > request.arrival + request.sla.deadline_seconds() - inbox.wan(head) {
@@ -339,11 +330,6 @@ impl ClusterLoop {
                 }
                 let head = requests[head as usize];
                 let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
                 // Closed-loop re-planning: when an effective-rate estimate
                 // leaves the hysteresis band (bounded by `max_replans`), or
                 // an availability flip staled the belief, rebuild the
@@ -361,38 +347,20 @@ impl ClusterLoop {
                         adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
                     }
                 }
-                if let Some(believed) = adaptive.belief() {
-                    key.cluster_fingerprint = believed.fingerprint();
-                }
                 let plan_cluster: &Cluster = match adaptive.belief() {
                     Some(believed) => believed,
                     None => epoch_cluster.as_ref().unwrap_or(ctx.base),
                 };
-                let (plan, hit) =
-                    ctx.cache
-                        .plan_keyed(key, ctx.strategy, graph, plan_cluster, ctx.leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
+                let primary =
+                    memo.lookup(ctx, head.model, combined, plan_cluster, dispatch, stats)??;
                 // Measured-completion feedback: replay the plan against the
                 // resource free times every earlier admission left behind,
                 // on the drifting truth; the observer feeds the adaptive
                 // loop's effective-rate estimates.
-                let completion = dispatch.estimate_full(
-                    plan.as_ref(),
-                    ctx.base,
-                    *now,
-                    ctx.slowdowns,
-                    ctx.drift,
-                    ctx.adaptive.map(|cfg| (cfg, &mut *adaptive)),
-                )?;
-                let mask = if ctx.kill || recovery.hedge_premium {
-                    plan_node_mask(plan.as_ref())
-                } else {
-                    0
-                };
+                let program = &memo.entries[primary].program;
+                let observer = ctx.adaptive.is_some().then_some(&mut *adaptive);
+                let completion = dispatch.run(program, *now, ctx.slowdowns, ctx.drift, observer);
+                let mask = program.mask;
 
                 // Hedged dispatch: a premium batch gets a second copy
                 // planned with the primary's most exposed non-leader node
@@ -417,41 +385,22 @@ impl ClusterLoop {
                         None => hedge_cluster.insert(base.clone()),
                     };
                     if hc.set_available(avoid, false).is_ok() {
-                        let saved = key.cluster_fingerprint;
-                        key.cluster_fingerprint = hc.fingerprint();
-                        let hedged = ctx
-                            .cache
-                            .plan_keyed(key, ctx.strategy, graph, hc, ctx.leader);
-                        key.cluster_fingerprint = saved;
                         // A cluster that cannot plan without the avoided
                         // node simply gets no hedge copy — hedging is
                         // opportunistic, never fatal.
-                        if let Ok((hedge_plan, hedge_hit)) = hedged {
-                            if hedge_hit {
-                                stats.hits += 1;
-                            } else {
-                                stats.misses += 1;
-                            }
-                            hedge_completion = dispatch.estimate_full(
-                                hedge_plan.as_ref(),
-                                ctx.base,
-                                *now,
-                                ctx.slowdowns,
-                                ctx.drift,
-                                None,
-                            )?;
-                            hedge_mask = if ctx.kill {
-                                plan_node_mask(hedge_plan.as_ref())
-                            } else {
-                                0
-                            };
+                        let hedged = memo.lookup(ctx, head.model, combined, hc, dispatch, stats)?;
+                        if let Ok(hedge) = hedged {
+                            let program = &memo.entries[hedge].program;
+                            hedge_completion =
+                                dispatch.run(program, *now, ctx.slowdowns, ctx.drift, None);
+                            hedge_mask = program.mask;
                             hedge_alive = true;
                             robustness.hedged += members.len() as u64;
                         }
                     }
                 }
 
-                sink.admit(*now, *epoch, members, &plan);
+                sink.admit(*now, *epoch, members, memo.plan(primary));
                 if ctx.max_inflight.is_some() {
                     inflight.push(Reverse(Departure {
                         at: completion.min(hedge_completion),
@@ -542,7 +491,6 @@ impl ClusterLoop {
                     .as_mut()
                     .expect("events imply an epoch cluster");
                 c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
                 *fingerprint = c.fingerprint();
                 *epoch += 1;
                 *next_event += 1;
@@ -828,13 +776,125 @@ impl Ord for RetryEntry {
     }
 }
 
-/// The set of nodes a plan's tasks are resident on
-/// ([`PlanTask::nodes`](hidp_sim::PlanTask::nodes): compute targets and
-/// both transfer endpoints) as a 64-bit mask — the failure-aware engine's
-/// per-task residency rule lifted to whole batches.
-fn plan_node_mask(plan: &ExecutionPlan) -> u64 {
-    plan.tasks().iter().fold(0u64, |mask, task| {
-        let (a, b) = task.nodes();
-        mask | 1u64 << (a.0 as u64 & 63) | 1u64 << (b.0 as u64 & 63)
-    })
+/// The loop's per-run plan memo (see the module docs). Entries are never
+/// removed within a run, so an entry index stays valid until the next
+/// reset; every buffer keeps its capacity across resets.
+#[derive(Debug)]
+struct PlanMemo {
+    /// The reusable plan-cache key: the run's strategy strings and leader,
+    /// with the graph and cluster fields rewritten per first use.
+    key: PlanKey,
+    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
+    /// Entry index per `(model, combined batch, plan-cluster fingerprint)`.
+    index: HashMap<(WorkloadModel, usize, u64), u32>,
+    entries: Vec<MemoEntry>,
+}
+
+/// One memoized plan: its compiled program, and the plan itself while the
+/// entry is live — `None` until the key's first use in the current run.
+#[derive(Debug, Default)]
+struct MemoEntry {
+    plan: Option<Arc<ExecutionPlan>>,
+    program: DispatchProgram,
+}
+
+impl PlanMemo {
+    fn new() -> Self {
+        Self {
+            key: PlanKey {
+                strategy: String::new(),
+                strategy_config: String::new(),
+                graph_fingerprint: 0,
+                batch: 0,
+                leader: NodeIndex(0),
+                cluster_fingerprint: 0,
+            },
+            graphs: HashMap::new(),
+            index: HashMap::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Rearms the memo for a run under `ctx`. Every entry goes stale — the
+    /// plan cache may have been cleared, the execution cluster may differ
+    /// and the dispatch estimator's resource ids restart — and drops its
+    /// plan, so a cache the caller has since dropped is not kept alive.
+    fn reset(&mut self, ctx: &LoopCtx<'_>) {
+        // The strategy string reuses its buffer, so for default-config
+        // strategies a steady-state pass rebuilds the key without
+        // allocating.
+        self.key.strategy.clear();
+        self.key.strategy.push_str(ctx.strategy.name());
+        ctx.strategy
+            .write_cache_config(&mut self.key.strategy_config);
+        self.key.leader = ctx.leader;
+        for entry in &mut self.entries {
+            entry.plan = None;
+        }
+    }
+
+    /// The entry of `model` at batch `combined` planned on `cluster`,
+    /// filled on the key's first use this run: the graph map and the
+    /// shared plan cache (counted as the cache reports), then a compile
+    /// against the execution cluster. Later uses are plan-cache hits.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is a compile failure; the inner one a planning
+    /// failure, which the caller may tolerate (a hedge copy is optional).
+    fn lookup(
+        &mut self,
+        ctx: &LoopCtx<'_>,
+        model: WorkloadModel,
+        combined: usize,
+        cluster: &Cluster,
+        dispatch: &mut DispatchEstimator,
+        stats: &mut PlanCacheStats,
+    ) -> Result<Result<usize, CoreError>, CoreError> {
+        let fingerprint = cluster.fingerprint();
+        let entries = &mut self.entries;
+        let i = *self
+            .index
+            .entry((model, combined, fingerprint))
+            .or_insert_with(|| {
+                entries.push(MemoEntry::default());
+                entries.len() as u32 - 1
+            }) as usize;
+        let entry = &mut entries[i];
+        if entry.plan.is_some() {
+            stats.hits += 1;
+            return Ok(Ok(i));
+        }
+        let graph = self
+            .graphs
+            .entry((model, combined))
+            .or_insert_with(|| Arc::new(model.graph(combined)));
+        self.key.graph_fingerprint = graph.fingerprint();
+        self.key.batch = graph.input_shape().batch();
+        self.key.cluster_fingerprint = fingerprint;
+        let (plan, hit) =
+            match ctx
+                .cache
+                .plan_keyed(&self.key, ctx.strategy, graph, cluster, ctx.leader)
+            {
+                Ok(found) => found,
+                Err(e) => return Ok(Err(e)),
+            };
+        if hit {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+        }
+        dispatch.compile(&plan, ctx.base, &mut entry.program)?;
+        entry.plan = Some(plan);
+        Ok(Ok(i))
+    }
+
+    /// The plan of entry `i`, which [`PlanMemo::lookup`] filled this run.
+    fn plan(&self, i: usize) -> &Arc<ExecutionPlan> {
+        self.entries[i]
+            .plan
+            .as_ref()
+            .expect("lookup fills the entry it returns")
+    }
 }

@@ -1746,11 +1746,22 @@ impl IndexedQueue {
 /// mode they only gate the admission window while the reported metrics come
 /// from the full event engine.
 ///
+/// Estimation is split in two. [`DispatchEstimator::compile`] derives a
+/// plan's per-task costs on the execution cluster once, interning each
+/// task's resource into a dense id, and writes them into a flat
+/// [`DispatchProgram`]; [`DispatchEstimator::run`] then replays that
+/// program against the free times with no hashing and no cluster lookups.
+/// The cluster loop compiles each distinct plan once per run and keeps the
+/// program in its plan memo, so every later admission of the plan is a
+/// `run` alone (and a memo hit counts as a plan-cache hit). Resource ids
+/// are only meaningful within one run: `reset` clears the intern table, so
+/// a program must be compiled again after it.
+///
 /// `pub(crate)` so every cluster loop owns one, and so the fleet router can
 /// read [`DispatchEstimator::horizon`] as its least-loaded backlog signal.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchEstimator {
-    /// Interned resource ids; persists across runs.
+    /// Interned resource ids of this run (`free` has one slot per entry).
     resource_ids: HashMap<Resource, u32>,
     /// Free time per resource id, reset to 0 each run.
     free: Vec<f64>,
@@ -1763,11 +1774,52 @@ pub(crate) struct DispatchEstimator {
     pub(crate) energy_j: f64,
 }
 
+/// A plan compiled against the execution cluster for
+/// [`DispatchEstimator::run`]: one flat step per task plus the
+/// concatenated dependency lists, and the set of nodes the plan is resident
+/// on. Its buffers keep their capacity across recompiles.
+#[derive(Debug, Default)]
+pub(crate) struct DispatchProgram {
+    steps: Vec<DispatchStep>,
+    /// Every step's dependencies (task ids), concatenated in task order.
+    deps: Vec<u32>,
+    /// The nodes the plan's tasks are resident on
+    /// ([`PlanTask::nodes`](hidp_sim::PlanTask::nodes): compute targets and
+    /// both transfer endpoints) as a 64-bit mask — the failure-aware
+    /// engine's per-task residency rule lifted to whole batches.
+    pub(crate) mask: u64,
+}
+
+/// One task of a [`DispatchProgram`].
+#[derive(Debug, Clone, Copy)]
+struct DispatchStep {
+    /// Nominal duration on the execution cluster, seconds.
+    nominal: f64,
+    /// The dense resource id the task holds (`None` for a same-node move).
+    resource: Option<u32>,
+    kind: StepKind,
+    /// This step's dependencies: `deps[start..end]`.
+    deps: (u32, u32),
+}
+
+/// How a step's nominal duration stretches and what it is charged.
+#[derive(Debug, Clone, Copy)]
+enum StepKind {
+    /// Compute on `node`, drawing `power_w` dynamic power while busy.
+    Compute { node: NodeIndex, power_w: f64 },
+    /// A transfer on the shared interconnect, holding its inter-node link.
+    Link,
+    /// A same-node move: holds nothing and never stretches.
+    Local,
+}
+
 impl DispatchEstimator {
-    /// Clears the free times for a new run, keeping the intern table.
+    /// Clears the free times and the resource intern table for a new run.
+    /// Both keep their capacity, so a warm run re-interns without
+    /// allocating.
     pub(crate) fn reset(&mut self) {
+        self.resource_ids.clear();
         self.free.clear();
-        self.free.resize(self.resource_ids.len(), 0.0);
         self.energy_j = 0.0;
     }
 
@@ -1779,11 +1831,9 @@ impl DispatchEstimator {
         self.free.iter().fold(0.0f64, |acc, &t| acc.max(t))
     }
 
-    /// The earliest free time across all resources — a sound lower bound
-    /// on the completion of anything admitted now (every plan occupies at
-    /// least one resource, whose free time is ≥ this minimum). The
-    /// shedding policy compares `max(now, earliest_free)` against a
-    /// request's absolute deadline.
+    /// The earliest free time across the resources this run has touched
+    /// (0 when it has touched none). The shedding policy compares
+    /// `max(now, earliest_free)` against a request's absolute deadline.
     pub(crate) fn earliest_free(&self) -> f64 {
         let min = self.free.iter().fold(f64::INFINITY, |acc, &t| acc.min(t));
         if min.is_finite() {
@@ -1795,98 +1845,148 @@ impl DispatchEstimator {
 
     /// List-schedules `plan` released at `release` against the current free
     /// times and returns its estimated completion, advancing the free times
-    /// of every resource the plan touches.
+    /// of every resource the plan touches: [`DispatchEstimator::compile`]
+    /// into a one-off program, then [`DispatchEstimator::run`].
     pub(crate) fn estimate(
         &mut self,
         plan: &ExecutionPlan,
         cluster: &Cluster,
         release: f64,
     ) -> Result<f64, CoreError> {
-        self.estimate_full(plan, cluster, release, &[], None, None)
+        let mut program = DispatchProgram::default();
+        self.compile(plan, cluster, &mut program)?;
+        Ok(self.run(&program, release, &[], None, None))
     }
 
-    /// The full estimate: straggler windows (a compute task *starting*
-    /// inside a window on its node runs `factor`× slower, overlapping
-    /// windows compound multiplicatively; transfers are unaffected), the
-    /// continuous [`DriftModel`] (throttle curves and background windows
-    /// stretch compute; contention stretches inter-node transfers), and an
-    /// optional adaptive observer that receives every task's
-    /// effective-over-nominal duration ratio. With no windows, no drift and
-    /// no observer the arithmetic is bit-identical to the plain estimate —
-    /// drift never multiplies by 1.0, it simply does not multiply.
-    pub(crate) fn estimate_full(
+    /// Compiles `plan` against the execution `cluster` into `program`
+    /// (overwriting it): each task's [`PlanTask::cost`](hidp_sim::PlanTask::cost)
+    /// at the plan's launch batch, its resource interned into this run's
+    /// dense ids, its processor's dynamic power and its residency.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PlanTask::cost`](hidp_sim::PlanTask::cost) errors (a
+    /// processor or node missing from `cluster`).
+    pub(crate) fn compile(
         &mut self,
         plan: &ExecutionPlan,
         cluster: &Cluster,
-        release: f64,
-        slowdowns: &[SlowdownWindow],
-        drift: Option<&DriftModel>,
-        mut observer: Option<(&AdaptiveConfig, &mut AdaptiveState)>,
-    ) -> Result<f64, CoreError> {
-        // Normalise -0.0 like the engine so exact ties order identically.
-        let release = release + 0.0;
+        program: &mut DispatchProgram,
+    ) -> Result<(), CoreError> {
         let batch = plan.batch();
-        self.finish.clear();
-        let mut completion = release;
+        program.steps.clear();
+        program.deps.clear();
+        program.mask = 0;
         for task in plan.tasks() {
             let TaskCost {
-                duration: nominal,
+                duration,
                 resource,
                 processor,
             } = task.cost(cluster, batch)?;
-            let mut start = release;
-            for dep in &task.deps {
-                start = start.max(self.finish[dep.0]);
-            }
-            let id = resource.map(|r| {
+            let resource = resource.map(|r| {
                 let next = self.resource_ids.len() as u32;
                 let id = *self.resource_ids.entry(r).or_insert(next);
-                if id as usize >= self.free.len() {
+                if id == next {
                     self.free.push(0.0);
                 }
-                id as usize
+                id
             });
-            if let Some(id) = id {
-                start = start.max(self.free[id]);
+            let kind = match processor {
+                Some(addr) => StepKind::Compute {
+                    node: addr.node,
+                    power_w: cluster.processor(addr)?.dynamic_power_w(),
+                },
+                None if resource.is_some() => StepKind::Link,
+                None => StepKind::Local,
+            };
+            let start = program.deps.len() as u32;
+            program
+                .deps
+                .extend(task.deps.iter().map(|dep| dep.0 as u32));
+            program.steps.push(DispatchStep {
+                nominal: duration,
+                resource,
+                kind,
+                deps: (start, program.deps.len() as u32),
+            });
+            let (a, b) = task.nodes();
+            program.mask |= 1u64 << (a.0 as u64 & 63) | 1u64 << (b.0 as u64 & 63);
+        }
+        Ok(())
+    }
+
+    /// Runs a program compiled this run, released at `release`, against the
+    /// current free times and returns its estimated completion. It applies
+    /// straggler windows (a compute task *starting* inside a window on its
+    /// node runs `factor`× slower, overlapping windows compound
+    /// multiplicatively; transfers are unaffected) and the continuous
+    /// [`DriftModel`] (throttle curves and background windows stretch
+    /// compute; contention stretches inter-node transfers). An optional
+    /// adaptive observer receives every compute and inter-node transfer
+    /// task's effective-over-nominal duration ratio. With no windows, no
+    /// drift and no observer the arithmetic is the plain estimate — drift
+    /// never multiplies by 1.0, it simply does not multiply.
+    pub(crate) fn run(
+        &mut self,
+        program: &DispatchProgram,
+        release: f64,
+        slowdowns: &[SlowdownWindow],
+        drift: Option<&DriftModel>,
+        mut observer: Option<&mut AdaptiveState>,
+    ) -> f64 {
+        // Normalise -0.0 like the engine so exact ties order identically.
+        let release = release + 0.0;
+        self.finish.clear();
+        let mut completion = release;
+        for step in &program.steps {
+            let mut start = release;
+            for &dep in &program.deps[step.deps.0 as usize..step.deps.1 as usize] {
+                start = start.max(self.finish[dep as usize]);
             }
+            if let Some(id) = step.resource {
+                start = start.max(self.free[id as usize]);
+            }
+            let nominal = step.nominal;
             let mut duration = nominal;
-            if let Some(addr) = processor {
-                let node = addr.node;
-                for window in slowdowns {
-                    if window.applies(node, start) {
-                        duration *= window.factor;
+            match step.kind {
+                StepKind::Compute { node, power_w } => {
+                    for window in slowdowns {
+                        if window.applies(node, start) {
+                            duration *= window.factor;
+                        }
+                    }
+                    if let Some(model) = drift {
+                        duration = model.scale_compute(node, start, duration);
+                    }
+                    self.energy_j += duration * power_w;
+                    if let Some(state) = observer.as_deref_mut() {
+                        if nominal > 0.0 {
+                            state.observe_compute(node.0, duration / nominal);
+                        }
                     }
                 }
-                if let Some(model) = drift {
-                    duration = model.scale_compute(node, start, duration);
-                }
-                self.energy_j += duration * cluster.processor(addr)?.dynamic_power_w();
-                if let Some((_, state)) = observer.as_mut() {
-                    if nominal > 0.0 {
-                        state.observe_compute(node.0, duration / nominal);
+                StepKind::Link => {
+                    if let Some(model) = drift {
+                        duration = model.scale_transfer(start, duration);
+                    }
+                    if let Some(state) = observer.as_deref_mut() {
+                        if nominal > 0.0 {
+                            state.observe_transfer(duration / nominal);
+                        }
                     }
                 }
-            } else if id.is_some() {
-                // An inter-node transfer on the shared interconnect.
-                if let Some(model) = drift {
-                    duration = model.scale_transfer(start, duration);
-                }
-                if let Some((_, state)) = observer.as_mut() {
-                    if nominal > 0.0 {
-                        state.observe_transfer(duration / nominal);
-                    }
-                }
+                StepKind::Local => {}
             }
             let end = start + duration;
-            if let Some(id) = id {
-                self.free[id] = end;
+            if let Some(id) = step.resource {
+                self.free[id as usize] = end;
             }
             self.finish.push(end);
             if end > completion {
                 completion = end;
             }
         }
-        Ok(completion)
+        completion
     }
 }
 
@@ -2771,6 +2871,405 @@ mod tests {
             // A second batch released later sees the first one's congestion.
             let later = dispatch.estimate(&plan, &cluster, 0.0).unwrap();
             assert!(later > estimated, "persistent free times accumulate");
+        }
+    }
+
+    /// The per-task estimator the compiled [`DispatchProgram`] replaced,
+    /// kept as the oracle `compile` + `run` are pinned to: every task's
+    /// cost, resource intern and processor power are looked up at
+    /// estimation time.
+    fn estimate_oracle(
+        dispatch: &mut DispatchEstimator,
+        plan: &ExecutionPlan,
+        cluster: &Cluster,
+        release: f64,
+        slowdowns: &[SlowdownWindow],
+        drift: Option<&DriftModel>,
+        mut observer: Option<&mut AdaptiveState>,
+    ) -> Result<f64, CoreError> {
+        let release = release + 0.0;
+        let batch = plan.batch();
+        dispatch.finish.clear();
+        let mut completion = release;
+        for task in plan.tasks() {
+            let TaskCost {
+                duration: nominal,
+                resource,
+                processor,
+            } = task.cost(cluster, batch)?;
+            let mut start = release;
+            for dep in &task.deps {
+                start = start.max(dispatch.finish[dep.0]);
+            }
+            let id = resource.map(|r| {
+                let next = dispatch.resource_ids.len() as u32;
+                let id = *dispatch.resource_ids.entry(r).or_insert(next);
+                if id as usize >= dispatch.free.len() {
+                    dispatch.free.push(0.0);
+                }
+                id as usize
+            });
+            if let Some(id) = id {
+                start = start.max(dispatch.free[id]);
+            }
+            let mut duration = nominal;
+            if let Some(addr) = processor {
+                let node = addr.node;
+                for window in slowdowns {
+                    if window.applies(node, start) {
+                        duration *= window.factor;
+                    }
+                }
+                if let Some(model) = drift {
+                    duration = model.scale_compute(node, start, duration);
+                }
+                dispatch.energy_j += duration * cluster.processor(addr)?.dynamic_power_w();
+                if let Some(state) = observer.as_deref_mut() {
+                    if nominal > 0.0 {
+                        state.observe_compute(node.0, duration / nominal);
+                    }
+                }
+            } else if id.is_some() {
+                if let Some(model) = drift {
+                    duration = model.scale_transfer(start, duration);
+                }
+                if let Some(state) = observer.as_deref_mut() {
+                    if nominal > 0.0 {
+                        state.observe_transfer(duration / nominal);
+                    }
+                }
+            }
+            let end = start + duration;
+            if let Some(id) = id {
+                dispatch.free[id] = end;
+            }
+            dispatch.finish.push(end);
+            if end > completion {
+                completion = end;
+            }
+        }
+        Ok(completion)
+    }
+
+    mod compiled_dispatch {
+        use super::*;
+        use hidp_platform::{BandwidthContention, ThrottleWindow};
+        use hidp_sim::TaskId;
+        use proptest::prelude::*;
+
+        /// splitmix64: the property's inputs beyond its sampled scalars.
+        struct Draw(u64);
+
+        impl Draw {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: usize) -> usize {
+                (self.next() % n as u64) as usize
+            }
+
+            /// Uniform in `[lo, hi)`.
+            fn real(&mut self, lo: f64, hi: f64) -> f64 {
+                lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+            }
+
+            /// A window `(node, start, end, factor)` on `cluster`; windows
+            /// drawn this way overlap freely.
+            fn window(&mut self, cluster: &Cluster) -> (NodeIndex, f64, f64, f64) {
+                let node = NodeIndex(self.below(cluster.len()));
+                let start = self.real(0.0, 2.0);
+                (
+                    node,
+                    start,
+                    start + self.real(0.01, 1.5),
+                    self.real(1.0, 4.0),
+                )
+            }
+        }
+
+        /// A random valid plan: compute tasks on any processor, transfers
+        /// between any two nodes (same-node moves included), each task
+        /// depending on up to three earlier ones.
+        fn random_plan(
+            draw: &mut Draw,
+            cluster: &Cluster,
+            tasks: usize,
+            batch: usize,
+        ) -> ExecutionPlan {
+            let processors = cluster.all_processors();
+            let mut plan = ExecutionPlan::new().with_batch(batch);
+            for k in 0..tasks {
+                let mut deps: Vec<TaskId> = (0..draw.below(4))
+                    .filter(|_| k > 0)
+                    .map(|_| TaskId(draw.below(k.max(1))))
+                    .collect();
+                deps.sort_unstable();
+                deps.dedup();
+                if draw.below(2) == 0 {
+                    let target = processors[draw.below(processors.len())];
+                    let flops = 1 + draw.next() % 2_000_000_000;
+                    plan.add_compute("c", target, flops, draw.real(0.0, 1.0), &deps);
+                } else {
+                    let from = NodeIndex(draw.below(cluster.len()));
+                    let to = NodeIndex(draw.below(cluster.len()));
+                    plan.add_transfer("t", from, to, 1 + draw.next() % 30_000_000, &deps);
+                }
+            }
+            plan.validate().expect("generated plans are valid");
+            plan
+        }
+
+        /// The observer state the estimator feeds, in comparable form.
+        fn observed(state: &AdaptiveState) -> (Vec<Ewma>, Ewma, u64) {
+            (state.est.clone(), state.bw_est, state.observations)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// `run(compile(plan))` is bit-identical to the per-task oracle
+            /// — completion, every resource free time, energy, residency
+            /// mask and observer state — over a sequence of admissions of
+            /// random plans at batch 1 and 8 sharing one estimator, under
+            /// overlapping straggler windows, a seeded drift model and an
+            /// armed observer.
+            #[test]
+            fn compiled_programs_match_the_per_task_oracle(
+                seed in 0u64..u64::MAX,
+                admissions in 1usize..8,
+                windows in 0usize..5,
+                drifting in 0u8..2,
+                observing in 0u8..2,
+            ) {
+                let cluster = presets::paper_cluster();
+                let mut draw = Draw(seed);
+                let slowdowns: Vec<SlowdownWindow> = (0..windows)
+                    .map(|_| {
+                        let (node, start, end, factor) = draw.window(&cluster);
+                        SlowdownWindow { node, start, end, factor }
+                    })
+                    .collect();
+                let mut drift = DriftModel::default();
+                for _ in 0..3 {
+                    let (node, start, end, factor) = draw.window(&cluster);
+                    drift.throttles.push(ThrottleWindow {
+                        node,
+                        start,
+                        end,
+                        from_factor: 1.0,
+                        to_factor: factor,
+                    });
+                    let (node, start, end, factor) = draw.window(&cluster);
+                    drift.background.push(SlowdownWindow { node, start, end, factor });
+                    let (_, start, end, factor) = draw.window(&cluster);
+                    drift.bandwidth.push(BandwidthContention { start, end, factor });
+                }
+                let drift = (drifting == 1).then_some(&drift);
+                let config = AdaptiveConfig::default();
+                let mut states = [AdaptiveState::default(), AdaptiveState::default()];
+                for state in &mut states {
+                    state.reset(&config, cluster.len());
+                }
+                let [compiled_state, oracle_state] = &mut states;
+                let mut compiled = DispatchEstimator::default();
+                let mut oracle = DispatchEstimator::default();
+                compiled.reset();
+                oracle.reset();
+                let mut program = DispatchProgram::default();
+                for _ in 0..admissions {
+                    let batch = if draw.below(2) == 0 { 1 } else { 8 };
+                    let tasks = 1 + draw.below(24);
+                    let plan = random_plan(&mut draw, &cluster, tasks, batch);
+                    let release = draw.real(0.0, 2.0);
+                    compiled.compile(&plan, &cluster, &mut program).unwrap();
+                    let got = compiled.run(
+                        &program,
+                        release,
+                        &slowdowns,
+                        drift,
+                        (observing == 1).then_some(&mut *compiled_state),
+                    );
+                    let want = estimate_oracle(
+                        &mut oracle,
+                        &plan,
+                        &cluster,
+                        release,
+                        &slowdowns,
+                        drift,
+                        (observing == 1).then_some(&mut *oracle_state),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                    let bits = |free: &[f64]| free.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&compiled.free), bits(&oracle.free));
+                    prop_assert_eq!(&compiled.resource_ids, &oracle.resource_ids);
+                    prop_assert_eq!(compiled.energy_j.to_bits(), oracle.energy_j.to_bits());
+                    let mask = plan.tasks().iter().fold(0u64, |mask, task| {
+                        let (a, b) = task.nodes();
+                        mask | 1u64 << a.0 | 1u64 << b.0
+                    });
+                    prop_assert_eq!(program.mask, mask);
+                }
+                prop_assert_eq!(observed(compiled_state), observed(oracle_state));
+            }
+        }
+    }
+
+    /// A scenario exercising every memo path: batching, an admission
+    /// window, two availability epochs and kill semantics.
+    fn memo_scenario() -> ServingScenario {
+        let mut requests = Vec::new();
+        for (k, model) in WorkloadModel::ALL.iter().enumerate() {
+            for i in 0..12 {
+                let sla = if i % 3 == 0 {
+                    SlaClass::Premium
+                } else {
+                    SlaClass::BestEffort
+                };
+                let arrival = 0.02 * i as f64 + 0.005 * k as f64;
+                requests.push(ServingRequest::new(*model, arrival).with_sla(sla));
+            }
+        }
+        requests.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+        let timeline = ClusterTimeline::new()
+            .node_down(0.1, NodeIndex(4))
+            .unwrap()
+            .node_up(0.18, NodeIndex(4))
+            .unwrap();
+        ServingScenario::new(requests)
+            .with_policy(AdmissionPolicy::EarliestDeadline)
+            .with_max_batch(4)
+            .with_max_inflight(Some(3))
+            .with_timeline(timeline)
+            .with_failure_mode(FailureMode::Kill)
+            .with_recovery(RecoveryPolicy::standard())
+    }
+
+    /// Runs `scenario` on `scratch` against a fresh plan cache.
+    fn run_on(
+        scenario: &ServingScenario,
+        cluster: &Cluster,
+        scratch: &mut ServingScratch,
+    ) -> ServingSummary {
+        let cache = PlanCache::new();
+        scenario
+            .run_streaming_with_cache_in(
+                &HidpStrategy::new(),
+                cluster,
+                NodeIndex(1),
+                &cache,
+                scratch,
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn shedding_does_not_depend_on_what_the_scratch_served_before() {
+        // The shed bound is the earliest free time over the resources this
+        // run touched: resources an earlier run on the same scratch
+        // touched must not pin it at 0.
+        let cluster = presets::paper_cluster();
+        let strategy = HidpStrategy::new();
+        let leader = NodeIndex(1);
+        let cache = PlanCache::new();
+        let flood = ServingScenario::new(
+            (0..200)
+                .map(|i| {
+                    ServingRequest::new(WorkloadModel::ResNet152, 0.005 * i as f64)
+                        .with_sla(SlaClass::Premium)
+                })
+                .collect(),
+        )
+        .with_recovery(RecoveryPolicy {
+            shed: true,
+            ..RecoveryPolicy::default()
+        });
+        let run = |scratch: &mut ServingScratch| {
+            flood
+                .run_streaming_with_cache_in(&strategy, &cluster, leader, &cache, scratch)
+                .unwrap()
+        };
+        run(&mut ServingScratch::new());
+        let fresh = run(&mut ServingScratch::new());
+        assert!(fresh.robustness.shed > 0, "{:?}", fresh.robustness);
+
+        let every_model = ServingScenario::new(
+            WorkloadModel::ALL
+                .iter()
+                .flat_map(|&model| (0..4).map(move |i| ServingRequest::new(model, 0.01 * i as f64)))
+                .collect(),
+        );
+        let mut warmed = ServingScratch::new();
+        every_model
+            .run_streaming_with_cache_in(&strategy, &cluster, leader, &cache, &mut warmed)
+            .unwrap();
+        assert_eq!(run(&mut warmed), fresh);
+    }
+
+    #[test]
+    fn a_cleared_cache_replans_on_a_reused_scratch() {
+        let cluster = presets::paper_cluster();
+        let scenario = memo_scenario();
+        let cache = PlanCache::new();
+        let mut scratch = ServingScratch::new();
+        let mut run = || {
+            scenario
+                .run_streaming_with_cache_in(
+                    &HidpStrategy::new(),
+                    &cluster,
+                    NodeIndex(1),
+                    &cache,
+                    &mut scratch,
+                )
+                .unwrap()
+        };
+        run();
+        cache.clear();
+        let reused = run();
+        let fresh = run_on(&scenario, &cluster, &mut ServingScratch::new());
+        assert!(fresh.plan_cache.misses > 0);
+        assert_eq!(reused.plan_cache, fresh.plan_cache);
+        assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn a_reused_scratch_follows_the_execution_cluster() {
+        // Same topology, different processor rates: every plan and every
+        // compiled cost must follow the cluster of the current run.
+        let fast = presets::paper_cluster();
+        let mut slow = fast.clone();
+        let factors: Vec<f64> = (0..fast.len()).map(|i| 1.25 + 0.5 * i as f64).collect();
+        slow.apply_rate_factors(&fast, &factors, 1.5).unwrap();
+        assert_ne!(slow.fingerprint(), fast.fingerprint());
+        let scenario = memo_scenario();
+        let mut scratch = ServingScratch::new();
+        for cluster in [&fast, &slow, &fast] {
+            let reused = run_on(&scenario, cluster, &mut scratch);
+            assert_eq!(
+                reused,
+                run_on(&scenario, cluster, &mut ServingScratch::new())
+            );
+        }
+    }
+
+    #[test]
+    fn hedged_runs_on_a_reused_scratch_match_fresh_runs() {
+        let cluster = presets::paper_cluster();
+        let hedged = memo_scenario().with_recovery(RecoveryPolicy {
+            hedge_premium: true,
+            ..RecoveryPolicy::standard()
+        });
+        let fresh = run_on(&hedged, &cluster, &mut ServingScratch::new());
+        assert!(fresh.robustness.hedged > 0, "{:?}", fresh.robustness);
+        let mut scratch = ServingScratch::new();
+        run_on(&memo_scenario(), &cluster, &mut scratch);
+        for _ in 0..2 {
+            assert_eq!(run_on(&hedged, &cluster, &mut scratch), fresh);
         }
     }
 }
