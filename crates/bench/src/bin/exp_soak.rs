@@ -4,6 +4,11 @@
 //! markdown table and writes `BENCH_soak.json` to track the soak throughput
 //! trajectory across PRs.
 //!
+//! It runs two configs over the same trace, `fifo-batch8` and `edf-batch8`
+//! (batch 8, admission window 4). Both admit through the same rank heap
+//! (`AdmissionPolicy::rank`): FIFO ranks every request equal, so it picks
+//! in queue order, at the same amortised O(log n) heap pop as EDF.
+//!
 //! The binary installs the counting global allocator
 //! ([`hidp_bench::alloc_count`], the same definition `exp_warm_path` and
 //! the `zero_alloc_warm_path` integration test enforce) and audits the

@@ -3,8 +3,9 @@
 //! The serving tier's single cluster (streaming and records mode alike) and
 //! every fleet cluster behind the router run [`ClusterLoop::advance_until`]:
 //! a virtual-time loop that walks fresh arrivals, retry releases, timeline
-//! events and estimated completions; admits batches per
-//! [`AdmissionPolicy`] through the [`IndexedQueue`]; plans each batch
+//! events and estimated completions; admits batches through the
+//! [`IndexedQueue`], which picks by [`AdmissionPolicy::rank`] alone (one
+//! heap for every policy, ties in queue order); plans each batch
 //! against the current epoch's (or the adaptive loop's believed) cluster
 //! through the shared [`PlanCache`]; and estimates its completion with the
 //! persistent [`DispatchEstimator`].
@@ -310,7 +311,7 @@ impl ClusterLoop {
             // Admit everything the window allows at the current instant.
             while queue.len() > 0 && ctx.max_inflight.is_none_or(|w| inflight.len() < w) {
                 let requests = inbox.requests();
-                let head = queue.pick(ctx.policy);
+                let head = queue.pick();
                 if recovery.shed {
                     // Load shedding: when max(now, the earliest free time
                     // over the resources this run has touched) overruns
@@ -319,14 +320,14 @@ impl ClusterLoop {
                     let request = &requests[head as usize];
                     let bound = now.max(dispatch.earliest_free());
                     if bound > request.arrival + request.sla.deadline_seconds() - inbox.wan(head) {
-                        queue.remove(head, requests);
+                        queue.remove(head);
                         robustness.shed += 1;
                         continue;
                     }
                 }
                 queue.coalesce(head, ctx.max_batch, members);
                 for &m in members.iter() {
-                    queue.remove(m, requests);
+                    queue.remove(m);
                 }
                 let head = requests[head as usize];
                 let combined = head.batch * members.len();
@@ -610,13 +611,12 @@ fn next_fresh<I: Inbox>(inbox: &I, attempts: &[u32], cursor: &mut usize) -> Opti
     None
 }
 
-/// Queues request `i` under its absolute deadline (the rule in
-/// `hidp_sim::serving`).
+/// Queues request `i` at the rank `policy` gives it under its absolute
+/// deadline at this cluster (the rule in `hidp_sim::serving`).
 fn enqueue<I: Inbox>(queue: &mut IndexedQueue, inbox: &I, i: u32, policy: AdmissionPolicy) {
-    let requests = inbox.requests();
-    let request = &requests[i as usize];
+    let request = &inbox.requests()[i as usize];
     let deadline = request.arrival + request.sla.deadline_seconds() - inbox.wan(i);
-    queue.push(i, requests, policy, deadline);
+    queue.push(i, request, policy.rank(request, deadline));
 }
 
 /// Retires an admitted batch whose completion is final: a surviving batch

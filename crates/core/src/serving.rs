@@ -16,15 +16,15 @@
 //!
 //! # Indexed admission
 //!
-//! The admission queue is a priority-indexed structure
-//! ([`IndexedQueue`](self)): one global FIFO list, one FIFO list per SLA
-//! class, one intrusive list per `(model, batch)` coalesce bucket, and a
-//! lazily-pruned deadline heap — all over flat per-request index arrays, no
-//! per-entry allocation. Picking the next request is O(1) under FIFO and
-//! priority and amortised O(log n) under earliest-deadline; coalescing a
-//! batch walks only the head's bucket, O(batch). The original O(n)-per-pick
-//! `Vec` scan survives verbatim as [`ServingScenario::run_reference`] and a
-//! property test (`tests/serving_admission_equivalence.rs`) pins the two
+//! The admission queue ([`IndexedQueue`](self)) is one lazily-pruned heap
+//! ordered by `(rank, push seq)`, where the rank is
+//! [`AdmissionPolicy::rank`], plus one intrusive list per `(model, batch)`
+//! coalesce bucket — all over one flat per-request slot array, no
+//! per-entry allocation. Picking the next request is amortised O(log n)
+//! under every policy; coalescing a batch walks only the head's bucket,
+//! O(batch). The original O(n)-per-pick `Vec` scan survives verbatim as
+//! the test oracle `ServingScenario::run_reference`, and a property test
+//! (`tests/serving_admission_equivalence.rs`) pins the two
 //! **bit-identical** — same admission order, same batch membership, same
 //! epochs — across every policy, batching level and timeline.
 //!
@@ -162,7 +162,9 @@ impl ServingRequest {
     }
 }
 
-/// How the serving loop picks the next queued request to admit.
+/// How the serving loop picks the next queued request to admit: the one
+/// with the lowest [`AdmissionPolicy::rank`], the earliest queued among
+/// equal ranks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AdmissionPolicy {
     /// First in, first out (arrival order; ties by input order).
@@ -182,6 +184,19 @@ impl AdmissionPolicy {
             AdmissionPolicy::Fifo => "fifo",
             AdmissionPolicy::Priority => "priority",
             AdmissionPolicy::EarliestDeadline => "edf",
+        }
+    }
+
+    /// The rank `request` is admitted by; lower ranks go first, equal ranks
+    /// in queue order. FIFO ranks every request equal, priority by
+    /// [`SlaClass::priority`], and earliest-deadline by `cluster_deadline`:
+    /// the request's absolute deadline at the admitting cluster,
+    /// `arrival + deadline − WAN` (the rule in `hidp_sim::serving`).
+    pub fn rank(&self, request: &ServingRequest, cluster_deadline: f64) -> f64 {
+        match self {
+            AdmissionPolicy::Fifo => 0.0,
+            AdmissionPolicy::Priority => f64::from(request.sla.priority()),
+            AdmissionPolicy::EarliestDeadline => cluster_deadline,
         }
     }
 }
@@ -621,11 +636,13 @@ impl ServingScenario {
     /// `tests/serving_admission_equivalence.rs`); complexity is O(n) per
     /// admission instead of O(log n). Exists for the equivalence tests and
     /// the admission benchmark — new code should call
-    /// [`ServingScenario::run`].
+    /// [`ServingScenario::run`]. Hidden from the documented API: it is a
+    /// test oracle, not a second way to serve.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ServingScenario::run`].
+    #[doc(hidden)]
     pub fn run_reference(
         &self,
         strategy: &dyn DistributedStrategy,
@@ -1449,108 +1466,81 @@ impl Default for ServingScratch {
     }
 }
 
-/// Sentinel for "no index" in the intrusive lists.
+/// Sentinel for "no index" in the bucket lists and "not queued" in a
+/// slot's push sequence.
 const NONE: u32 = u32::MAX;
 
-/// Appends `idx` to the tail of the intrusive list `(next, prev, head,
-/// tail)`.
-fn link_tail(next: &mut [u32], prev: &mut [u32], head: &mut u32, tail: &mut u32, idx: u32) {
-    let i = idx as usize;
-    next[i] = NONE;
-    prev[i] = *tail;
-    if *tail == NONE {
-        *head = idx;
-    } else {
-        next[*tail as usize] = idx;
-    }
-    *tail = idx;
+/// One request index's queue state: its push sequence while queued and its
+/// place in its coalesce bucket's list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Push sequence (= queue order) while queued, [`NONE`] otherwise.
+    seq: u32,
+    next: u32,
+    prev: u32,
+    bucket: u32,
 }
 
-/// Unlinks `idx` from the intrusive list `(next, prev, head, tail)`.
-fn unlink(next: &mut [u32], prev: &mut [u32], head: &mut u32, tail: &mut u32, idx: u32) {
-    let i = idx as usize;
-    let (p, nx) = (prev[i], next[i]);
-    if p == NONE {
-        *head = nx;
-    } else {
-        next[p as usize] = nx;
-    }
-    if nx == NONE {
-        *tail = p;
-    } else {
-        prev[nx as usize] = p;
-    }
-    next[i] = NONE;
-    prev[i] = NONE;
-}
+const UNQUEUED: Slot = Slot {
+    seq: NONE,
+    next: NONE,
+    prev: NONE,
+    bucket: NONE,
+};
 
-/// An earliest-deadline heap entry; ordered by absolute deadline, ties by
-/// push sequence (= queue order), which reproduces the reference scan's
-/// first-minimum tie-break.
+/// A heap entry: ordered by rank, ties by push sequence (= queue order),
+/// which reproduces the reference scan's first-minimum tie-break.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct EdfEntry {
-    deadline: f64,
+struct Ranked {
+    rank: f64,
     seq: u32,
     idx: u32,
 }
 
-impl Eq for EdfEntry {}
+impl Eq for Ranked {}
 
-impl PartialOrd for EdfEntry {
+impl PartialOrd for Ranked {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for EdfEntry {
+impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.deadline
-            .total_cmp(&other.deadline)
+        self.rank
+            .total_cmp(&other.rank)
             .then(self.seq.cmp(&other.seq))
     }
 }
 
-/// The priority-indexed admission queue: flat per-request index arrays
-/// carrying three families of intrusive doubly-linked lists (one global
-/// FIFO, one FIFO per SLA class, one per `(model, batch)` coalesce bucket)
-/// plus a lazily-pruned earliest-deadline heap. Every list is in push
-/// (= arrival) order, so "first minimum in queue order" — the reference
-/// scan's tie-break for every policy — is always a list head:
+/// The indexed admission queue: one lazily-pruned heap of
+/// `(rank, push seq)` entries that every policy picks from, plus one
+/// intrusive doubly-linked list per `(model, batch)` coalesce bucket, all
+/// over one flat per-request slot array.
 ///
-/// - FIFO pick: the global head, O(1).
-/// - Priority pick: the head of the most urgent non-empty class list, O(1).
-/// - Earliest-deadline pick: the heap top, skipping entries whose request
-///   already left the queue (each request enters once, so stale entries are
-///   simply popped), amortised O(log n).
-/// - Coalesce: walk the head's bucket list, O(batch).
-/// - Remove: unlink from three lists, O(1).
+/// - Pick: the heap top, popping stale entries, amortised O(log n). An
+///   entry is live only while its request's *current* push sequence equals
+///   the entry's: a request that left the queue and was queued again (a
+///   retry) ranks at its re-entry position, never by an earlier entry.
+/// - Coalesce: walk the head's bucket list (in push order), O(batch).
+/// - Remove: unlink from the bucket list, O(1); the heap entry goes stale.
 ///
-/// Bucket ids persist across runs (`bucket_ids` is never cleared), so a
-/// steady-state pass re-derives every bucket without hashing allocations.
+/// The rank comes from [`AdmissionPolicy::rank`], so the queue itself holds
+/// no policy. Bucket ids persist across runs (`bucket_ids` is never
+/// cleared), so a steady-state pass re-derives every bucket without
+/// hashing allocations.
 ///
 /// `pub(crate)` for the cluster loop, whose request list may grow round by
 /// round as the fleet router delivers ([`IndexedQueue::ensure`]).
 #[derive(Debug, Default)]
 pub(crate) struct IndexedQueue {
-    /// Push sequence per request index (= position in arrival order).
-    seq: Vec<u32>,
-    in_queue: Vec<bool>,
-    gnext: Vec<u32>,
-    gprev: Vec<u32>,
-    cnext: Vec<u32>,
-    cprev: Vec<u32>,
-    bnext: Vec<u32>,
-    bprev: Vec<u32>,
-    bucket_of: Vec<u32>,
-    ghead: u32,
-    gtail: u32,
-    chead: [u32; 3],
-    ctail: [u32; 3],
+    /// One slot per request index.
+    slots: Vec<Slot>,
     /// `(head, tail)` per bucket id.
     buckets: Vec<(u32, u32)>,
     /// `(model, batch) → bucket id`; persists across runs.
     bucket_ids: HashMap<(WorkloadModel, usize), u32>,
-    edf: BinaryHeap<Reverse<EdfEntry>>,
+    heap: BinaryHeap<Reverse<Ranked>>,
     len: usize,
     next_seq: u32,
 }
@@ -1559,90 +1549,36 @@ impl IndexedQueue {
     /// Clears the queue for a run over `n` requests, keeping capacity (and
     /// the persistent bucket-id table).
     pub(crate) fn reset(&mut self, n: usize) {
-        for list in [
-            &mut self.seq,
-            &mut self.gnext,
-            &mut self.gprev,
-            &mut self.cnext,
-            &mut self.cprev,
-            &mut self.bnext,
-            &mut self.bprev,
-            &mut self.bucket_of,
-        ] {
-            list.clear();
-        }
-        self.in_queue.clear();
-        self.ghead = NONE;
-        self.gtail = NONE;
-        self.chead = [NONE; 3];
-        self.ctail = [NONE; 3];
+        self.slots.clear();
         for bucket in &mut self.buckets {
             *bucket = (NONE, NONE);
         }
-        self.edf.clear();
+        self.heap.clear();
         self.len = 0;
         self.next_seq = 0;
         self.ensure(n);
     }
 
-    /// Grows the index arrays to cover request indices `< n` (no-op when
+    /// Grows the slot array to cover request indices `< n` (no-op when
     /// already large enough). Within retained capacity this is
     /// allocation-free, which keeps warm fleet rounds zero-alloc.
     pub(crate) fn ensure(&mut self, n: usize) {
-        if self.seq.len() >= n {
-            return;
+        if self.slots.len() < n {
+            self.slots.resize(n, UNQUEUED);
         }
-        for list in [
-            &mut self.seq,
-            &mut self.gnext,
-            &mut self.gprev,
-            &mut self.cnext,
-            &mut self.cprev,
-            &mut self.bnext,
-            &mut self.bprev,
-            &mut self.bucket_of,
-        ] {
-            list.resize(n, NONE);
-        }
-        self.in_queue.resize(n, false);
     }
 
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Enqueues `idx` (called in arrival order, which makes `seq` the queue
-    /// order every pick tie-breaks on) under the absolute `deadline`
-    /// earliest-deadline ranks by.
-    pub(crate) fn push(
-        &mut self,
-        idx: u32,
-        requests: &[ServingRequest],
-        policy: AdmissionPolicy,
-        deadline: f64,
-    ) {
-        let i = idx as usize;
-        let request = &requests[i];
+    /// Enqueues `idx`, whose request is `request`, at the back of the queue
+    /// under `rank` ([`AdmissionPolicy::rank`]). `idx` must not be queued.
+    pub(crate) fn push(&mut self, idx: u32, request: &ServingRequest, rank: f64) {
+        debug_assert_eq!(self.slots[idx as usize].seq, NONE);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.seq[i] = seq;
-        self.in_queue[i] = true;
         self.len += 1;
-        link_tail(
-            &mut self.gnext,
-            &mut self.gprev,
-            &mut self.ghead,
-            &mut self.gtail,
-            idx,
-        );
-        let class = request.sla.priority() as usize;
-        link_tail(
-            &mut self.cnext,
-            &mut self.cprev,
-            &mut self.chead[class],
-            &mut self.ctail[class],
-            idx,
-        );
         let next_id = self.bucket_ids.len() as u32;
         let bucket = *self
             .bucket_ids
@@ -1651,37 +1587,35 @@ impl IndexedQueue {
         if bucket as usize >= self.buckets.len() {
             self.buckets.push((NONE, NONE));
         }
-        self.bucket_of[i] = bucket;
         let (head, tail) = &mut self.buckets[bucket as usize];
-        link_tail(&mut self.bnext, &mut self.bprev, head, tail, idx);
-        if policy == AdmissionPolicy::EarliestDeadline {
-            self.edf.push(Reverse(EdfEntry { deadline, seq, idx }));
+        let prev = *tail;
+        if prev == NONE {
+            *head = idx;
+        } else {
+            self.slots[prev as usize].next = idx;
         }
+        *tail = idx;
+        self.slots[idx as usize] = Slot {
+            seq,
+            next: NONE,
+            prev,
+            bucket,
+        };
+        self.heap.push(Reverse(Ranked { rank, seq, idx }));
     }
 
-    /// The request the policy admits next. The queue must be non-empty.
-    pub(crate) fn pick(&mut self, policy: AdmissionPolicy) -> u32 {
-        match policy {
-            AdmissionPolicy::Fifo => self.ghead,
-            AdmissionPolicy::Priority => {
-                for class in 0..3 {
-                    if self.chead[class] != NONE {
-                        return self.chead[class];
-                    }
-                }
-                unreachable!("a non-empty queue has a non-empty class list")
+    /// The queued request with the lowest rank, the earliest queued among
+    /// equals. The queue must be non-empty.
+    pub(crate) fn pick(&mut self) -> u32 {
+        while let Some(&Reverse(top)) = self.heap.peek() {
+            if self.slots[top.idx as usize].seq == top.seq {
+                return top.idx;
             }
-            AdmissionPolicy::EarliestDeadline => {
-                while let Some(&Reverse(entry)) = self.edf.peek() {
-                    if self.in_queue[entry.idx as usize] {
-                        return entry.idx;
-                    }
-                    // Stale: the request was coalesced away earlier.
-                    self.edf.pop();
-                }
-                unreachable!("a non-empty queue has a live deadline entry")
-            }
+            // Stale: the request left the queue (and may be back under a
+            // newer entry).
+            self.heap.pop();
         }
+        unreachable!("a non-empty queue has a live heap entry")
     }
 
     /// Collects the batch the head coalesces into `out`: the head plus the
@@ -1690,42 +1624,40 @@ impl IndexedQueue {
     pub(crate) fn coalesce(&self, head: u32, max_batch: usize, out: &mut Vec<u32>) {
         out.clear();
         out.push(head);
-        let bucket = self.bucket_of[head as usize] as usize;
+        let bucket = self.slots[head as usize].bucket as usize;
         let mut cursor = self.buckets[bucket].0;
         while cursor != NONE && out.len() < max_batch {
             if cursor != head {
                 out.push(cursor);
             }
-            cursor = self.bnext[cursor as usize];
+            cursor = self.slots[cursor as usize].next;
         }
-        out.sort_unstable_by_key(|&idx| self.seq[idx as usize]);
+        out.sort_unstable_by_key(|&idx| self.slots[idx as usize].seq);
     }
 
-    /// Dequeues `idx` from every list (deadline-heap entries are pruned
-    /// lazily by [`IndexedQueue::pick`]).
-    pub(crate) fn remove(&mut self, idx: u32, requests: &[ServingRequest]) {
-        let i = idx as usize;
-        debug_assert!(self.in_queue[i]);
-        self.in_queue[i] = false;
+    /// Dequeues `idx` (its heap entry is pruned lazily by
+    /// [`IndexedQueue::pick`]).
+    pub(crate) fn remove(&mut self, idx: u32) {
+        let Slot {
+            seq,
+            next,
+            prev,
+            bucket,
+        } = self.slots[idx as usize];
+        debug_assert_ne!(seq, NONE);
         self.len -= 1;
-        unlink(
-            &mut self.gnext,
-            &mut self.gprev,
-            &mut self.ghead,
-            &mut self.gtail,
-            idx,
-        );
-        let class = requests[i].sla.priority() as usize;
-        unlink(
-            &mut self.cnext,
-            &mut self.cprev,
-            &mut self.chead[class],
-            &mut self.ctail[class],
-            idx,
-        );
-        let bucket = self.bucket_of[i] as usize;
-        let (head, tail) = &mut self.buckets[bucket];
-        unlink(&mut self.bnext, &mut self.bprev, head, tail, idx);
+        let (head, tail) = &mut self.buckets[bucket as usize];
+        if prev == NONE {
+            *head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NONE {
+            *tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+        self.slots[idx as usize] = UNQUEUED;
     }
 }
 
@@ -2951,6 +2883,121 @@ mod tests {
         Ok(completion)
     }
 
+    mod indexed_queue {
+        use super::compiled_dispatch::Draw;
+        use super::*;
+        use proptest::prelude::*;
+
+        #[test]
+        fn a_requeued_request_ranks_at_its_reentry_position() {
+            // Equal cluster deadlines: request 0 leaves the queue as a
+            // coalesced member does, then re-enters as a retry does. It is
+            // now queued behind request 1, so 1 is picked first.
+            let policy = AdmissionPolicy::EarliestDeadline;
+            let requests = [
+                ServingRequest::new(WorkloadModel::Vgg19, 0.0),
+                ServingRequest::new(WorkloadModel::Vgg19, 0.0),
+            ];
+            let rank = |i: usize| policy.rank(&requests[i], 1.0);
+            let mut queue = IndexedQueue::default();
+            queue.reset(requests.len());
+            queue.push(0, &requests[0], rank(0));
+            queue.push(1, &requests[1], rank(1));
+            queue.remove(0);
+            queue.push(0, &requests[0], rank(0));
+            assert_eq!(queue.pick(), 1);
+            assert_eq!(queue.len(), 2);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random pushes, picks with coalescing or shedding, removals
+            /// and re-pushes of removed requests, under every policy with
+            /// ranks from a tiny domain (ties are common): the queue admits
+            /// exactly what a scan of a queue-ordered `Vec` admits — the
+            /// first minimum rank, coalesced with the first same-bucket
+            /// requests in queue order.
+            #[test]
+            fn the_heap_admits_what_a_queue_order_scan_admits(
+                seed in 0u64..u64::MAX,
+                steps in 1usize..300,
+                max_batch in 1usize..5,
+                policy in 0usize..3,
+            ) {
+                let policy = [
+                    AdmissionPolicy::Fifo,
+                    AdmissionPolicy::Priority,
+                    AdmissionPolicy::EarliestDeadline,
+                ][policy];
+                let mut draw = Draw(seed);
+                let models = [WorkloadModel::Vgg19, WorkloadModel::ResNet152];
+                let requests: Vec<ServingRequest> = (0..10)
+                    .map(|_| {
+                        ServingRequest::new(models[draw.below(2)], 0.0)
+                            .with_batch(1 + draw.below(2))
+                            .with_sla(SlaClass::ALL[draw.below(3)])
+                    })
+                    .collect();
+                let bucket = |i: u32| (requests[i as usize].model, requests[i as usize].batch);
+                let mut queue = IndexedQueue::default();
+                queue.reset(requests.len());
+                // The model: `(request, rank)` in queue order.
+                let mut model: Vec<(u32, f64)> = Vec::new();
+                let mut members = Vec::new();
+                for _ in 0..steps {
+                    let queued = |i: u32| model.iter().any(|&(m, _)| m == i);
+                    match draw.below(4) {
+                        0 | 1 => {
+                            let i = draw.below(requests.len()) as u32;
+                            if !queued(i) {
+                                let deadline = draw.below(3) as f64;
+                                let rank = policy.rank(&requests[i as usize], deadline);
+                                queue.push(i, &requests[i as usize], rank);
+                                model.push((i, rank));
+                            }
+                        }
+                        2 if !model.is_empty() => {
+                            let head_pos = model
+                                .iter()
+                                .enumerate()
+                                .min_by(|(_, a), (_, b)| a.1.total_cmp(&b.1))
+                                .map(|(pos, _)| pos)
+                                .unwrap();
+                            let head = model[head_pos].0;
+                            prop_assert_eq!(queue.pick(), head);
+                            let mut expected: Vec<usize> = vec![head_pos];
+                            expected.extend(
+                                (0..model.len())
+                                    .filter(|&pos| {
+                                        pos != head_pos && bucket(model[pos].0) == bucket(head)
+                                    })
+                                    .take(max_batch - 1),
+                            );
+                            expected.sort_unstable();
+                            queue.coalesce(head, max_batch, &mut members);
+                            let expected: Vec<u32> =
+                                expected.iter().map(|&pos| model[pos].0).collect();
+                            prop_assert_eq!(&members, &expected);
+                            for &m in &expected {
+                                queue.remove(m);
+                                model.retain(|&(i, _)| i != m);
+                            }
+                        }
+                        3 if !model.is_empty() => {
+                            // A removal outside coalescing: shedding the
+                            // head or a member leaving on its own.
+                            let (i, _) = model.remove(draw.below(model.len()));
+                            queue.remove(i);
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(queue.len(), model.len());
+                }
+            }
+        }
+    }
+
     mod compiled_dispatch {
         use super::*;
         use hidp_platform::{BandwidthContention, ThrottleWindow};
@@ -2958,10 +3005,10 @@ mod tests {
         use proptest::prelude::*;
 
         /// splitmix64: the property's inputs beyond its sampled scalars.
-        struct Draw(u64);
+        pub(super) struct Draw(pub(super) u64);
 
         impl Draw {
-            fn next(&mut self) -> u64 {
+            pub(super) fn next(&mut self) -> u64 {
                 self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
                 let mut z = self.0;
                 z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -2969,7 +3016,7 @@ mod tests {
                 z ^ (z >> 31)
             }
 
-            fn below(&mut self, n: usize) -> usize {
+            pub(super) fn below(&mut self, n: usize) -> usize {
                 (self.next() % n as u64) as usize
             }
 

@@ -155,8 +155,9 @@ impl SimReport {
 /// failure-aware admitted-stream mode ([`simulate_admitted_stream_faulty_in`])
 /// instead of a fictitious completion on dead hardware.
 ///
-/// A down-flip at time `t` kills every request that still has **unstarted**
-/// work touching the failed node at that instant — tasks that began before
+/// A down-flip at time `t` kills every request released at or before `t`
+/// that still has **unstarted** work touching the failed node at that
+/// instant; a request released later is never killed by it. Tasks that began before
 /// the flip run to completion and keep their resource reservations (the
 /// abandoned work occupies hardware; nothing is rolled back). The killed
 /// request's entry in [`SimReport::request_completion`] is the finish of its
@@ -524,8 +525,10 @@ impl SimScratch {
             // before committing: commits happen in nondecreasing start
             // order, so no task starting at or after a flip has committed
             // when the flip is applied. A down-flip at `time` kills every
-            // request that still has uncommitted work touching the failed
-            // node — including tasks starting exactly at the flip instant.
+            // request released by then that still has uncommitted work
+            // touching the failed node — including tasks starting exactly
+            // at the flip instant. A request released after the flip was
+            // admitted against the post-flip cluster and is not resident.
             while next_fault < faults.len() && faults[next_fault].time <= start {
                 let event = faults[next_fault];
                 next_fault += 1;
@@ -534,7 +537,11 @@ impl SimScratch {
                 }
                 let v = event.node.0 as u32;
                 for (task_idx, m) in tasks.iter().enumerate() {
-                    if !done[task_idx] && alive[m.request] && (m.node_a == v || m.node_b == v) {
+                    if !done[task_idx]
+                        && alive[m.request]
+                        && requests[m.request].release() <= event.time
+                        && (m.node_a == v || m.node_b == v)
+                    {
                         // Tasks are grouped by request in ascending order,
                         // so failures come out in request order per event.
                         alive[m.request] = false;
@@ -710,10 +717,12 @@ pub fn simulate_admitted_stream_in<'s, P: Borrow<ExecutionPlan>>(
 ///
 /// `faults` is a time-sorted availability timeline (what
 /// [`hidp_platform::ClusterTimeline::events`] yields). When a down-flip at
-/// time `t` hits a node, every request that still has **unstarted** work
-/// resident on that node ([`PlanTask::nodes`](crate::PlanTask::nodes)) is
-/// killed: it surfaces as a [`FailureEvent`] instead of a fictitious
-/// completion on dead hardware. Tasks that started before the flip run to
+/// time `t` hits a node, every request released at or before `t` that
+/// still has **unstarted** work resident on that node
+/// ([`PlanTask::nodes`](crate::PlanTask::nodes)) is killed: it surfaces as
+/// a [`FailureEvent`] instead of a fictitious completion on dead hardware.
+/// A request released after `t` was admitted against the post-flip
+/// cluster, so that flip never kills it. Tasks that started before the flip run to
 /// completion and keep their resource reservations — the abandoned work
 /// occupies real hardware, exactly the cost a recovery policy has to route
 /// around. Up-flips never affect in-flight work (new capacity only matters
@@ -1175,8 +1184,9 @@ mod tests {
 
     #[test]
     fn down_flip_at_time_zero_kills_every_resident_request() {
-        // Failure at t = 0: nothing has started, so every request touching
-        // the node is killed and nothing at all commits there.
+        // Failure at t = 0: nothing has started, so the one request
+        // released by then is killed; request 1, released at 0.1 s after
+        // the flip, is not resident and runs.
         let cluster = presets::paper_cluster();
         let mut plan = ExecutionPlan::new();
         plan.add_compute("only", addr(2, 1), 1_000_000_000, 1.0, &[]);
@@ -1195,12 +1205,67 @@ mod tests {
             TraceDetail::Full,
         )
         .unwrap();
-        assert_eq!(failures.len(), 2);
+        assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].request, 0);
-        assert_eq!(failures[1].request, 1);
-        assert!(failures.iter().all(|f| f.at == 0.0));
-        assert!(report.records.is_empty());
-        assert_eq!(report.makespan, 0.0);
+        assert_eq!(failures[0].at, 0.0);
+        assert_eq!(report.records.len(), 1);
+        assert_eq!(report.records[0].request, 1);
+        assert_eq!(report.request_completion[0], 0.0);
+    }
+
+    #[test]
+    fn a_down_flip_spares_requests_released_after_it() {
+        // Node 2 is down over [0.5, 1.0). Request 0 (released at 0.2,
+        // queued behind a long job on the same processor) is resident at
+        // the down-flip and killed; request 1 (released at 0.7, between
+        // the flips) and request 2 (released at 1.5, after the up-flip)
+        // were admitted after it and survive.
+        let cluster = presets::paper_cluster();
+        let mut plan = ExecutionPlan::new();
+        plan.add_compute("only", addr(2, 1), 1_000_000_000, 1.0, &[]);
+        let mut long = ExecutionPlan::new();
+        long.add_compute("long", addr(2, 1), 100_000_000_000, 1.0, &[]);
+        let stream = vec![
+            (0.0, 0.0, long.clone()),
+            (0.2, 0.2, plan.clone()),
+            (0.7, 0.7, plan.clone()),
+            (1.5, 1.5, plan.clone()),
+        ];
+        let faults = [
+            AvailabilityEvent {
+                time: 0.5,
+                node: NodeIndex(2),
+                up: false,
+            },
+            AvailabilityEvent {
+                time: 1.0,
+                node: NodeIndex(2),
+                up: true,
+            },
+        ];
+        let mut scratch = SimScratch::new();
+        let (report, failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
+            &stream,
+            &cluster,
+            &faults,
+            TraceDetail::Summary,
+        )
+        .unwrap();
+        assert_eq!(
+            failures,
+            vec![FailureEvent {
+                request: 1,
+                at: 0.5,
+                node: NodeIndex(2),
+            }]
+        );
+        // The long job started before the flip and completes; the two
+        // later requests complete after it.
+        let long_end = report.request_completion[0];
+        assert!(long_end > 1.5);
+        assert!(report.request_completion[2] > long_end);
+        assert!(report.request_completion[3] > report.request_completion[2]);
     }
 
     #[test]

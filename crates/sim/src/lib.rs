@@ -31,6 +31,7 @@
 mod engine;
 mod error;
 mod plan;
+#[doc(hidden)]
 pub mod reference;
 pub mod serving;
 pub mod stats;
@@ -42,6 +43,7 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use plan::{ExecutionPlan, Label, PlanTask, Resource, TaskCost, TaskId, TaskKind};
+#[doc(hidden)]
 pub use reference::simulate_stream_reference;
 pub use serving::{
     LatencyHistogram, LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass,

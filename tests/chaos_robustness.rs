@@ -272,7 +272,7 @@ fn double_flap_inside_one_backoff_window_rekills_the_retry() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn fault_plan_runs_are_bit_identical_across_thread_counts(seed in 0u64..1_000_000) {

@@ -242,7 +242,7 @@ fn replanning_stays_within_the_hysteresis_bound_and_replays_bit_identically() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn drifting_fleet_runs_are_bit_identical_across_thread_counts(seed in 0u64..1_000_000) {
