@@ -41,23 +41,33 @@
 //! [`Inbox`] (where requests come from and where a killed one goes). The
 //! deadline rule the loop ranks and sheds by is stated once, in
 //! `hidp_sim::serving`.
+//!
+//! Everything else both tiers must know about a loop's inputs lives here
+//! too, so neither restates it: [`LoopCtx::new`] (with the batch and
+//! window clamps), the shared checks ([`validate_requests`] and
+//! [`LoopCtx::validate`]), [`arrival_order`], and the run [`Rollup`]
+//! (offered count, conservation check, no-completion error, drift stats).
+//! One [`TimeHeap`] orders the admission window, the retry heap, the
+//! fleet's failover heap and the serving reference loop by `(time, push
+//! sequence)`.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState};
+use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
 use crate::fleet::fnv64;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    AdmissionPolicy, DispatchEstimator, DispatchProgram, IndexedQueue, RecoveryPolicy,
-    RobustnessStats, ServingRequest,
+    AdmissionPolicy, DispatchEstimator, DispatchProgram, FailureMode, IndexedQueue, RecoveryPolicy,
+    RobustnessStats, ServingRequest, Tails,
 };
 use crate::strategy::DistributedStrategy;
 use crate::{CoreError, PlanKey};
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{AvailabilityEvent, Cluster, DriftModel, NodeIndex, SlowdownWindow};
-use hidp_sim::serving::SlaClass;
+use hidp_sim::serving::{LatencySummary, SlaClass};
 use hidp_sim::ExecutionPlan;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::fmt::Arguments;
 use std::sync::Arc;
 
 /// What one cluster loop runs against: the planner, the cluster and its
@@ -85,6 +95,204 @@ pub(crate) struct LoopCtx<'a> {
     pub(crate) adaptive: Option<&'a AdaptiveConfig>,
 }
 
+impl<'a> LoopCtx<'a> {
+    /// The context of one cluster under its tier's admission and recovery
+    /// knobs. A batch or window of zero could never admit anything, so
+    /// `max_batch` and a `Some` window are clamped to at least 1; an empty
+    /// drift model is no drift.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        strategy: &'a dyn DistributedStrategy,
+        leader: NodeIndex,
+        base: &'a Cluster,
+        cache: &'a PlanCache,
+        events: &'a [AvailabilityEvent],
+        slowdowns: &'a [SlowdownWindow],
+        drift: Option<&'a DriftModel>,
+        policy: AdmissionPolicy,
+        max_batch: usize,
+        max_inflight: Option<usize>,
+        failures: FailureMode,
+        recovery: RecoveryPolicy,
+        adaptive: Option<&'a AdaptiveConfig>,
+    ) -> Self {
+        Self {
+            strategy,
+            leader,
+            base,
+            cache,
+            events,
+            slowdowns,
+            drift: drift.filter(|d| !d.is_empty()),
+            policy,
+            max_batch: max_batch.max(1),
+            max_inflight: max_inflight.map(|w| w.max(1)),
+            kill: failures == FailureMode::Kill,
+            recovery,
+            adaptive,
+        }
+    }
+
+    /// Rejects what this cluster's loop cannot run: an invalid retry or
+    /// adaptive config; a timeline event, slowdown window or drift window
+    /// that is malformed or names an unknown node; and kill semantics or
+    /// hedging on a cluster too large for the 64-bit plan-residency mask.
+    pub(crate) fn validate(&self, name: Named<'_>) -> Result<(), CoreError> {
+        if let Some(retry) = &self.recovery.retry {
+            retry.validate()?;
+        }
+        if let Some(adaptive) = self.adaptive {
+            adaptive.validate()?;
+        }
+        for event in self.events {
+            self.base.node(event.node)?;
+        }
+        for window in self.slowdowns {
+            window.validate()?;
+            self.base.node(window.node)?;
+        }
+        if let Some(drift) = self.drift {
+            drift.validate(self.base.len())?;
+        }
+        if (self.kill || self.recovery.hedge_premium) && self.base.len() > 64 {
+            return Err(name.infeasible(format_args!(
+                "kill semantics and hedging track plan residency in a 64-bit \
+                 node mask; a cluster has {} nodes",
+                self.base.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A scenario as its errors name it: `{tier} scenario '{label}'`.
+#[derive(Clone, Copy)]
+pub(crate) struct Named<'a>(pub(crate) &'static str, pub(crate) &'a str);
+
+impl Named<'_> {
+    /// A [`CoreError::Infeasible`] about this scenario.
+    pub(crate) fn infeasible(self, what: Arguments<'_>) -> CoreError {
+        CoreError::Infeasible {
+            what: format!("{} scenario '{}': {what}", self.0, self.1),
+        }
+    }
+}
+
+/// Rejects a request list no cluster loop can index or order: empty,
+/// beyond the `u32` index space, or holding a negative or non-finite
+/// arrival or a zero batch.
+pub(crate) fn validate_requests<'r>(
+    name: Named<'_>,
+    requests: impl ExactSizeIterator<Item = &'r ServingRequest>,
+) -> Result<(), CoreError> {
+    if requests.len() == 0 || requests.len() >= u32::MAX as usize {
+        return Err(name.infeasible(format_args!(
+            "{} requests (needs 1 to 2^32-2)",
+            requests.len()
+        )));
+    }
+    for (i, request) in requests.enumerate() {
+        if !(request.arrival.is_finite() && request.arrival >= 0.0) {
+            return Err(name.infeasible(format_args!(
+                "request {i} has invalid arrival {}",
+                request.arrival
+            )));
+        }
+        if request.batch == 0 {
+            return Err(name.infeasible(format_args!("request {i} has batch 0")));
+        }
+    }
+    Ok(())
+}
+
+/// Fills `order` with the request indices `0..n` in arrival order: by
+/// arrival time, normalised (+0.0) so a -0.0 arrival cannot jump a +0.0
+/// one, ties by index — the order a stable sort gives, without its merge
+/// buffer.
+pub(crate) fn arrival_order(order: &mut Vec<u32>, n: usize, arrival: impl Fn(usize) -> f64) {
+    order.clear();
+    order.extend(0..n as u32);
+    order.sort_unstable_by(|&a, &b| {
+        (arrival(a as usize) + 0.0)
+            .total_cmp(&(arrival(b as usize) + 0.0))
+            .then(a.cmp(&b))
+    });
+}
+
+/// What a finished run's cluster loops add up to, merged in the order
+/// given — cluster index order on the fleet, which keeps the rollup
+/// thread-count invariant.
+pub(crate) struct Rollup {
+    pub(crate) latency: LatencySummary,
+    pub(crate) max_latency: f64,
+    pub(crate) robustness: RobustnessStats,
+    pub(crate) drift: DriftStats,
+    pub(crate) plan_cache: PlanCacheStats,
+    pub(crate) batches: usize,
+    pub(crate) epochs_applied: usize,
+    pub(crate) makespan: f64,
+    /// The earliest first retry of any loop (`INFINITY` when none).
+    pub(crate) first_retry: f64,
+}
+
+impl Rollup {
+    /// Adds up `loops`, which were offered `offered` requests between them
+    /// and reported every completion into `tails`; request conservation is
+    /// debug-asserted.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no request completed: such a run has no latency summary.
+    pub(crate) fn of<'l>(
+        name: Named<'_>,
+        offered: usize,
+        loops: impl IntoIterator<Item = &'l ClusterLoop>,
+        tails: &Tails,
+    ) -> Result<Self, CoreError> {
+        let mut robustness = RobustnessStats {
+            offered: offered as u64,
+            ..RobustnessStats::default()
+        };
+        let mut drift = DriftStats::default();
+        let mut plan_cache = PlanCacheStats::default();
+        let (mut batches, mut epochs_applied) = (0, 0);
+        let (mut makespan, mut first_retry) = (0.0f64, f64::INFINITY);
+        for run in loops {
+            robustness.merge(&run.robustness);
+            drift.merge(&DriftStats {
+                replans: run.adaptive.replans,
+                observations: run.adaptive.observations,
+                energy_j: run.dispatch.energy_j,
+            });
+            plan_cache.hits += run.stats.hits;
+            plan_cache.misses += run.stats.misses;
+            batches += run.batches;
+            epochs_applied += run.epoch;
+            makespan = makespan.max(run.makespan);
+            first_retry = first_retry.min(run.first_retry);
+        }
+        debug_assert!(
+            robustness.accounts_for_every_request(),
+            "request conservation violated: {robustness:?}"
+        );
+        let all = tails.latency();
+        let latency = all
+            .summary()
+            .ok_or_else(|| name.infeasible(format_args!("no request completed")))?;
+        Ok(Self {
+            latency,
+            max_latency: all.max(),
+            robustness,
+            drift,
+            plan_cache,
+            batches,
+            epochs_applied,
+            makespan,
+            first_retry,
+        })
+    }
+}
+
 /// The request side of a cluster loop: the requests it indexes, the order
 /// fresh ones arrive in, and where a killed one goes.
 pub(crate) trait Inbox {
@@ -98,7 +306,7 @@ pub(crate) trait Inbox {
     fn id(&self, i: u32) -> u32;
     /// Sends the next attempt (`attempt`, 1-based) of killed request `i`,
     /// released at `release`, to the cluster that will run it.
-    fn requeue(&mut self, retries: &mut RetryHeap, i: u32, release: f64, attempt: u32);
+    fn requeue(&mut self, retries: &mut TimeHeap<u32>, i: u32, release: f64, attempt: u32);
 }
 
 /// Where a cluster loop reports its work.
@@ -135,7 +343,8 @@ pub(crate) struct ClusterLoop {
     members: Vec<u32>,
     memo: PlanMemo,
     pub(crate) dispatch: DispatchEstimator,
-    inflight: BinaryHeap<Reverse<Departure>>,
+    /// Estimated completions of the batches in the admission window.
+    inflight: TimeHeap<()>,
     /// The current epoch's cluster (`None` when the timeline is empty).
     epoch_cluster: Option<Cluster>,
     hedge_cluster: Option<Cluster>,
@@ -143,7 +352,8 @@ pub(crate) struct ClusterLoop {
     /// members, concatenated in the same order, leave with them.
     pending: VecDeque<PendingBatch>,
     pending_members: VecDeque<u32>,
-    retries: RetryHeap,
+    /// Killed requests awaiting their backoff release.
+    retries: TimeHeap<u32>,
     /// Attempts burned per request index (empty unless kills are armed).
     attempts: Vec<u32>,
     /// Whether kills are armed for this run.
@@ -151,7 +361,6 @@ pub(crate) struct ClusterLoop {
     pub(crate) adaptive: AdaptiveState,
     next_event: usize,
     next_arrival: usize,
-    departure_seq: u64,
     now: f64,
     /// Timeline events applied so far.
     pub(crate) epoch: usize,
@@ -176,18 +385,17 @@ impl ClusterLoop {
             members: Vec::new(),
             memo: PlanMemo::new(),
             dispatch: DispatchEstimator::default(),
-            inflight: BinaryHeap::new(),
+            inflight: TimeHeap::default(),
             epoch_cluster: None,
             hedge_cluster: None,
             pending: VecDeque::new(),
             pending_members: VecDeque::new(),
-            retries: RetryHeap::default(),
+            retries: TimeHeap::default(),
             attempts: Vec::new(),
             kill: false,
             adaptive: AdaptiveState::default(),
             next_event: 0,
             next_arrival: 0,
-            departure_seq: 0,
             now: 0.0,
             epoch: 0,
             stats: PlanCacheStats::default(),
@@ -238,7 +446,6 @@ impl ClusterLoop {
         }
         self.next_event = 0;
         self.next_arrival = 0;
-        self.departure_seq = 0;
         self.now = 0.0;
         self.epoch = 0;
         self.stats = PlanCacheStats::default();
@@ -293,7 +500,6 @@ impl ClusterLoop {
             adaptive,
             next_event,
             next_arrival,
-            departure_seq,
             now,
             epoch,
             stats,
@@ -403,11 +609,7 @@ impl ClusterLoop {
 
                 sink.admit(*now, *epoch, members, memo.plan(primary));
                 if ctx.max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: completion.min(hedge_completion),
-                        seq: *departure_seq,
-                    }));
-                    *departure_seq += 1;
+                    inflight.push(completion.min(hedge_completion), ());
                 }
                 let b = PendingBatch {
                     admitted: *now,
@@ -466,14 +668,12 @@ impl ClusterLoop {
             if let Some(i) = fresh {
                 t = inbox.requests()[i as usize].arrival + 0.0;
             }
-            if let Some(release) = retries.next_release() {
+            if let Some(release) = retries.peek_time() {
                 t = t.min(release);
             }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
+            // A queue left after admitting means a full window.
+            if let Some(soonest) = inflight.peek_time().filter(|_| queue.len() > 0) {
+                t = t.min(soonest);
             }
             if let Some(down) = next_down.filter(|_| kills_pending) {
                 t = t.min(down.time + 0.0);
@@ -557,13 +757,7 @@ impl ClusterLoop {
             if t > *now {
                 *now = t;
             }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= *now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
+            while inflight.pop_due(*now).is_some() {}
             // Retire batches the clock has passed, front-first so the
             // observation order stays the admission order.
             while let Some(front) = pending.front() {
@@ -576,7 +770,7 @@ impl ClusterLoop {
             }
             // Released retries re-enter ahead of same-instant fresh
             // arrivals: a retried request is strictly older work.
-            while let Some(i) = retries.pop_due(*now) {
+            while let Some((_, i)) = retries.pop_due(*now) {
                 enqueue(queue, &*inbox, i, ctx.policy);
             }
             while let Some(i) = next_fresh(&*inbox, attempts, next_arrival) {
@@ -651,28 +845,6 @@ fn retire<I: Inbox, S: Sink>(
     }
 }
 
-/// An estimated batch completion in the admission window, ordered by time,
-/// then admission sequence (shared with the serving tier's reference loop).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Departure {
-    pub(crate) at: f64,
-    pub(crate) seq: u64,
-}
-
-impl Eq for Departure {}
-
-impl PartialOrd for Departure {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Departure {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.total_cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// One admitted batch awaiting its estimated completion, with kill-tracking
 /// state: which nodes each copy's plan touches (64-bit masks — validation
 /// gates kill semantics and hedging to ≤ 64-node clusters) and whether each
@@ -710,69 +882,83 @@ impl PendingBatch {
     }
 }
 
-/// Killed requests awaiting their backoff release, ordered by release
-/// time, ties by push order.
-#[derive(Debug, Default)]
-pub(crate) struct RetryHeap {
-    heap: BinaryHeap<Reverse<RetryEntry>>,
+/// A min-heap of items keyed by `(time, push sequence)`: the earliest time
+/// pops first, equal times in push order. [`TimeHeap::clear`] keeps the
+/// capacity and restarts the sequence, so a run's order never depends on
+/// an earlier run.
+#[derive(Debug)]
+pub(crate) struct TimeHeap<T> {
+    heap: BinaryHeap<Reverse<Timed<T>>>,
     seq: u64,
 }
 
-impl RetryHeap {
-    /// Schedules request `idx` to re-enter the queue at `release`.
-    pub(crate) fn push(&mut self, release: f64, idx: u32) {
-        self.heap.push(Reverse(RetryEntry {
-            release,
-            seq: self.seq,
-            idx,
-        }));
-        self.seq += 1;
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    fn next_release(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse(entry)| entry.release)
-    }
-
-    /// Pops the next request whose release is due by `now`.
-    fn pop_due(&mut self, now: f64) -> Option<u32> {
-        let &Reverse(entry) = self.heap.peek()?;
-        if entry.release > now {
-            return None;
-        }
-        self.heap.pop();
-        Some(entry.idx)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RetryEntry {
-    release: f64,
+#[derive(Debug)]
+struct Timed<T> {
+    at: f64,
     seq: u64,
-    idx: u32,
+    item: T,
 }
 
-impl Eq for RetryEntry {}
+impl<T> PartialEq for Timed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
-impl PartialOrd for RetryEntry {
+impl<T> Eq for Timed<T> {}
+
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for RetryEntry {
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.release
-            .total_cmp(&other.release)
-            .then(self.seq.cmp(&other.seq))
+        self.at.total_cmp(&other.at).then(self.seq.cmp(&other.seq))
+    }
+}
+
+impl<T> Default for TimeHeap<T> {
+    fn default() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<T> TimeHeap<T> {
+    pub(crate) fn push(&mut self, at: f64, item: T) {
+        let seq = self.seq;
+        self.heap.push(Reverse(Timed { at, seq, item }));
+        self.seq += 1;
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// The earliest time queued.
+    pub(crate) fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|Reverse(e)| e.at)
+    }
+
+    /// Pops the earliest item, with its time, if that time is at most `t`.
+    pub(crate) fn pop_due(&mut self, t: f64) -> Option<(f64, T)> {
+        if self.peek_time()? > t {
+            return None;
+        }
+        self.heap.pop().map(|Reverse(e)| (e.at, e.item))
     }
 }
 
@@ -896,5 +1082,50 @@ impl PlanMemo {
             .plan
             .as_ref()
             .expect("lookup fills the entry it returns")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn equal_times_pop_in_push_order() {
+        let mut heap = TimeHeap::default();
+        for (at, item) in [(2.0, 'a'), (1.0, 'b'), (2.0, 'c'), (1.0, 'd'), (2.0, 'e')] {
+            heap.push(at, item);
+        }
+        assert_eq!(heap.len(), 5);
+        assert_eq!(heap.peek_time(), Some(1.0));
+        assert_eq!(heap.pop_due(0.5), None, "nothing is due before 1.0");
+        let mut popped = Vec::new();
+        while let Some(entry) = heap.pop_due(f64::INFINITY) {
+            popped.push(entry);
+        }
+        assert_eq!(
+            popped,
+            [(1.0, 'b'), (1.0, 'd'), (2.0, 'a'), (2.0, 'c'), (2.0, 'e')]
+        );
+        assert!(heap.is_empty());
+    }
+
+    #[test]
+    fn clear_restarts_the_sequence() {
+        let mut heap = TimeHeap::default();
+        heap.push(1.0, 0u32);
+        heap.push(1.0, 1);
+        heap.clear();
+        assert!(heap.is_empty());
+        assert_eq!(heap.seq, 0);
+        // After a clear the sequence restarts, so a heap that has been
+        // through another run orders ties exactly like a fresh one.
+        let mut fresh = TimeHeap::default();
+        for heap in [&mut heap, &mut fresh] {
+            heap.push(3.0, 7u32);
+            heap.push(3.0, 8);
+        }
+        assert_eq!(heap.heap.peek().map(|e| e.0.seq), Some(0));
+        assert_eq!(heap.pop_due(3.0), fresh.pop_due(3.0));
+        assert_eq!(heap.pop_due(3.0), Some((3.0, 8)));
     }
 }

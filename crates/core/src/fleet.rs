@@ -10,7 +10,12 @@
 //! loop the serving tier runs (`crate::cluster_loop`) over the requests
 //! routed to it. Only two things differ from the serving tier: completions
 //! feed mergeable WAN-aware histograms, and a killed request goes back to
-//! the router instead of retrying in place.
+//! the router instead of retrying in place. The front end is down to
+//! routing: the request and per-cluster checks, the loop context, the
+//! arrival order and the run rollup are the ones the serving tier uses
+//! (`crate::cluster_loop`); the fleet adds only its own checks — regions,
+//! round length, per-cluster list lengths, no hedging, and a leader in
+//! every cluster.
 //!
 //! # Rounds and barriers
 //!
@@ -34,7 +39,8 @@
 //!
 //! Routing keys reuse the planning fingerprint machinery:
 //! [`RoutingPolicy::StaticHash`] is rendezvous hashing of the request key
-//! against each cluster's [`Cluster::fingerprint`] — when a
+//! against each cluster's
+//! [`Cluster::fingerprint`](hidp_platform::Cluster::fingerprint) — when a
 //! [`ClusterTimeline`] flips a node, the cluster's fingerprint changes and
 //! traffic re-keys exactly the way the plan cache re-keys.
 //! [`RoutingPolicy::LeastLoaded`] reads each cluster's admission-model
@@ -54,7 +60,9 @@
 //! routing navigates.
 
 use crate::adaptive::{AdaptiveConfig, DriftStats};
-use crate::cluster_loop::{ClusterLoop, Inbox, LoopCtx, RetryHeap};
+use crate::cluster_loop::{
+    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, Rollup, TimeHeap,
+};
 use crate::parallel::ParallelSweep;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
@@ -64,12 +72,23 @@ use crate::strategy::DistributedStrategy;
 use crate::CoreError;
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_platform::{
-    Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow, WanDegradation,
+    ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow, WanDegradation,
 };
 use hidp_sim::serving::{LatencySummary, SlaClass, SlaClassReport};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// Request payload carried over the WAN, bytes: one 224×224×3 f32 image.
+/// Prices the round trip a request pays and the locality cost.
+const PAYLOAD_BYTES: u64 = 602_112;
+
+/// Estimated serving cost, seconds, charged per request already routed to a
+/// cluster within the current round, so least-loaded and locality routing
+/// spread a burst that lands between two barriers.
+const ROUTE_COST_HINT_S: f64 = 0.05;
+
+/// Round boundary indices stay below 2^53, so every barrier time is an
+/// exact multiple of the round length and the boundary always advances.
+const MAX_BOUNDARY: u64 = 1 << 53;
 
 /// One request entering the fleet: a serving request plus the region it
 /// originates in (which decides its WAN ingress).
@@ -104,14 +123,14 @@ pub enum RoutingPolicy {
     },
     /// Rendezvous (highest-random-weight) hashing of the request key
     /// `(model, batch, region)` against each cluster's
-    /// [`Cluster::fingerprint`]. Sticky per key — and because the
-    /// fingerprint covers availability, a timeline flip re-keys the
-    /// cluster's traffic exactly the way it re-keys its plans.
+    /// [`Cluster::fingerprint`](hidp_platform::Cluster::fingerprint).
+    /// Sticky per key — and because the fingerprint covers availability, a
+    /// timeline flip re-keys the cluster's traffic exactly the way it
+    /// re-keys its plans.
     StaticHash,
     /// The cluster whose admission backlog (dispatch-model horizon beyond
-    /// the round barrier, plus [`FleetConfig::route_cost_hint_s`] per
-    /// request already routed this round) is smallest. Ties go to the lower
-    /// cluster index.
+    /// the round barrier, plus a fixed 0.05 s per request already routed
+    /// this round) is smallest. Ties go to the lower cluster index.
     #[default]
     LeastLoaded,
     /// [`RoutingPolicy::LeastLoaded`] plus the WAN round trip from the
@@ -149,15 +168,10 @@ pub struct FleetConfig {
     /// non-empty the length must equal the fleet's cluster count).
     pub timelines: Vec<ClusterTimeline>,
     /// Router round length, virtual seconds (finite, > 0). Shorter rounds
-    /// give load-aware routing fresher backlog signals at more barriers.
+    /// give load-aware routing fresher backlog signals at more barriers. A
+    /// length that puts any delivery's round index at 2^53 or beyond, where
+    /// barrier times stop being exact, fails the run with a typed error.
     pub round_seconds: f64,
-    /// Request payload carried over the WAN, bytes (used for the round-trip
-    /// latency accounting and locality costs).
-    pub payload_bytes: u64,
-    /// Estimated serving cost, seconds, charged per request already routed
-    /// to a cluster within the current round — lets least-loaded/locality
-    /// spread a burst that lands between two barriers.
-    pub route_cost_hint_s: f64,
     /// What a down-flip does to batches already in flight (per cluster).
     pub failures: FailureMode,
     /// Recovery responses for killed and at-risk requests. At the fleet
@@ -188,9 +202,6 @@ impl Default for FleetConfig {
             max_inflight: None,
             timelines: Vec::new(),
             round_seconds: 1.0,
-            // One 224×224×3 f32 image.
-            payload_bytes: 602_112,
-            route_cost_hint_s: 0.05,
             failures: FailureMode::default(),
             recovery: RecoveryPolicy::default(),
             slowdowns: Vec::new(),
@@ -388,17 +399,14 @@ impl FleetScenario {
         sweep: &ParallelSweep,
         scratch: &mut FleetScratch,
     ) -> Result<FleetSummary, CoreError> {
-        self.validate(fleet, leader)?;
         let requests = &self.requests;
         let n = requests.len();
         let clusters = fleet.clusters();
-        let cluster_count = clusters.len();
-        let round_seconds = self.config.round_seconds;
-        let payload = self.config.payload_bytes;
-        let hint = self.config.route_cost_hint_s;
-        let degradations = self.config.wan_degradations.as_slice();
+        let config = &self.config;
+        let round_seconds = config.round_seconds;
+        let degradations = config.wan_degradations.as_slice();
 
-        scratch.ensure(cluster_count);
+        scratch.ensure(clusters.len());
         let FleetScratch {
             workers,
             caches,
@@ -406,23 +414,31 @@ impl FleetScenario {
             retries,
         } = scratch;
         let caches: &[PlanCache] = caches;
+        let ctx = |i: usize| {
+            LoopCtx::new(
+                strategy,
+                leader,
+                &clusters[i],
+                &caches[i],
+                config.timelines.get(i).map_or(&[], ClusterTimeline::events),
+                config.slowdowns.get(i).map_or(&[], Vec::as_slice),
+                config.drifts.get(i),
+                config.policy,
+                config.max_batch,
+                config.max_inflight,
+                config.failures,
+                config.recovery,
+                config.adaptive.as_ref(),
+            )
+        };
+        self.validate(fleet, leader, ctx)?;
         retries.clear();
-        let mut retry_seq = 0u64;
-        let ctx = |i: usize| self.loop_ctx(i, strategy, leader, &clusters[i], &caches[i]);
         for (i, worker) in workers.iter_mut().enumerate() {
             worker.reset(&ctx(i));
         }
-
-        // Global arrival order: by normalised time, ties by input index.
-        // Delivering in this order makes every cluster's local request list
-        // arrive pre-sorted the same way the serving loop sorts.
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| {
-            (requests[a as usize].request.arrival + 0.0)
-                .total_cmp(&(requests[b as usize].request.arrival + 0.0))
-                .then(a.cmp(&b))
-        });
+        // Delivering in global arrival order makes every cluster's local
+        // request list arrive pre-sorted the way the serving loop sorts.
+        arrival_order(order, n, |i| requests[i].request.arrival);
 
         let mut next_global = 0usize;
         let mut rounds = 0usize;
@@ -433,16 +449,23 @@ impl FleetScenario {
         // with the deliveries, not the time span.
         let mut boundary = 0u64;
         loop {
-            let mut next_t = if next_global >= n {
-                f64::INFINITY
-            } else {
-                requests[order[next_global] as usize].request.arrival + 0.0
-            };
-            if let Some(&Reverse(entry)) = retries.peek() {
-                next_t = next_t.min(entry.release);
+            let mut next_t = order.get(next_global).map_or(f64::INFINITY, |&i| {
+                requests[i as usize].request.arrival + 0.0
+            });
+            if let Some(release) = retries.peek_time() {
+                next_t = next_t.min(release);
             }
+            // The boundary multiplier must stay exact in an f64, or barrier
+            // times would round and the boundary could stop advancing.
             let next_boundary = if next_t.is_finite() {
-                Some(((next_t / round_seconds).ceil() as u64).max(boundary + 1))
+                let m = ((next_t / round_seconds).ceil() as u64).max(boundary + 1);
+                if m >= MAX_BOUNDARY {
+                    return Err(self.named().infeasible(format_args!(
+                        "round_seconds {round_seconds} is too short for a delivery at \
+                         {next_t} s: its round boundary index exceeds 2^53"
+                    )));
+                }
+                Some(m)
             } else {
                 None
             };
@@ -462,71 +485,32 @@ impl FleetScenario {
                 worker.routed_in_round = 0;
             }
             loop {
-                let arrival_t = if next_global < n {
-                    let t = requests[order[next_global] as usize].request.arrival + 0.0;
-                    (t <= t_end).then_some(t)
-                } else {
-                    None
-                };
+                let fresh = order
+                    .get(next_global)
+                    .map(|&i| (requests[i as usize].request.arrival + 0.0, i))
+                    .filter(|&(at, _)| at <= t_end);
                 // A release that predates this round's window is delivered
-                // at the barrier — deliveries stay sorted per worker.
-                let retry_t = retries.peek().and_then(|&Reverse(entry)| {
-                    let t = entry.release.max(barrier);
-                    (entry.release <= t_end).then_some(t)
-                });
-                match (arrival_t, retry_t) {
-                    (None, None) => break,
-                    (Some(at), rt) if rt.is_none_or(|rt| at < rt) => {
-                        let idx = order[next_global] as usize;
-                        let fleet_request = &requests[idx];
-                        let c = route(
-                            self.config.routing,
-                            workers,
-                            fleet,
-                            fleet_request,
-                            idx as u64,
-                            payload,
-                            hint,
-                            None,
-                        );
-                        let mut wan = fleet.wan_round_trip(fleet_request.region, c, payload);
-                        if !degradations.is_empty() {
-                            wan *= wan_factor(degradations, at);
-                        }
-                        workers[c].deliver(fleet_request.request, wan, idx as u32, None);
-                        workers[c].routed_in_round += 1;
+                // at the barrier, so deliveries stay sorted per worker.
+                let due = fresh.map_or(t_end, |(at, _)| at);
+                let (at, global, key, from, retry) =
+                    if let Some((release, (global, attempts, from))) = retries.pop_due(due) {
+                        let ready = release.max(barrier);
+                        let key = fnv64(&[u64::from(global), u64::from(attempts)]);
+                        (ready, global, key, Some(from), Some((ready, attempts)))
+                    } else if let Some((at, global)) = fresh {
                         next_global += 1;
-                    }
-                    (_, Some(ready)) => {
-                        let Reverse(entry) = retries.pop().expect("peeked above");
-                        let idx = entry.global as usize;
-                        let fleet_request = &requests[idx];
-                        // Failover: never back to the cluster that killed
-                        // it (unless the fleet has only one).
-                        let c = route(
-                            self.config.routing,
-                            workers,
-                            fleet,
-                            fleet_request,
-                            fnv64(&[entry.global as u64, u64::from(entry.attempts)]),
-                            payload,
-                            hint,
-                            Some(entry.from as usize),
-                        );
-                        let mut wan = fleet.wan_round_trip(fleet_request.region, c, payload);
-                        if !degradations.is_empty() {
-                            wan *= wan_factor(degradations, ready);
-                        }
-                        workers[c].deliver(
-                            fleet_request.request,
-                            wan,
-                            entry.global,
-                            Some((ready, entry.attempts)),
-                        );
-                        workers[c].routed_in_round += 1;
-                    }
-                    (Some(_), None) => unreachable!("an arrival with no retry always routes"),
-                }
+                        (at, global, u64::from(global), None, None)
+                    } else {
+                        break;
+                    };
+                let fleet_request = &requests[global as usize];
+                // Failover: a retry never returns to the cluster that killed
+                // it (unless the fleet has only one).
+                let c = route(config.routing, workers, fleet, fleet_request, key, from);
+                let wan = fleet.wan_round_trip(fleet_request.region, c, PAYLOAD_BYTES)
+                    * wan_factor(degradations, at);
+                workers[c].deliver(fleet_request.request, wan, global, retry);
+                workers[c].routed_in_round += 1;
             }
 
             // Advance every cluster to the barrier, in parallel.
@@ -539,15 +523,8 @@ impl FleetScenario {
             // Collect this round's kill fallout in cluster index order (the
             // deterministic global retry order at any thread count).
             for (c, worker) in workers.iter_mut().enumerate() {
-                for retry in worker.retry_out.drain(..) {
-                    retries.push(Reverse(FleetRetryEntry {
-                        release: retry.release + 0.0,
-                        seq: retry_seq,
-                        global: retry.global,
-                        attempts: retry.attempts,
-                        from: c as u32,
-                    }));
-                    retry_seq += 1;
+                for (release, global, attempts) in worker.retry_out.drain(..) {
+                    retries.push(release + 0.0, (global, attempts, c));
                 }
             }
 
@@ -564,351 +541,169 @@ impl FleetScenario {
             }
         }
 
-        self.summarise(workers, n, cluster_count, rounds)
-    }
-
-    /// Merges the per-cluster workers into the fleet summary, in cluster
-    /// index order (which is what makes the rollup thread-count invariant).
-    fn summarise(
-        &self,
-        workers: &[ClusterWorker],
-        n: usize,
-        clusters: usize,
-        rounds: usize,
-    ) -> Result<FleetSummary, CoreError> {
+        // Merge the workers in cluster index order, which is what makes the
+        // rollup thread-count invariant.
         let mut tails = Tails::new();
-        let mut makespan = 0.0f64;
-        let mut batches = 0usize;
-        let mut epochs_applied = 0usize;
-        let mut plan_cache = PlanCacheStats::default();
-        let mut busiest = 0usize;
-        let mut idlest = usize::MAX;
-        let mut wan_sum = 0.0f64;
-        let mut robustness = RobustnessStats::default();
-        let mut drift = DriftStats::default();
-        let mut time_to_first_retry = f64::INFINITY;
-        for worker in workers {
-            let run = &worker.run;
-            robustness.merge(&run.robustness);
-            drift.merge(&DriftStats {
-                replans: run.adaptive.replans,
-                observations: run.adaptive.observations,
-                energy_j: run.dispatch.energy_j,
-            });
-            if run.first_retry < time_to_first_retry {
-                time_to_first_retry = run.first_retry;
-            }
+        let (mut busiest, mut idlest, mut wan_sum) = (0usize, usize::MAX, 0.0f64);
+        for worker in workers.iter() {
             tails.merge(&worker.tails);
-            if run.makespan > makespan {
-                makespan = run.makespan;
-            }
-            batches += run.batches;
-            epochs_applied += run.epoch;
-            plan_cache.hits += run.stats.hits;
-            plan_cache.misses += run.stats.misses;
             busiest = busiest.max(worker.requests.len());
             idlest = idlest.min(worker.requests.len());
             wan_sum += worker.wan2.iter().sum::<f64>();
         }
-        // Workers count completions and drops; the offered side of the
-        // conservation invariant is the global input stream.
-        robustness.offered = n as u64;
-        debug_assert!(
-            robustness.accounts_for_every_request(),
-            "request conservation violated: {robustness:?}"
-        );
-        let all = tails.latency();
-        let latency = all.summary().ok_or_else(|| CoreError::Infeasible {
-            what: format!(
-                "fleet scenario '{}': no request completed under the fault timelines",
-                self.label
-            ),
-        })?;
+        let run = Rollup::of(self.named(), n, workers.iter().map(|w| &w.run), &tails)?;
         Ok(FleetSummary {
             requests: n,
-            clusters,
+            clusters: clusters.len(),
             rounds,
-            batches,
-            epochs_applied,
-            makespan,
-            latency,
-            max_latency: all.max(),
+            batches: run.batches,
+            epochs_applied: run.epochs_applied,
+            makespan: run.makespan,
+            latency: run.latency,
+            max_latency: run.max_latency,
             mean_queueing_delay: tails.queueing_sum / n as f64,
             max_queueing_delay: tails.queueing_max,
             deadline_misses: tails.deadline_misses,
             per_class: tails.per_class(),
-            plan_cache,
+            plan_cache: run.plan_cache,
             busiest_cluster_requests: busiest,
             idlest_cluster_requests: idlest,
             mean_wan_round_trip: wan_sum / n as f64,
-            robustness,
-            drift,
-            time_to_first_retry,
+            robustness: run.robustness,
+            drift: run.drift,
+            time_to_first_retry: run.first_retry,
             recovery_latency: tails.recovered_latency.summary(),
         })
     }
 
-    /// The cluster loop's context for cluster `i` of the fleet.
-    fn loop_ctx<'a>(
-        &'a self,
-        i: usize,
-        strategy: &'a dyn DistributedStrategy,
-        leader: NodeIndex,
-        base: &'a Cluster,
-        cache: &'a PlanCache,
-    ) -> LoopCtx<'a> {
-        let config = &self.config;
-        LoopCtx {
-            strategy,
-            leader,
-            base,
-            cache,
-            events: config
-                .timelines
-                .get(i)
-                .map(ClusterTimeline::events)
-                .unwrap_or(&[]),
-            slowdowns: config.slowdowns.get(i).map(Vec::as_slice).unwrap_or(&[]),
-            drift: config.drifts.get(i).filter(|d| !d.is_empty()),
-            policy: config.policy,
-            max_batch: config.max_batch.max(1),
-            max_inflight: config.max_inflight.map(|w| w.max(1)),
-            kill: config.failures == FailureMode::Kill,
-            recovery: config.recovery,
-            adaptive: config.adaptive.as_ref(),
-        }
+    fn named(&self) -> Named<'_> {
+        Named("fleet", &self.label)
     }
 
-    /// Rejects empty scenarios, invalid requests/regions, malformed round
-    /// or routing parameters, timeline shape mismatches and leaders outside
-    /// any cluster.
-    fn validate(&self, fleet: &Fleet, leader: NodeIndex) -> Result<(), CoreError> {
-        if self.requests.is_empty() {
-            return Err(CoreError::Infeasible {
-                what: format!("fleet scenario '{}' has no requests", self.label),
-            });
+    /// Rejects what the shared cluster-loop checks reject — in the request
+    /// list and in every cluster's context `ctx(i)` — plus the fleet's own
+    /// inputs: regions outside the fleet, a malformed round length, per-cluster
+    /// lists of the wrong length, serving-tier hedging, malformed WAN
+    /// degradation windows and a leader missing from a cluster.
+    fn validate<'a>(
+        &self,
+        fleet: &Fleet,
+        leader: NodeIndex,
+        ctx: impl Fn(usize) -> LoopCtx<'a>,
+    ) -> Result<(), CoreError> {
+        let name = self.named();
+        let config = &self.config;
+        validate_requests(name, self.requests.iter().map(|r| &r.request))?;
+        let regions = fleet.region_count();
+        if let Some(i) = self.requests.iter().position(|r| r.region >= regions) {
+            return Err(name.infeasible(format_args!(
+                "request {i} originates in region {} but the fleet has {regions} regions",
+                self.requests[i].region
+            )));
         }
-        if self.requests.len() >= u32::MAX as usize {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}' exceeds the 2^32-1 request limit",
-                    self.label
-                ),
-            });
+        if !(config.round_seconds.is_finite() && config.round_seconds > 0.0) {
+            return Err(name.infeasible(format_args!(
+                "round_seconds must be finite and positive, got {}",
+                config.round_seconds
+            )));
         }
-        for (i, fleet_request) in self.requests.iter().enumerate() {
-            let request = &fleet_request.request;
-            if !(request.arrival.is_finite() && request.arrival >= 0.0) {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "fleet scenario '{}': request {i} has invalid arrival {}",
-                        self.label, request.arrival
-                    ),
-                });
-            }
-            if request.batch == 0 {
-                return Err(CoreError::Infeasible {
-                    what: format!("fleet scenario '{}': request {i} has batch 0", self.label),
-                });
-            }
-            if fleet_request.region >= fleet.region_count() {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "fleet scenario '{}': request {i} originates in region {} but the fleet has {} regions",
-                        self.label,
-                        fleet_request.region,
-                        fleet.region_count()
-                    ),
-                });
+        let lists = [
+            ("timelines", config.timelines.len()),
+            ("slowdown lists", config.slowdowns.len()),
+            ("drift models", config.drifts.len()),
+        ];
+        for (what, len) in lists {
+            if len != 0 && len != fleet.len() {
+                return Err(name.infeasible(format_args!(
+                    "{len} {what} for {} clusters (use an empty list for none)",
+                    fleet.len()
+                )));
             }
         }
-        if !(self.config.round_seconds.is_finite() && self.config.round_seconds > 0.0) {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}': round_seconds must be finite and positive, got {}",
-                    self.label, self.config.round_seconds
-                ),
-            });
+        if config.recovery.hedge_premium {
+            return Err(name.infeasible(format_args!(
+                "hedged dispatch is a serving-tier policy (the fleet's failover \
+                 response is re-routing retries)"
+            )));
         }
-        if !(self.config.route_cost_hint_s.is_finite() && self.config.route_cost_hint_s >= 0.0) {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}': route_cost_hint_s must be finite and non-negative, got {}",
-                    self.label, self.config.route_cost_hint_s
-                ),
-            });
-        }
-        if !self.config.timelines.is_empty() && self.config.timelines.len() != fleet.len() {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}': {} timelines for {} clusters (use an empty list for an all-static fleet)",
-                    self.label,
-                    self.config.timelines.len(),
-                    fleet.len()
-                ),
-            });
-        }
-        if self.config.recovery.hedge_premium {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}': hedged dispatch is a serving-tier policy \
-                     (the fleet's failover response is re-routing retries)",
-                    self.label
-                ),
-            });
-        }
-        if let Some(retry) = self.config.recovery.retry {
-            retry.validate()?;
-        }
-        if !self.config.slowdowns.is_empty() && self.config.slowdowns.len() != fleet.len() {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}': {} slowdown lists for {} clusters (use an empty list for no stragglers)",
-                    self.label,
-                    self.config.slowdowns.len(),
-                    fleet.len()
-                ),
-            });
-        }
-        if !self.config.drifts.is_empty() && self.config.drifts.len() != fleet.len() {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}': {} drift models for {} clusters (use an empty list for no drift)",
-                    self.label,
-                    self.config.drifts.len(),
-                    fleet.len()
-                ),
-            });
-        }
-        if let Some(adaptive) = &self.config.adaptive {
-            adaptive.validate()?;
-        }
-        for window in &self.config.wan_degradations {
+        for window in &config.wan_degradations {
             window.validate()?;
         }
         for (i, cluster) in fleet.clusters().iter().enumerate() {
             // The leader must exist in every cluster (every plan keys on it).
             cluster.node(leader)?;
-            if let Some(timeline) = self.config.timelines.get(i) {
-                timeline.validate(cluster)?;
-            }
-            if let Some(windows) = self.config.slowdowns.get(i) {
-                for window in windows {
-                    window.validate()?;
-                    cluster.node(window.node)?;
-                }
-            }
-            if let Some(drift) = self.config.drifts.get(i) {
-                drift.validate(cluster.len())?;
-            }
-            if self.config.failures == FailureMode::Kill && cluster.len() > 64 {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "fleet scenario '{}': kill semantics track plan residency in a \
-                         64-bit node mask; cluster {i} has {} nodes",
-                        self.label,
-                        cluster.len()
-                    ),
-                });
-            }
+            ctx(i).validate(name)?;
         }
         Ok(())
     }
 }
 
-/// Routes one arrival to a cluster (serial, deterministic). `exclude` is
-/// the failover rule: a retry never returns to the cluster that killed it
-/// (unless the fleet has only one cluster).
-#[allow(clippy::too_many_arguments)]
+/// Routes one delivery to a cluster (serial, deterministic); `key` is the
+/// hash input of [`RoutingPolicy::Random`]. `exclude` is the failover
+/// rule: a retry never returns to the cluster that killed it (unless the
+/// fleet has only one cluster).
 fn route(
     routing: RoutingPolicy,
     workers: &[ClusterWorker],
     fleet: &Fleet,
     fleet_request: &FleetRequest,
-    input_index: u64,
-    payload: u64,
-    hint: f64,
+    key: u64,
     exclude: Option<usize>,
 ) -> usize {
     let k = workers.len();
     if k == 1 {
         return 0;
     }
-    let skip = |c: usize| exclude == Some(c);
+    let load = |w: &ClusterWorker| w.backlog + f64::from(w.routed_in_round) * ROUTE_COST_HINT_S;
     match routing {
         RoutingPolicy::Random { seed } => match exclude {
-            None => (fnv64(&[seed, input_index]) % k as u64) as usize,
+            None => (fnv64(&[seed, key]) % k as u64) as usize,
             // Uniform over the k-1 survivors, then remapped around the hole.
             Some(x) => {
-                let r = (fnv64(&[seed, input_index]) % (k as u64 - 1)) as usize;
-                if r >= x {
-                    r + 1
-                } else {
-                    r
-                }
+                let r = (fnv64(&[seed, key]) % (k as u64 - 1)) as usize;
+                r + usize::from(r >= x)
             }
         },
+        // Rendezvous: the highest score wins, so the scan minimises its
+        // complement.
         RoutingPolicy::StaticHash => {
             let key = request_key(fleet_request);
-            let mut best = usize::MAX;
-            let mut best_score = 0u64;
-            for (c, worker) in workers.iter().enumerate() {
-                if skip(c) {
-                    continue;
-                }
-                let score = fnv64(&[key, worker.run.fingerprint]);
-                if best == usize::MAX || score > best_score {
-                    best = c;
-                    best_score = score;
-                }
-            }
-            best
+            argmin(workers, exclude, |_, w| !fnv64(&[key, w.run.fingerprint]))
         }
-        RoutingPolicy::LeastLoaded => {
-            let mut best = usize::MAX;
-            let mut best_cost = f64::INFINITY;
-            for (c, worker) in workers.iter().enumerate() {
-                if skip(c) {
-                    continue;
-                }
-                let cost = worker.backlog + worker.routed_in_round as f64 * hint;
-                if best == usize::MAX || cost < best_cost {
-                    best = c;
-                    best_cost = cost;
-                }
-            }
-            best
+        RoutingPolicy::LeastLoaded => argmin(workers, exclude, |_, w| load(w)),
+        RoutingPolicy::Locality => argmin(workers, exclude, |c, w| {
+            fleet.wan_round_trip(fleet_request.region, c, PAYLOAD_BYTES)
+                + w.backlog
+                + f64::from(w.routed_in_round) * ROUTE_COST_HINT_S
+        }),
+    }
+}
+
+/// The index of the worker with the smallest `cost`, skipping `exclude`;
+/// ties go to the lower index.
+fn argmin<K: PartialOrd>(
+    workers: &[ClusterWorker],
+    exclude: Option<usize>,
+    cost: impl Fn(usize, &ClusterWorker) -> K,
+) -> usize {
+    let mut best = (usize::MAX, None);
+    for (c, worker) in workers.iter().enumerate() {
+        if exclude == Some(c) {
+            continue;
         }
-        RoutingPolicy::Locality => {
-            let mut best = usize::MAX;
-            let mut best_cost = f64::INFINITY;
-            for (c, worker) in workers.iter().enumerate() {
-                if skip(c) {
-                    continue;
-                }
-                let cost = fleet.wan_round_trip(fleet_request.region, c, payload)
-                    + worker.backlog
-                    + worker.routed_in_round as f64 * hint;
-                if best == usize::MAX || cost < best_cost {
-                    best = c;
-                    best_cost = cost;
-                }
-            }
-            best
+        let k = cost(c, worker);
+        if best.1.as_ref().is_none_or(|b| k < *b) {
+            best = (c, Some(k));
         }
     }
+    best.0
 }
 
 /// The compounded WAN multiplier for a delivery at `at` (1.0 outside every
 /// degradation window).
 fn wan_factor(degradations: &[WanDegradation], at: f64) -> f64 {
-    let mut factor = 1.0f64;
-    for window in degradations {
-        if window.applies(at) {
-            factor *= window.factor;
-        }
-    }
-    factor
+    let windows = degradations.iter().filter(|w| w.applies(at));
+    windows.map(|w| w.factor).product()
 }
 
 /// The sticky routing key of a request: model, per-request batch and region.
@@ -955,46 +750,10 @@ pub struct FleetScratch {
     workers: Vec<ClusterWorker>,
     caches: Vec<PlanCache>,
     order: Vec<u32>,
-    /// Killed requests awaiting their backoff release, fleet-wide — the
+    /// Killed requests awaiting their backoff release, fleet-wide, as
+    /// `(global index, attempts burned, cluster that killed it)` — the
     /// router drains this into (re-routed) deliveries each round.
-    retries: BinaryHeap<Reverse<FleetRetryEntry>>,
-}
-
-/// A killed request in the fleet retry heap, ordered by release time, ties
-/// by push sequence (which is deterministic: workers drain in cluster index
-/// order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FleetRetryEntry {
-    release: f64,
-    seq: u64,
-    global: u32,
-    attempts: u32,
-    from: u32,
-}
-
-impl Eq for FleetRetryEntry {}
-
-impl PartialOrd for FleetRetryEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FleetRetryEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.release
-            .total_cmp(&other.release)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// One killed request a worker hands back to the router (the router adds
-/// the originating cluster index).
-#[derive(Debug, Clone, Copy)]
-struct FleetRetry {
-    global: u32,
-    release: f64,
-    attempts: u32,
+    retries: TimeHeap<(u32, u32, usize)>,
 }
 
 impl FleetScratch {
@@ -1034,7 +793,9 @@ struct ClusterWorker {
     /// Per delivered request, under kill semantics only: its fleet-wide
     /// input index, under which a killed request goes back to the router.
     global: Vec<u32>,
-    retry_out: Vec<FleetRetry>,
+    /// This round's killed requests for the router, as `(release, global
+    /// index, attempts burned)`.
+    retry_out: Vec<(f64, u32, u32)>,
     tails: Tails,
     // Routing signals read by the (serial) router.
     backlog: f64,
@@ -1119,7 +880,7 @@ struct FleetInbox<'a> {
     requests: &'a [ServingRequest],
     wan2: &'a [f64],
     global: &'a [u32],
-    retry_out: &'a mut Vec<FleetRetry>,
+    retry_out: &'a mut Vec<(f64, u32, u32)>,
 }
 
 impl Inbox for FleetInbox<'_> {
@@ -1139,12 +900,9 @@ impl Inbox for FleetInbox<'_> {
         self.global[i as usize]
     }
 
-    fn requeue(&mut self, _retries: &mut RetryHeap, i: u32, release: f64, attempt: u32) {
-        self.retry_out.push(FleetRetry {
-            global: self.global[i as usize],
-            release,
-            attempts: attempt,
-        });
+    fn requeue(&mut self, _retries: &mut TimeHeap<u32>, i: u32, release: f64, attempt: u32) {
+        self.retry_out
+            .push((release, self.global[i as usize], attempt));
     }
 }
 
@@ -1411,6 +1169,27 @@ mod tests {
         assert!(FleetScenario::new(ok)
             .run_streaming(&strategy, &fleet, NodeIndex(64))
             .is_err());
+    }
+
+    #[test]
+    fn a_round_too_short_for_the_trace_is_rejected() {
+        let fleet = presets::generated_fleet(1, 1).unwrap();
+        let request = ServingRequest::new(WorkloadModel::EfficientNetB0, 0.5);
+        // 0.5 s / 1e-300 s puts the first round boundary beyond 2^53 (and
+        // beyond u64): no barrier time can be represented exactly.
+        let result = FleetScenario::new(vec![FleetRequest::new(request, 0)])
+            .with_round_seconds(1e-300)
+            .run_streaming(&HidpStrategy::new(), &fleet, NodeIndex(1));
+        assert!(
+            matches!(result, Err(CoreError::Infeasible { .. })),
+            "{result:?}"
+        );
+        // A short round that keeps every boundary index exact still runs.
+        let summary = FleetScenario::new(vec![FleetRequest::new(request, 0)])
+            .with_round_seconds(1e-12)
+            .run_streaming(&HidpStrategy::new(), &fleet, NodeIndex(1))
+            .unwrap();
+        assert_eq!(summary.robustness.completed, 1);
     }
 
     #[test]

@@ -101,7 +101,9 @@
 //! retries included, follow the rule in `hidp_sim::serving`.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
-use crate::cluster_loop::{ClusterLoop, Departure, Inbox, LoopCtx, RetryHeap, Sink};
+use crate::cluster_loop::{
+    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, Rollup, Sink, TimeHeap,
+};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scenario::{Evaluation, Scenario};
 use crate::strategy::DistributedStrategy;
@@ -611,16 +613,13 @@ impl ServingScenario {
         cache: &PlanCache,
         scratch: &mut ServingScratch,
     ) -> Result<ServingEvaluation, CoreError> {
-        self.validate(cluster)?;
-        self.ensure_records_mode_supported()?;
+        let ctx = self.records_mode_ctx(strategy, cluster, leader, cache)?;
         let mut log = AdmissionLog {
             requests: &self.requests,
             stream: Vec::new(),
             batches: Vec::new(),
         };
-        // Kills are the event engine's business in this mode: the loop
-        // only plans around the flips.
-        self.run_loop(strategy, cluster, leader, cache, scratch, false, &mut log)?;
+        self.run_loop(&ctx, scratch, &mut log)?;
         let outcome = AdmissionOutcome {
             stream: log.stream,
             batches: log.batches,
@@ -649,10 +648,9 @@ impl ServingScenario {
         cluster: &Cluster,
         leader: NodeIndex,
     ) -> Result<ServingEvaluation, CoreError> {
-        self.validate(cluster)?;
-        self.ensure_records_mode_supported()?;
         let cache = PlanCache::new();
-        let outcome = self.admission_loop_reference(strategy, cluster, leader, &cache)?;
+        let ctx = self.records_mode_ctx(strategy, cluster, leader, &cache)?;
+        let outcome = self.admission_loop_reference(&ctx)?;
         let mut scratch = SimScratch::new();
         self.finish(strategy, cluster, outcome, &mut scratch)
     }
@@ -693,203 +691,123 @@ impl ServingScenario {
         cache: &PlanCache,
         scratch: &mut ServingScratch,
     ) -> Result<ServingSummary, CoreError> {
-        self.validate(cluster)?;
-        let kill = self.config.failures == FailureMode::Kill;
+        let ctx = self.loop_ctx(strategy, cluster, leader, cache)?;
         let mut tails = Tails::new();
-        self.run_loop(strategy, cluster, leader, cache, scratch, kill, &mut tails)?;
-        let run = &scratch.cluster;
-        let robustness = RobustnessStats {
-            offered: self.requests.len() as u64,
-            ..run.robustness
-        };
-        debug_assert!(
-            robustness.accounts_for_every_request(),
-            "request conservation violated: {robustness:?}"
-        );
-        let latency = tails
-            .latency()
-            .summary()
-            .ok_or_else(|| CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}': no request completed under the fault timeline",
-                    self.label
-                ),
-            })?;
+        self.run_loop(&ctx, scratch, &mut tails)?;
+        let n = self.requests.len();
+        let run = Rollup::of(self.named(), n, [&scratch.cluster], &tails)?;
         Ok(ServingSummary {
-            requests: self.requests.len(),
+            requests: n,
             batches: run.batches,
-            epochs_applied: run.epoch,
+            epochs_applied: run.epochs_applied,
             makespan: run.makespan,
-            latency,
-            mean_queueing_delay: tails.queueing_sum / latency.count as f64,
+            latency: run.latency,
+            mean_queueing_delay: tails.queueing_sum / run.latency.count as f64,
             max_queueing_delay: tails.queueing_max,
             deadline_misses: tails.deadline_misses,
             per_class: tails.per_class(),
-            plan_cache: run.stats,
-            robustness,
-            drift: DriftStats {
-                replans: run.adaptive.replans,
-                observations: run.adaptive.observations,
-                energy_j: run.dispatch.energy_j,
-            },
+            plan_cache: run.plan_cache,
+            robustness: run.robustness,
+            drift: run.drift,
         })
     }
 
     /// Runs the cluster loop over the whole scenario as one round to +∞,
     /// reporting into `sink`; the loop's counters stay in
-    /// `scratch.cluster`. `kill` arms kill semantics (the records mode
-    /// leaves kills to the event engine).
-    #[allow(clippy::too_many_arguments)]
+    /// `scratch.cluster`.
     fn run_loop<S: Sink>(
         &self,
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
+        ctx: &LoopCtx<'_>,
         scratch: &mut ServingScratch,
-        kill: bool,
         sink: &mut S,
     ) -> Result<(), CoreError> {
         let requests = &self.requests;
-        let config = &self.config;
         let ServingScratch {
             order,
             cluster: run,
             ..
         } = scratch;
-        // Arrival processing order: by time, ties by input order. Arrivals
-        // are normalised (+0.0) so a -0.0 arrival cannot jump a +0.0 one;
-        // with the index as tie-break the unstable sort reproduces the
-        // reference loop's stable sort exactly, without its merge buffer.
-        order.clear();
-        order.extend(0..requests.len() as u32);
-        order.sort_unstable_by(|&a, &b| {
-            (requests[a as usize].arrival + 0.0)
-                .total_cmp(&(requests[b as usize].arrival + 0.0))
-                .then(a.cmp(&b))
-        });
-        let ctx = LoopCtx {
+        arrival_order(order, requests.len(), |i| requests[i].arrival);
+        run.reset(ctx, requests.len());
+        let mut inbox = LocalInbox { requests, order };
+        run.advance_until(ctx, &mut inbox, sink, f64::INFINITY)
+    }
+
+    fn named(&self) -> Named<'_> {
+        Named("serving", &self.label)
+    }
+
+    /// The validated context of this scenario's cluster loop — shared by
+    /// every entry point.
+    fn loop_ctx<'a>(
+        &'a self,
+        strategy: &'a dyn DistributedStrategy,
+        cluster: &'a Cluster,
+        leader: NodeIndex,
+        cache: &'a PlanCache,
+    ) -> Result<LoopCtx<'a>, CoreError> {
+        validate_requests(self.named(), self.requests.iter())?;
+        let config = &self.config;
+        let ctx = LoopCtx::new(
             strategy,
             leader,
-            base: cluster,
+            cluster,
             cache,
-            events: config.timeline.events(),
-            slowdowns: &config.slowdowns,
-            drift: (!config.drift.is_empty()).then_some(&config.drift),
-            policy: config.policy,
-            max_batch: config.max_batch,
-            // A window of zero could never admit anything; serving requires
-            // at least one slot, so Some(0) is clamped like max_batch.
-            max_inflight: config.max_inflight.map(|w| w.max(1)),
-            kill,
-            recovery: config.recovery,
-            adaptive: config.adaptive.as_ref(),
-        };
-        run.reset(&ctx, requests.len());
-        let mut inbox = LocalInbox { requests, order };
-        run.advance_until(&ctx, &mut inbox, sink, f64::INFINITY)
+            config.timeline.events(),
+            &config.slowdowns,
+            Some(&config.drift),
+            config.policy,
+            config.max_batch,
+            config.max_inflight,
+            config.failures,
+            config.recovery,
+            config.adaptive.as_ref(),
+        );
+        ctx.validate(self.named())?;
+        Ok(ctx)
     }
 
-    /// Rejects empty scenarios, invalid arrivals/batches and timelines
-    /// referencing unknown nodes — shared by every entry point.
-    fn validate(&self, cluster: &Cluster) -> Result<(), CoreError> {
-        if self.requests.is_empty() {
-            return Err(CoreError::Infeasible {
-                what: format!("serving scenario '{}' has no requests", self.label),
-            });
-        }
-        if self.requests.len() >= u32::MAX as usize {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}' exceeds the 2^32-1 request limit",
-                    self.label
-                ),
-            });
-        }
-        for (i, request) in self.requests.iter().enumerate() {
-            if !(request.arrival.is_finite() && request.arrival >= 0.0) {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "serving scenario '{}': request {i} has invalid arrival {}",
-                        self.label, request.arrival
-                    ),
-                });
-            }
-            if request.batch == 0 {
-                return Err(CoreError::Infeasible {
-                    what: format!("serving scenario '{}': request {i} has batch 0", self.label),
-                });
-            }
-        }
-        self.config.timeline.validate(cluster)?;
-        for window in &self.config.slowdowns {
-            window.validate()?;
-            cluster.node(window.node)?;
-        }
-        self.config.drift.validate(cluster.len())?;
-        if let Some(adaptive) = &self.config.adaptive {
-            adaptive.validate()?;
-        }
-        if let Some(retry) = &self.config.recovery.retry {
-            retry.validate()?;
-        }
-        if (self.config.failures == FailureMode::Kill || self.config.recovery.hedge_premium)
-            && cluster.len() > 64
+    /// `ServingScenario::loop_ctx` for the records modes. Recovery
+    /// policies and slowdown windows need the dispatch model to own the
+    /// completions, so they are streaming-only; the records modes reject
+    /// them up front. They do support plain [`FailureMode::Kill`], but the
+    /// failure-aware event engine does the killing: the loop only plans
+    /// around the flips.
+    fn records_mode_ctx<'a>(
+        &'a self,
+        strategy: &'a dyn DistributedStrategy,
+        cluster: &'a Cluster,
+        leader: NodeIndex,
+        cache: &'a PlanCache,
+    ) -> Result<LoopCtx<'a>, CoreError> {
+        let ctx = self.loop_ctx(strategy, cluster, leader, cache)?;
+        let config = &self.config;
+        if config.recovery.is_active()
+            || !config.slowdowns.is_empty()
+            || !config.drift.is_empty()
+            || config.adaptive.is_some()
         {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}': kill semantics and hedging track plan \
-                     residency in a 64-bit node mask; the cluster has {} nodes",
-                    self.label,
-                    cluster.len()
-                ),
-            });
+            return Err(self.named().infeasible(format_args!(
+                "recovery policies, slowdown windows, drift models and the \
+                 adaptive loop are streaming-only (use run_streaming); the \
+                 records mode supports FailureMode::Kill alone"
+            )));
         }
-        Ok(())
+        Ok(LoopCtx { kill: false, ..ctx })
     }
 
-    /// Recovery policies and slowdown windows need the dispatch model to
-    /// own the completions, so they are streaming-only; the records modes
-    /// reject them up front (they do support plain [`FailureMode::Kill`],
-    /// simulated by the failure-aware event engine).
-    fn ensure_records_mode_supported(&self) -> Result<(), CoreError> {
-        if self.config.recovery.is_active()
-            || !self.config.slowdowns.is_empty()
-            || !self.config.drift.is_empty()
-            || self.config.adaptive.is_some()
-        {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}': recovery policies, slowdown windows, \
-                     drift models and the adaptive loop are streaming-only (use \
-                     run_streaming); the records mode supports FailureMode::Kill \
-                     alone",
-                    self.label
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// The original `Vec`-scan admission loop, kept verbatim as the frozen
+    /// The original `Vec`-scan admission loop, kept as the frozen
     /// baseline for [`ServingScenario::run`]'s indexed queue: every pick
     /// scans the whole queue (O(n)) and every coalesce removes members by
     /// position. It shares the [`DispatchEstimator`] with the indexed loop,
     /// so the two differ only in the queue data structure — which is
     /// exactly what the equivalence property test pins.
-    fn admission_loop_reference(
-        &self,
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
-    ) -> Result<AdmissionOutcome, CoreError> {
+    fn admission_loop_reference(&self, ctx: &LoopCtx<'_>) -> Result<AdmissionOutcome, CoreError> {
         let requests = &self.requests;
         let n = requests.len();
-        let max_inflight = self.config.max_inflight.map(|w| w.max(1));
-        // Arrival processing order: by time, ties by input order (stable).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| (requests[a].arrival + 0.0).total_cmp(&(requests[b].arrival + 0.0)));
+        let (strategy, cluster, leader, cache) = (ctx.strategy, ctx.base, ctx.leader, ctx.cache);
+        let mut order = Vec::new();
+        arrival_order(&mut order, n, |i| requests[i].arrival);
 
         let mut epoch_cluster = cluster.clone();
         let mut key = PlanKey::for_run(strategy, &epoch_cluster, leader);
@@ -897,13 +815,12 @@ impl ServingScenario {
         let mut dispatch = DispatchEstimator::default();
         let mut stats = PlanCacheStats::default();
 
-        let events = self.config.timeline.events();
+        let events = ctx.events;
         let mut next_event = 0usize;
         let mut epoch = 0usize;
 
         let mut queue: Vec<usize> = Vec::new();
-        let mut inflight: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
-        let mut departure_seq = 0u64;
+        let mut inflight = TimeHeap::default();
         let mut next_arrival = 0usize;
         let mut now = 0.0f64;
 
@@ -912,7 +829,7 @@ impl ServingScenario {
 
         loop {
             // Admit everything the window allows at the current instant.
-            while !queue.is_empty() && max_inflight.is_none_or(|w| inflight.len() < w) {
+            while !queue.is_empty() && ctx.max_inflight.is_none_or(|w| inflight.len() < w) {
                 let head_pos = self.config.policy_pick(requests, &queue);
                 let head = queue[head_pos];
                 let batch_key = (requests[head].model, requests[head].batch);
@@ -920,7 +837,7 @@ impl ServingScenario {
                 // requests in queue (arrival) order, up to max_batch.
                 let mut member_positions = vec![head_pos];
                 for (pos, &idx) in queue.iter().enumerate() {
-                    if member_positions.len() >= self.config.max_batch {
+                    if member_positions.len() >= ctx.max_batch {
                         break;
                     }
                     if pos != head_pos && (requests[idx].model, requests[idx].batch) == batch_key {
@@ -947,12 +864,8 @@ impl ServingScenario {
                     stats.misses += 1;
                 }
 
-                if self.config.max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: dispatch.estimate(plan.as_ref(), cluster, now)?,
-                        seq: departure_seq,
-                    }));
-                    departure_seq += 1;
+                if ctx.max_inflight.is_some() {
+                    inflight.push(dispatch.estimate(plan.as_ref(), cluster, now)?, ());
                 }
 
                 // The batch's sim arrival is its earliest member's (members
@@ -973,13 +886,10 @@ impl ServingScenario {
             // full) the next estimated completion, whichever comes first.
             let mut t = f64::INFINITY;
             if next_arrival < n {
-                t = requests[order[next_arrival]].arrival + 0.0;
+                t = requests[order[next_arrival] as usize].arrival + 0.0;
             }
-            if !queue.is_empty() {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
+            if let Some(soonest) = inflight.peek_time().filter(|_| !queue.is_empty()) {
+                t = t.min(soonest);
             }
             // Replay timeline events due by then: each flip starts a new
             // epoch whose cluster fingerprint re-keys all later planning.
@@ -993,15 +903,9 @@ impl ServingScenario {
             if t > now {
                 now = t;
             }
-            while let Some(Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            while next_arrival < n && requests[order[next_arrival]].arrival + 0.0 <= now {
-                queue.push(order[next_arrival]);
+            while inflight.pop_due(now).is_some() {}
+            while next_arrival < n && requests[order[next_arrival] as usize].arrival + 0.0 <= now {
+                queue.push(order[next_arrival] as usize);
                 next_arrival += 1;
             }
         }
@@ -1193,7 +1097,7 @@ impl Inbox for LocalInbox<'_> {
         i
     }
 
-    fn requeue(&mut self, retries: &mut RetryHeap, i: u32, release: f64, _attempt: u32) {
+    fn requeue(&mut self, retries: &mut TimeHeap<u32>, i: u32, release: f64, _attempt: u32) {
         retries.push(release, i);
     }
 }
@@ -2400,16 +2304,12 @@ mod tests {
         assert!(summary.robustness.retried > 0, "{:?}", summary.robustness);
 
         let mut exact = ExactLatencies::default();
+        let cache = PlanCache::new();
+        let ctx = scenario
+            .loop_ctx(&strategy, &cluster, NodeIndex(1), &cache)
+            .unwrap();
         scenario
-            .run_loop(
-                &strategy,
-                &cluster,
-                NodeIndex(1),
-                &PlanCache::new(),
-                &mut ServingScratch::new(),
-                true,
-                &mut exact,
-            )
+            .run_loop(&ctx, &mut ServingScratch::new(), &mut exact)
             .unwrap();
         let all: Vec<f64> = exact.0.concat();
         let mut checks = vec![("overall", summary.latency, all)];
