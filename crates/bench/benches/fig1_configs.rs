@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hidp_bench::{fig1_plan, FIG1_CONFIGS};
-use hidp_core::Scenario;
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_platform::presets;
+use hidp_sim::simulate_stream;
 
 fn bench_fig1(c: &mut Criterion) {
     let cluster = presets::tx2_only();
@@ -19,8 +19,7 @@ fn bench_fig1(c: &mut Criterion) {
                 |b, (model, config)| {
                     b.iter(|| {
                         let plan = fig1_plan(*model, *config, &cluster);
-                        Scenario::run_plans(config.name, model.name(), &[(0.0, plan)], &cluster)
-                            .expect("valid plan")
+                        simulate_stream(&[(0.0, plan)], &cluster).expect("valid plan")
                     })
                 },
             );

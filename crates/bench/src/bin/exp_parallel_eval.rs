@@ -1,17 +1,17 @@
 //! Parallel-evaluation experiment: end-to-end requests/s of the Mix-5
 //! sweep through `ParallelSweep` at 1, 2, 4 and `available_parallelism`
 //! worker threads, every measurement planning through a cold shared sharded
-//! `PlanCache`. Prints a markdown table and writes
-//! `BENCH_parallel_eval.json` to track the perf trajectory across PRs.
+//! `PlanCache`. Prints a markdown table; the numbers are host wall-clock,
+//! so no document records them.
 //!
 //! Every multi-thread point's evaluations are asserted bit-identical to the
 //! 1-thread run — "more cores ⇒ more throughput, never different results".
-//! Speedups are bounded by the host's available parallelism (recorded in
-//! the JSON): on a single-core runner all points degenerate to ~1×.
+//! Speedups are bounded by the host's available parallelism (printed in
+//! the table title): on a single-core runner all points degenerate to ~1×.
 //!
 //! Pass `--quick` (the CI bench-smoke mode) for a reduced sweep.
 
-fn main() -> std::io::Result<()> {
+fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (jobs, requests_per_job, runs) = if quick { (8, 50, 2) } else { (40, 200, 3) };
     let report = hidp_bench::parallel_eval(jobs, requests_per_job, runs);
@@ -24,9 +24,4 @@ fn main() -> std::io::Result<()> {
             point.threads
         );
     }
-
-    hidp_bench::write_bench(
-        "BENCH_parallel_eval.json",
-        &hidp_bench::parallel_eval_document(&report),
-    )
 }

@@ -2,9 +2,8 @@
 //! per-request cached planning through the borrowed keyed probe and the full
 //! plan-and-simulate pass against a reused `SimScratch` at
 //! `TraceDetail::Summary` — on the same Mix-5 points as
-//! `exp_stream_scaling`. Prints a markdown table and writes the
-//! measurements to `BENCH_warm_path.json` to track the perf trajectory
-//! across PRs.
+//! `exp_stream_scaling`. Prints a markdown table; the numbers are host
+//! wall-clock, so no document records them.
 //!
 //! The binary installs a counting global allocator
 //! ([`hidp_bench::alloc_count`] — the same definition the
@@ -19,12 +18,12 @@ use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn main() -> std::io::Result<()> {
+fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
 
-    // The same Mix-5 points BENCH_stream_scaling.json records, so the two
-    // trajectory files are directly comparable.
+    // The same Mix-5 points `exp_stream_scaling` measures, so the two
+    // tables are directly comparable.
     let sizes: &[usize] = if quick {
         &[40, 160]
     } else {
@@ -33,11 +32,6 @@ fn main() -> std::io::Result<()> {
     let counter: &dyn Fn() -> u64 = &allocations_on_this_thread;
     let points = hidp_bench::warm_path_points(sizes, Some(counter));
     println!("{}", hidp_bench::warm_path_table(&points).to_markdown());
-
-    hidp_bench::write_bench(
-        "BENCH_warm_path.json",
-        &hidp_bench::warm_path_document(&points),
-    )?;
 
     // The zero-copy contract, enforced in CI: a steady-state pass allocates
     // nothing. (The audit runs after a warm-up pass sized every buffer.)
@@ -60,5 +54,4 @@ fn main() -> std::io::Result<()> {
         std::process::exit(1);
     }
     println!("steady-state warm path: 0 allocations at every point");
-    Ok(())
 }

@@ -3,8 +3,16 @@
 //! The experiment harness that regenerates every table and figure of the
 //! HiDP paper's evaluation (§IV). Each `fig*`/`table*` function returns an
 //! [`ExperimentTable`] with the same rows/series the paper reports; the
-//! `exp_*` binaries print them and the Criterion benches under `benches/`
-//! track the cost of the underlying machinery.
+//! `exp_*` binaries print them, and the Criterion benches under `benches/`
+//! time the paper-figure machinery.
+//!
+//! The serving-tier experiments (`exp_soak`, `exp_fleet`, `exp_chaos`,
+//! `exp_drift`, `exp_serving`) also gate their runs, and a full run writes
+//! a `BENCH_*.json` document of model outputs only: no field depends on the
+//! host, so a document is a pure function of the code and the committed
+//! copies are goldens that CI regenerates and diffs. Host wall-clock is
+//! measured by the repository benchmark (`perfbench/`); the binaries time
+//! only what a gate reads (the soak throughput floors) and print it.
 //!
 //! The experiment configuration mirrors the paper's setup: the five-device
 //! cluster of Table II, requests arriving at the Jetson TX2 (the device used
@@ -34,7 +42,10 @@ use hidp_dnn::partition::partition_into_blocks;
 use hidp_dnn::zoo::{self, WorkloadModel};
 use hidp_platform::{presets, Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr};
 use hidp_sim::stats::performance_timeline;
-use hidp_sim::{simulate_stream, simulate_stream_in, simulate_stream_reference, ExecutionPlan};
+use hidp_sim::{
+    simulate_stream, simulate_stream_detailed, simulate_stream_in, simulate_stream_reference,
+    ExecutionPlan,
+};
 use hidp_tensor::Tensor;
 use hidp_workloads::{
     bursty_stream, dynamic_scenario, mixes, poisson_stream_classed, standard_fault_suite,
@@ -353,15 +364,9 @@ pub fn fig1_partitioning_configs() -> ExperimentTable {
     let makespans = sweep().run(&jobs, |_, &(model, config)| {
         let plan = fig1_plan(model, config, &cluster);
         // Only the makespan is read, so the per-task trace is skipped.
-        Scenario::run_plans_detailed(
-            config.name,
-            model.name(),
-            &[(0.0, plan)],
-            &cluster,
-            TraceDetail::Summary,
-        )
-        .expect("fig1 plans are valid")
-        .makespan
+        simulate_stream_detailed(&[(0.0, plan)], &cluster, TraceDetail::Summary)
+            .expect("fig1 plans are valid")
+            .makespan
     });
     for (row, model) in WorkloadModel::ALL.iter().enumerate() {
         let latencies = &makespans[row * FIG1_CONFIGS.len()..(row + 1) * FIG1_CONFIGS.len()];
@@ -600,7 +605,7 @@ pub const SCALING_MODELS: [WorkloadModel; 3] = [
 /// planner invocations regardless of `count`). The plans are **shared** —
 /// the whole stream holds three `Arc<ExecutionPlan>`s, repeated, exactly as
 /// the zero-copy `Scenario` pipeline hands them to the simulator.
-pub fn scaling_stream(count: usize, interval_seconds: f64) -> Vec<(f64, Arc<ExecutionPlan>)> {
+fn scaling_stream(count: usize, interval_seconds: f64) -> Vec<(f64, Arc<ExecutionPlan>)> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
     let cache = PlanCache::new();
@@ -656,9 +661,8 @@ fn time_best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
 /// rather than a hard request cap: each point runs the reference (best of
 /// up to two attempts, matching the event engine's attempt count) as long
 /// as `reference_budget_ms` of cumulative reference time remains, so large
-/// points get a measured `list_sim_ms` instead of a silent `null` whenever
-/// the budget allows — and when one is skipped, the recorded budget says
-/// why.
+/// points get a measured `list_sim_ms` whenever the budget allows; a
+/// `None` means the budget ran out.
 pub fn stream_scaling_points(sizes: &[usize], reference_budget_ms: f64) -> Vec<StreamScalingPoint> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
@@ -752,20 +756,6 @@ fn bench_document(benchmark: &str, workload: &str, rest: Vec<(&'static str, Json
     ];
     fields.extend(rest);
     Json::Obj(fields)
-}
-
-/// The `BENCH_stream_scaling.json` document. `reference_budget_ms` is the
-/// cap passed to [`stream_scaling_points`], recorded so a `null`
-/// `list_sim_ms` is attributable to the budget rather than silent skipping.
-pub fn stream_scaling_document(points: &[StreamScalingPoint], reference_budget_ms: f64) -> Json {
-    bench_document(
-        "stream_scaling",
-        "Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via PlanCache",
-        vec![
-            ("reference_budget_ms", reference_budget_ms.to_json()),
-            ("points", points.to_json()),
-        ],
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -894,15 +884,6 @@ pub fn warm_path_table(points: &[WarmPathPoint]) -> ExperimentTable {
         |p| format!("{} requests", p.requests),
         "tasks cached_plan_us_per_request plan_and_simulate_us_per_request requests_per_second \
          steady_state_allocs",
-    )
-}
-
-/// The `BENCH_warm_path.json` document.
-pub fn warm_path_document(points: &[WarmPathPoint]) -> Json {
-    bench_document(
-        "warm_path",
-        "Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via warm PlanCache, Arc-shared plans, reused SimScratch, TraceDetail::Summary",
-        vec![("points", points.to_json())],
     )
 }
 
@@ -1320,9 +1301,9 @@ pub fn serving_document(
 // ---------------------------------------------------------------------------
 
 record! {
-    /// One measured soak pass: the streaming serving loop
+    /// One soak pass: the streaming serving loop
     /// ([`ServingScenario::run_streaming_with_cache_in`]) over a diurnal trace,
-    /// timed wall-clock and audited for steady-state allocations.
+    /// audited for steady-state allocations.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SoakPoint {
         /// Admission policy + batching config of the pass.
@@ -1331,13 +1312,9 @@ record! {
         pub requests: usize,
         /// Admitted batches.
         pub batches: usize,
-        /// Wall-clock time of the audited steady-state pass, seconds.
-        pub wall_seconds: f64,
-        /// Requests processed per wall-clock second (the soak throughput gate).
-        pub requests_per_wall_second: f64,
         /// Simulated makespan of the served trace, seconds.
         pub sim_makespan_s: f64,
-        /// Simulated served throughput: requests over the makespan.
+        /// Simulated served throughput: completed requests over the makespan.
         pub sim_requests_per_second: f64,
         /// Median end-to-end latency, ms (histogram estimate, within 1%).
         pub p50_ms: f64,
@@ -1382,8 +1359,10 @@ pub fn soak_trace(count: usize) -> Vec<hidp_core::ServingRequest> {
 /// Runs the soak: for each config, one warm pass (cold planning + buffer
 /// sizing), then one timed, allocation-audited steady-state pass over the
 /// full trace. The two passes must agree bit for bit — the audited pass is
-/// not a different code path.
-pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<SoakPoint> {
+/// not a different code path. Each point comes with the wall-clock seconds
+/// of its steady-state pass, which the throughput floor reads and the
+/// document leaves out.
+pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<(SoakPoint, f64)> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
     let requests = soak_trace(count);
@@ -1414,12 +1393,10 @@ pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<SoakP
 
         assert_eq!(summary.makespan, warm.makespan, "passes must agree");
         assert_eq!(summary.batches, warm.batches);
-        points.push(SoakPoint {
+        let point = SoakPoint {
             config: label.to_string(),
             requests: summary.requests,
             batches: summary.batches,
-            wall_seconds,
-            requests_per_wall_second: summary.requests as f64 / wall_seconds,
             sim_makespan_s: summary.makespan,
             sim_requests_per_second: summary.requests_per_second(),
             p50_ms: summary.latency.p50 * 1e3,
@@ -1427,7 +1404,8 @@ pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<SoakP
             mean_queueing_ms: summary.mean_queueing_delay * 1e3,
             sla_miss_rate: summary.sla_miss_rate(),
             steady_state_allocs,
-        });
+        };
+        points.push((point, wall_seconds));
     }
     points
 }
@@ -1439,8 +1417,7 @@ pub fn soak_table(points: &[SoakPoint]) -> ExperimentTable {
         "req/s / ms",
         points,
         |p| p.config.clone(),
-        "requests batches wall_seconds requests_per_wall_second p50_ms p99_ms mean_queueing_ms \
-         steady_state_allocs",
+        "requests batches p50_ms p99_ms mean_queueing_ms steady_state_allocs",
     )
 }
 
@@ -1458,9 +1435,9 @@ pub fn soak_document(points: &[SoakPoint]) -> Json {
 // ---------------------------------------------------------------------------
 
 record! {
-    /// One measured fleet pass: [`FleetScenario::run_streaming_in`] over a
-    /// skewed regional diurnal trace under one routing policy, timed wall-clock
-    /// and (at one thread) audited for steady-state allocations.
+    /// One fleet pass: [`FleetScenario::run_streaming_in`] over a skewed
+    /// regional diurnal trace under one routing policy, (at one thread)
+    /// audited for steady-state allocations.
     #[derive(Debug, Clone, PartialEq)]
     pub struct FleetPoint {
         /// Routing policy of the pass.
@@ -1469,19 +1446,16 @@ record! {
         pub requests: usize,
         /// Clusters in the fleet.
         pub clusters: usize,
-        /// Wall-clock time of the audited steady-state pass, seconds.
-        pub wall_seconds: f64,
-        /// Requests processed per wall-clock second.
-        pub requests_per_wall_second: f64,
-        /// Simulated served throughput: requests over the fleet makespan.
+        /// Simulated served throughput: completed requests over the fleet
+        /// makespan.
         pub sim_requests_per_second: f64,
         /// Median end-to-end latency, ms (histogram-bin resolution).
         pub p50_ms: f64,
         /// 99th-percentile end-to-end latency, ms (histogram-bin resolution).
         pub p99_ms: f64,
-        /// Mean queueing delay, ms (exact).
+        /// Mean queueing delay of completed requests, ms (exact).
         pub mean_queueing_ms: f64,
-        /// Mean WAN round trip paid per request, ms (exact).
+        /// WAN round trips paid per completed request, ms (exact).
         pub mean_wan_ms: f64,
         /// Fraction of requests missing their SLA deadline.
         pub sla_miss_rate: f64,
@@ -1555,9 +1529,8 @@ pub fn fleet_scenario(requests: Vec<FleetRequest>, routing: RoutingPolicy) -> Fl
 /// Runs the routing comparison: the same trace through every policy of
 /// [`fleet_routing_policies`] on a generated fleet — equal offered
 /// throughput, only the routing differs. One warm pass per policy (cold
-/// planning + scratch sizing), then one timed, allocation-audited
-/// steady-state pass at one thread. Returns the measured points in policy
-/// order.
+/// planning + scratch sizing), then one allocation-audited steady-state
+/// pass at one thread. Returns the points in policy order.
 pub fn fleet_routing_points(
     count: usize,
     clusters: usize,
@@ -1578,21 +1551,14 @@ pub fn fleet_routing_points(
             .expect("fleet warm pass succeeds");
 
         let before = counter.map(|f| f());
-        let start = Instant::now();
         let summary = scenario
             .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
             .expect("fleet steady-state pass succeeds");
-        let wall_seconds = start.elapsed().as_secs_f64();
         let steady_state_allocs = counter.map(|f| f() - before.unwrap());
 
         assert_eq!(summary.makespan, warm.makespan, "passes must agree");
         assert_eq!(summary.batches, warm.batches);
-        points.push(fleet_point(
-            routing,
-            &summary,
-            wall_seconds,
-            steady_state_allocs,
-        ));
+        points.push(fleet_point(routing, &summary, steady_state_allocs));
     }
     points
 }
@@ -1600,15 +1566,12 @@ pub fn fleet_routing_points(
 fn fleet_point(
     routing: RoutingPolicy,
     summary: &FleetSummary,
-    wall_seconds: f64,
     steady_state_allocs: Option<u64>,
 ) -> FleetPoint {
     FleetPoint {
         routing: routing.name().to_string(),
         requests: summary.requests,
         clusters: summary.clusters,
-        wall_seconds,
-        requests_per_wall_second: summary.requests as f64 / wall_seconds,
         sim_requests_per_second: summary.requests_per_second(),
         p50_ms: summary.latency.p50 * 1e3,
         p99_ms: summary.latency.p99 * 1e3,
@@ -1623,14 +1586,16 @@ fn fleet_point(
 
 /// The fleet soak: one least-loaded pass over `count` requests across a
 /// `clusters`-cluster fleet, warm pass first, then the timed steady-state
-/// pass at `threads` workers. Returns the measured point.
+/// pass at `threads` workers. Returns the point and the wall-clock seconds
+/// of the timed pass, which the soak floor reads and the document leaves
+/// out.
 pub fn fleet_soak_point(
     count: usize,
     clusters: usize,
     regions: usize,
     rate_scale: f64,
     threads: usize,
-) -> FleetPoint {
+) -> (FleetPoint, f64) {
     let fleet = presets::generated_fleet(clusters, regions).expect("fleet preset is valid");
     let strategy = HidpStrategy::new();
     let routing = RoutingPolicy::LeastLoaded;
@@ -1645,7 +1610,7 @@ pub fn fleet_soak_point(
         .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
         .expect("fleet soak pass succeeds");
     let wall_seconds = start.elapsed().as_secs_f64();
-    fleet_point(routing, &summary, wall_seconds, None)
+    (fleet_point(routing, &summary, None), wall_seconds)
 }
 
 /// Renders fleet points as an [`ExperimentTable`].
@@ -1655,20 +1620,19 @@ pub fn fleet_table(points: &[FleetPoint]) -> ExperimentTable {
         "req/s / ms",
         points,
         |p| p.routing.clone(),
-        "requests clusters wall_seconds requests_per_wall_second p50_ms p99_ms mean_queueing_ms \
-         mean_wan_ms sla_miss_rate busiest_cluster_requests steady_state_allocs",
+        "requests clusters p50_ms p99_ms mean_queueing_ms mean_wan_ms sla_miss_rate \
+         busiest_cluster_requests steady_state_allocs",
     )
 }
 
-/// The `BENCH_fleet.json` document: the routing comparison, then the soak
-/// (`null` when it did not run).
-pub fn fleet_document(points: &[FleetPoint], soak: Option<&FleetPoint>) -> Json {
+/// The `BENCH_fleet.json` document: the routing comparison, then the soak.
+pub fn fleet_document(points: &[FleetPoint], soak: &FleetPoint) -> Json {
     bench_document(
         "fleet",
         "skewed regional diurnal trace (region weights 4/2/1/..., phase-shifted sinusoidal rates, seed 42), Mix-5 model cycle, SLA classes cycling, HiDP planning, EDF admission, max_batch 8, window 4 per cluster, 1 s router rounds",
         vec![
             ("routing_points", points.to_json()),
-            ("soak", soak.map_or(Json::Null, ToJson::to_json)),
+            ("soak", soak.to_json()),
         ],
     )
 }
@@ -1678,9 +1642,9 @@ pub fn fleet_document(points: &[FleetPoint], soak: Option<&FleetPoint>) -> Json 
 // ---------------------------------------------------------------------------
 
 record! {
-    /// One measured chaos pass: the fleet under a seeded fault suite with one
-    /// recovery configuration, timed wall-clock and (at one thread) audited for
-    /// steady-state allocations.
+    /// One chaos pass: the fleet under a seeded fault suite with one
+    /// recovery configuration, (at one thread) audited for steady-state
+    /// allocations.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ChaosPoint {
         /// Recovery configuration of the pass (see [`chaos_points`]).
@@ -1695,7 +1659,8 @@ record! {
         pub sla_goodput: f64,
         /// 99th-percentile end-to-end latency of completed requests, ms.
         pub p99_ms: f64,
-        /// Fraction of completed requests that missed their class deadline.
+        /// Completed requests that missed their class deadline, over
+        /// offered requests.
         pub sla_miss_rate: f64,
         /// Fleet makespan, simulated seconds.
         pub makespan_s: f64,
@@ -1705,8 +1670,6 @@ record! {
         /// Latency tail over completions that needed at least one retry — the
         /// per-policy recovery cost; `None` when no retried request completed.
         pub recovery_latency: Option<LatencySummary>,
-        /// Wall-clock time of the audited steady-state pass, seconds.
-        pub wall_seconds: f64,
         /// Heap allocations during the audited steady-state pass (`None` when
         /// no counter was supplied). The contract is 0 at one thread: the
         /// recovery machinery — pending FIFO, retry heap, re-routing — runs
@@ -1774,8 +1737,8 @@ pub fn chaos_configs() -> Vec<(&'static str, Option<RecoveryPolicy>)> {
 /// configuration of [`chaos_configs`] on a generated fleet under one seeded
 /// fault suite — equal offered load, only the failure handling differs. One
 /// warm pass per configuration (cold planning + scratch sizing), then one
-/// timed, allocation-audited steady-state pass at one thread. Returns the
-/// measured points in configuration order.
+/// allocation-audited steady-state pass at one thread. Returns the points
+/// in configuration order.
 pub fn chaos_points(
     count: usize,
     clusters: usize,
@@ -1810,11 +1773,9 @@ pub fn chaos_points(
             .expect("chaos warm pass succeeds");
 
         let before = counter.map(|f| f());
-        let start = Instant::now();
         let summary = scenario
             .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
             .expect("chaos steady-state pass succeeds");
-        let wall_seconds = start.elapsed().as_secs_f64();
         let steady_state_allocs = counter.map(|f| f() - before.unwrap());
 
         // Cache traffic differs between the cold and warm pass by design;
@@ -1823,12 +1784,7 @@ pub fn chaos_points(
         assert_eq!(summary.batches, warm.batches);
         assert_eq!(summary.robustness, warm.robustness);
         assert_eq!(summary.latency, warm.latency);
-        points.push(chaos_point(
-            label,
-            &summary,
-            wall_seconds,
-            steady_state_allocs,
-        ));
+        points.push(chaos_point(label, &summary, steady_state_allocs));
     }
     points
 }
@@ -1836,7 +1792,6 @@ pub fn chaos_points(
 fn chaos_point(
     label: &str,
     summary: &FleetSummary,
-    wall_seconds: f64,
     steady_state_allocs: Option<u64>,
 ) -> ChaosPoint {
     let in_deadline = summary
@@ -1856,7 +1811,6 @@ fn chaos_point(
             .is_finite()
             .then_some(summary.time_to_first_retry),
         recovery_latency: summary.recovery_latency,
-        wall_seconds,
         steady_state_allocs,
     }
 }
@@ -1920,10 +1874,10 @@ pub fn chaos_document(points: &[ChaosPoint], seed: u64) -> Json {
 // Drift: adaptive re-planning under continuous throttling and contention
 // ---------------------------------------------------------------------------
 
-/// One measured drift pass: the serving tier under a seeded continuous
-/// drift trace (thermal throttle ramps, background load, network
-/// contention) with or without the adaptive estimation/re-planning loop,
-/// timed wall-clock and audited for steady-state allocations.
+/// One drift pass: the serving tier under a seeded continuous drift trace
+/// (thermal throttle ramps, background load, network contention) with or
+/// without the adaptive estimation/re-planning loop, audited for
+/// steady-state allocations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftPoint {
     /// Drift/adaptive configuration of the pass (see [`drift_configs`]).
@@ -1955,8 +1909,6 @@ pub struct DriftPoint {
     /// Offered/completed accounting (the serving tier drains, so offered
     /// equals completed; emitted uniformly with `BENCH_chaos.json`).
     pub robustness: RobustnessStats,
-    /// Wall-clock time of the audited steady-state pass, seconds.
-    pub wall_seconds: f64,
     /// Heap allocations during the audited steady-state pass (`None` when
     /// no counter was supplied). The contract is 0 with estimation and
     /// drift active: the EWMA bank, the believed cluster and the re-keyed
@@ -2029,8 +1981,8 @@ pub fn drift_scenario(
 /// configuration of [`drift_configs`] on the paper cluster under one seeded
 /// drift trace — equal offered load, only the drift exposure and the
 /// adaptive loop differ. One warm pass per configuration (cold planning +
-/// scratch sizing), then one timed, allocation-audited steady-state pass.
-/// Returns the measured points in configuration order.
+/// scratch sizing), then one allocation-audited steady-state pass. Returns
+/// the points in configuration order.
 pub fn drift_points(count: usize, seed: u64, counter: Option<&dyn Fn() -> u64>) -> Vec<DriftPoint> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
@@ -2058,11 +2010,9 @@ pub fn drift_points(count: usize, seed: u64, counter: Option<&dyn Fn() -> u64>) 
             .expect("drift warm pass succeeds");
 
         let before = counter.map(|f| f());
-        let start = Instant::now();
         let summary = scenario
             .run_streaming_with_cache_in(&strategy, &cluster, LEADER, &cache, &mut scratch)
             .expect("drift steady-state pass succeeds");
-        let wall_seconds = start.elapsed().as_secs_f64();
         let steady_state_allocs = counter.map(|f| f() - before.unwrap());
 
         // Cache traffic differs between the cold and warm pass by design;
@@ -2071,13 +2021,7 @@ pub fn drift_points(count: usize, seed: u64, counter: Option<&dyn Fn() -> u64>) 
         assert_eq!(summary.batches, warm.batches);
         assert_eq!(summary.latency, warm.latency);
         assert_eq!(summary.drift, warm.drift);
-        points.push(drift_point(
-            label,
-            &cluster,
-            &summary,
-            wall_seconds,
-            steady_state_allocs,
-        ));
+        points.push(drift_point(label, &cluster, &summary, steady_state_allocs));
     }
     points
 }
@@ -2086,7 +2030,6 @@ fn drift_point(
     label: &str,
     cluster: &Cluster,
     summary: &ServingSummary,
-    wall_seconds: f64,
     steady_state_allocs: Option<u64>,
 ) -> DriftPoint {
     DriftPoint {
@@ -2102,7 +2045,6 @@ fn drift_point(
         replans: summary.drift.replans,
         observations: summary.drift.observations,
         robustness: summary.robustness,
-        wall_seconds,
         steady_state_allocs,
     }
 }
@@ -2126,7 +2068,6 @@ impl Fields for DriftPoint {
             ("total_energy_j", self.total_energy_j.to_json()),
             ("drift", Json::Obj(drift)),
             ("robustness", self.robustness.to_json()),
-            ("wall_seconds", self.wall_seconds.to_json()),
             ("steady_state_allocs", self.steady_state_allocs.to_json()),
         ]
     }
@@ -2439,21 +2380,6 @@ pub fn parallel_eval_table(report: &ParallelEvalReport) -> ExperimentTable {
         &report.points,
         |p| format!("{} threads", p.threads),
         "wall_ms requests_per_second speedup_vs_one_thread identical_to_one_thread",
-    )
-}
-
-/// The `BENCH_parallel_eval.json` document.
-pub fn parallel_eval_document(report: &ParallelEvalReport) -> Json {
-    bench_document(
-        "parallel_eval",
-        &format!(
-            "Mix-5 sweep: {} independent streams x {} requests, HiDP, leaders cycling over 5 nodes, cold shared sharded PlanCache per measurement",
-            report.jobs, report.requests_per_job
-        ),
-        vec![
-            ("available_parallelism", report.available_parallelism.to_json()),
-            ("points", report.points.to_json()),
-        ],
     )
 }
 

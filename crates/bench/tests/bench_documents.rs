@@ -1,7 +1,9 @@
 //! Byte-identity pins for every `BENCH_*.json` document and the `exp_all
 //! --json` table dump: one fixed synthetic input per document, rendered
 //! through the writer and compared against the exact text the documents
-//! have always had.
+//! have. A determinism check builds the soak, fleet, chaos and drift
+//! documents from two independent runs and requires the same bytes, which
+//! is what lets the committed documents serve as goldens.
 
 use hidp_bench::*;
 use hidp_core::{LatencySummary, RobustnessStats};
@@ -122,8 +124,6 @@ fn soak_input() -> Vec<SoakPoint> {
             config: "fifo-batch8".to_string(),
             requests: 50000,
             batches: 7000,
-            wall_seconds: 0.125,
-            requests_per_wall_second: 400000.0,
             sim_makespan_s: 2800.5,
             sim_requests_per_second: 17.85,
             p50_ms: 420.0,
@@ -136,8 +136,6 @@ fn soak_input() -> Vec<SoakPoint> {
             config: "edf-batch8".to_string(),
             requests: 50000,
             batches: 6900,
-            wall_seconds: 0.25,
-            requests_per_wall_second: 200000.0,
             sim_makespan_s: 2801.0,
             sim_requests_per_second: 17.75,
             p50_ms: 400.0,
@@ -154,8 +152,6 @@ fn fleet_point(routing: &str, allocs: Option<u64>) -> FleetPoint {
         routing: routing.to_string(),
         requests: 12000,
         clusters: 8,
-        wall_seconds: 0.5,
-        requests_per_wall_second: 24000.0,
         sim_requests_per_second: 48.25,
         p50_ms: 350.5,
         p99_ms: 1500.0,
@@ -210,7 +206,6 @@ fn chaos_input() -> Vec<ChaosPoint> {
                 p99: 1.5,
                 mean: 0.75,
             }),
-            wall_seconds: 0.125,
             steady_state_allocs: Some(0),
         },
         ChaosPoint {
@@ -223,7 +218,6 @@ fn chaos_input() -> Vec<ChaosPoint> {
             makespan_s: 899.5,
             time_to_first_retry_s: None,
             recovery_latency: None,
-            wall_seconds: 0.25,
             steady_state_allocs: None,
         },
     ]
@@ -247,7 +241,6 @@ fn drift_input() -> (Vec<DriftPoint>, DriftBanditReport) {
             completed: 4000,
             ..RobustnessStats::default()
         },
-        wall_seconds: 0.0625,
         steady_state_allocs: allocs,
     };
     (
@@ -313,18 +306,6 @@ fn written(name: &str, document: &Json) -> String {
 }
 
 #[test]
-fn bench_stream_scaling_document_is_byte_identical() {
-    let document = stream_scaling_document(&stream_scaling_input(), 2000.0);
-    assert_eq!(written("stream_scaling", &document), GOLDEN_STREAM_SCALING);
-}
-
-#[test]
-fn bench_warm_path_document_is_byte_identical() {
-    let document = warm_path_document(&warm_path_input());
-    assert_eq!(written("warm_path", &document), GOLDEN_WARM_PATH);
-}
-
-#[test]
 fn bench_serving_document_is_byte_identical() {
     let document = {
         let (grid, batching, compute) = serving_input();
@@ -343,7 +324,7 @@ fn bench_soak_document_is_byte_identical() {
 fn bench_fleet_document_is_byte_identical() {
     let document = {
         let (routing, soak) = fleet_input();
-        fleet_document(&routing, Some(&soak))
+        fleet_document(&routing, &soak)
     };
     assert_eq!(written("fleet", &document), GOLDEN_FLEET);
 }
@@ -363,10 +344,37 @@ fn bench_drift_document_is_byte_identical() {
     assert_eq!(written("drift", &document), GOLDEN_DRIFT);
 }
 
+/// The soak, fleet, chaos and drift documents of one small run of each
+/// experiment: the shapes the binaries run, at sizes a debug build runs in
+/// seconds.
+fn small_run_documents() -> [String; 4] {
+    const CHAOS_SEED: u64 = 0xC4405;
+    const DRIFT_SEED: u64 = 0xD21F7;
+    let soak: Vec<SoakPoint> = soak_points(400, None)
+        .into_iter()
+        .map(|(point, _)| point)
+        .collect();
+    let routing = fleet_routing_points(400, 4, 2, 1.8, None);
+    let (fleet_soak, _) = fleet_soak_point(400, 4, 2, 1.8, 2);
+    let chaos = chaos_points(400, 4, 2, 1.2, CHAOS_SEED, None);
+    let drift = drift_points(300, DRIFT_SEED, None);
+    let bandit = drift_bandit(300, DRIFT_SEED, 5);
+    [
+        soak_document(&soak),
+        fleet_document(&routing, &fleet_soak),
+        chaos_document(&chaos, CHAOS_SEED),
+        drift_document(&drift, &bandit, DRIFT_SEED),
+    ]
+    .map(|document| document.to_string())
+}
+
 #[test]
-fn bench_parallel_eval_document_is_byte_identical() {
-    let document = parallel_eval_document(&parallel_eval_input());
-    assert_eq!(written("parallel_eval", &document), GOLDEN_PARALLEL_EVAL);
+fn bench_documents_are_deterministic_across_runs() {
+    let first = small_run_documents();
+    let second = small_run_documents();
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a, b, "two runs rendered different documents");
+    }
 }
 
 #[test]
@@ -409,27 +417,6 @@ fn every_perf_table_reads_its_columns_from_the_points() {
     );
 }
 
-const GOLDEN_STREAM_SCALING: &str = r#"{
-  "benchmark": "stream_scaling",
-  "workload": "Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via PlanCache",
-  "reference_budget_ms": 2000,
-  "points": [
-    {"requests": 40, "tasks": 1234, "event_sim_ms": 0.125, "list_sim_ms": 12.5, "speedup": 100, "cached_plan_us_per_request": 0.0375, "plan_and_simulate_us_per_request": 3.1875},
-    {"requests": 160, "tasks": 4936, "event_sim_ms": 0.5, "list_sim_ms": null, "speedup": null, "cached_plan_us_per_request": 0.04, "plan_and_simulate_us_per_request": 3.165}
-  ]
-}
-"#;
-
-const GOLDEN_WARM_PATH: &str = r#"{
-  "benchmark": "warm_path",
-  "workload": "Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via warm PlanCache, Arc-shared plans, reused SimScratch, TraceDetail::Summary",
-  "points": [
-    {"requests": 160, "tasks": 4936, "cached_plan_us_per_request": 0.0425, "plan_and_simulate_us_per_request": 2.75, "requests_per_second": 363636.36363636365, "steady_state_allocs": 0},
-    {"requests": 1600, "tasks": 49360, "cached_plan_us_per_request": 0.04, "plan_and_simulate_us_per_request": 2.5, "requests_per_second": 400000, "steady_state_allocs": null}
-  ]
-}
-"#;
-
 const GOLDEN_SERVING: &str = r#"{
   "benchmark": "serving",
   "workload": "bursty Mix-5 traffic: 240 requests in bursts of 8 (one model per burst, 0.4 s apart), SLA classes cycling premium/standard/best_effort, HiDP planning, admission window 2",
@@ -453,8 +440,8 @@ const GOLDEN_SOAK: &str = r#"{
   "benchmark": "soak",
   "workload": "diurnal Mix-5 trace (trough 8 req/s, peak 24 req/s around the ~18 req/s service capacity, 2000 s period, seed 42), SLA classes cycling, HiDP planning, max_batch 8, admission window 4, streaming mode (no per-request records, log-linear latency histograms)",
   "points": [
-    {"config": "fifo-batch8", "requests": 50000, "batches": 7000, "wall_seconds": 0.125, "requests_per_wall_second": 400000, "sim_makespan_s": 2800.5, "sim_requests_per_second": 17.85, "p50_ms": 420, "p99_ms": 2100.5, "mean_queueing_ms": 300.25, "sla_miss_rate": 0.125, "steady_state_allocs": 0},
-    {"config": "edf-batch8", "requests": 50000, "batches": 6900, "wall_seconds": 0.25, "requests_per_wall_second": 200000, "sim_makespan_s": 2801, "sim_requests_per_second": 17.75, "p50_ms": 400, "p99_ms": 1900, "mean_queueing_ms": 280, "sla_miss_rate": 0.0625, "steady_state_allocs": null}
+    {"config": "fifo-batch8", "requests": 50000, "batches": 7000, "sim_makespan_s": 2800.5, "sim_requests_per_second": 17.85, "p50_ms": 420, "p99_ms": 2100.5, "mean_queueing_ms": 300.25, "sla_miss_rate": 0.125, "steady_state_allocs": 0},
+    {"config": "edf-batch8", "requests": 50000, "batches": 6900, "sim_makespan_s": 2801, "sim_requests_per_second": 17.75, "p50_ms": 400, "p99_ms": 1900, "mean_queueing_ms": 280, "sla_miss_rate": 0.0625, "steady_state_allocs": null}
   ]
 }
 "#;
@@ -463,10 +450,10 @@ const GOLDEN_FLEET: &str = r#"{
   "benchmark": "fleet",
   "workload": "skewed regional diurnal trace (region weights 4/2/1/..., phase-shifted sinusoidal rates, seed 42), Mix-5 model cycle, SLA classes cycling, HiDP planning, EDF admission, max_batch 8, window 4 per cluster, 1 s router rounds",
   "routing_points": [
-    {"routing": "random", "requests": 12000, "clusters": 8, "wall_seconds": 0.5, "requests_per_wall_second": 24000, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": 0},
-    {"routing": "least-loaded", "requests": 12000, "clusters": 8, "wall_seconds": 0.5, "requests_per_wall_second": 24000, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": 3}
+    {"routing": "random", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": 0},
+    {"routing": "least-loaded", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": 3}
   ],
-  "soak": {"routing": "least-loaded", "requests": 12000, "clusters": 8, "wall_seconds": 0.5, "requests_per_wall_second": 24000, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": null}
+  "soak": {"routing": "least-loaded", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": null}
 }
 "#;
 
@@ -475,8 +462,8 @@ const GOLDEN_CHAOS: &str = r#"{
   "workload": "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation",
   "fault_seed": 803845,
   "points": [
-    {"config": "retry-failover", "requests": 8000, "robustness": {"offered": 8000, "completed": 7998, "shed": 1, "aborted": 1, "lost": 0, "killed": 7, "retried": 5, "hedged": 0, "in_flight_at_horizon": 0}, "sla_goodput": 0.9375, "p99_ms": 1800.5, "sla_miss_rate": 0.0625, "makespan_s": 900.25, "time_to_first_retry_s": 12.75, "recovery_latency": {"count": 5, "p50_ms": 500, "p95_ms": 1250, "p99_ms": 1500, "mean_ms": 750}, "wall_seconds": 0.125, "steady_state_allocs": 0},
-    {"config": "no-recovery", "requests": 8000, "robustness": {"offered": 8000, "completed": 7992, "shed": 1, "aborted": 1, "lost": 6, "killed": 7, "retried": 5, "hedged": 0, "in_flight_at_horizon": 0}, "sla_goodput": 0.875, "p99_ms": 1700, "sla_miss_rate": 0.125, "makespan_s": 899.5, "time_to_first_retry_s": null, "recovery_latency": null, "wall_seconds": 0.25, "steady_state_allocs": null}
+    {"config": "retry-failover", "requests": 8000, "robustness": {"offered": 8000, "completed": 7998, "shed": 1, "aborted": 1, "lost": 0, "killed": 7, "retried": 5, "hedged": 0, "in_flight_at_horizon": 0}, "sla_goodput": 0.9375, "p99_ms": 1800.5, "sla_miss_rate": 0.0625, "makespan_s": 900.25, "time_to_first_retry_s": 12.75, "recovery_latency": {"count": 5, "p50_ms": 500, "p95_ms": 1250, "p99_ms": 1500, "mean_ms": 750}, "steady_state_allocs": 0},
+    {"config": "no-recovery", "requests": 8000, "robustness": {"offered": 8000, "completed": 7992, "shed": 1, "aborted": 1, "lost": 6, "killed": 7, "retried": 5, "hedged": 0, "in_flight_at_horizon": 0}, "sla_goodput": 0.875, "p99_ms": 1700, "sla_miss_rate": 0.125, "makespan_s": 899.5, "time_to_first_retry_s": null, "recovery_latency": null, "steady_state_allocs": null}
   ]
 }
 "#;
@@ -486,8 +473,8 @@ const GOLDEN_DRIFT: &str = r#"{
   "workload": "diurnal Mix-5 trace (soak shape), EDF admission, max_batch 8, window 4, paper cluster; seeded drift trace: two thermal throttle ramps (peak 3x), two background-load bursts (1.6x), one network-contention window (2x), leader protected",
   "drift_seed": 860663,
   "points": [
-    {"config": "static-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 0, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "hedged": 0, "in_flight_at_horizon": 0}, "wall_seconds": 0.0625, "steady_state_allocs": 0},
-    {"config": "adaptive-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 3, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "hedged": 0, "in_flight_at_horizon": 0}, "wall_seconds": 0.0625, "steady_state_allocs": null}
+    {"config": "static-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 0, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "hedged": 0, "in_flight_at_horizon": 0}, "steady_state_allocs": 0},
+    {"config": "adaptive-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 3, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "hedged": 0, "in_flight_at_horizon": 0}, "steady_state_allocs": null}
   ],
   "bandit": {
     "episodes": 8,
@@ -497,17 +484,6 @@ const GOLDEN_DRIFT: &str = r#"{
       {"arm": "fast-ewma", "pulls": 3, "p99_ms": 2100.5}
     ]
   }
-}
-"#;
-
-const GOLDEN_PARALLEL_EVAL: &str = r#"{
-  "benchmark": "parallel_eval",
-  "workload": "Mix-5 sweep: 8 independent streams x 50 requests, HiDP, leaders cycling over 5 nodes, cold shared sharded PlanCache per measurement",
-  "available_parallelism": 2,
-  "points": [
-    {"threads": 1, "wall_ms": 40.5, "requests_per_second": 9876.5, "speedup_vs_one_thread": 1, "identical_to_one_thread": true},
-    {"threads": 2, "wall_ms": 22.25, "requests_per_second": 17977.5, "speedup_vs_one_thread": 1.8203125, "identical_to_one_thread": false}
-  ]
 }
 "#;
 

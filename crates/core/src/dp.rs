@@ -19,8 +19,8 @@
 //!
 //! # Allocation-free planning
 //!
-//! Cold planning sits on the per-request hot path (15–190 µs each per
-//! `BENCH_stream_scaling.json`), so the searches keep **no per-call
+//! Cold planning sits on the per-request hot path (15–190 µs each, as
+//! measured by `exp_stream_scaling`), so the searches keep **no per-call
 //! allocations**: all tables — the flattened DP cost/choice matrices, the
 //! rate-order permutation and the flops prefix sums — live in a
 //! [`PlannerScratch`] that is reused across calls. The public entry points

@@ -561,14 +561,14 @@ impl FleetScenario {
             makespan: run.makespan,
             latency: run.latency,
             max_latency: run.max_latency,
-            mean_queueing_delay: tails.queueing_sum / n as f64,
+            mean_queueing_delay: run.robustness.per_completed(tails.queueing_sum),
             max_queueing_delay: tails.queueing_max,
             deadline_misses: tails.deadline_misses,
             per_class: tails.per_class(),
             plan_cache: run.plan_cache,
             busiest_cluster_requests: busiest,
             idlest_cluster_requests: idlest,
-            mean_wan_round_trip: wan_sum / n as f64,
+            mean_wan_round_trip: run.robustness.per_completed(wan_sum),
             robustness: run.robustness,
             drift: run.drift,
             time_to_first_retry: run.first_retry,
@@ -929,7 +929,7 @@ pub struct FleetSummary {
     pub latency: LatencySummary,
     /// Worst fleet latency, seconds (exact).
     pub max_latency: f64,
-    /// Mean queueing delay over all requests, seconds (exact; local
+    /// Mean queueing delay over completed requests, seconds (exact; local
     /// queueing, WAN excluded).
     pub mean_queueing_delay: f64,
     /// Worst queueing delay, seconds (exact).
@@ -945,8 +945,8 @@ pub struct FleetSummary {
     pub busiest_cluster_requests: usize,
     /// Requests routed to the least-loaded cluster.
     pub idlest_cluster_requests: usize,
-    /// Mean WAN round trip paid per request, seconds (0 when all traffic
-    /// stays at its regional ingress).
+    /// WAN round trips paid, retried attempts included, per completed
+    /// request, seconds (0 when all traffic stays at its regional ingress).
     pub mean_wan_round_trip: f64,
     /// Offered/completed/dropped accounting including recovery traffic.
     /// Trivially all-completed when the config enables no failure handling.
@@ -973,13 +973,10 @@ impl FleetSummary {
         self.per_class[class.priority() as usize].as_ref()
     }
 
-    /// Completed requests per second of simulated time (count over the
-    /// estimated makespan).
+    /// Completed requests per second of simulated time (completions over
+    /// the estimated makespan; dropped requests are not counted).
     pub fn requests_per_second(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.requests as f64 / self.makespan
+        self.robustness.completed_per_second(self.makespan)
     }
 }
 

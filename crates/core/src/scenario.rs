@@ -2,9 +2,8 @@
 //!
 //! Every experiment in the workspace — single-request latency/energy
 //! comparisons (Fig. 5, Fig. 8), the dynamic workload (Fig. 6), the workload
-//! mixes (Fig. 7) and hand-built plans (Fig. 1) — is the same three steps:
-//! describe a workload, plan it with a strategy, simulate the plans on a
-//! cluster. [`Scenario`] captures the workload description and [`Scenario::run`]
+//! mixes (Fig. 7) — is the same three steps: describe a workload, plan it
+//! with a strategy, simulate the plans on a cluster. [`Scenario`] captures the workload description and [`Scenario::run`]
 //! executes the whole pipeline, so benches, integration tests and examples
 //! share one code path instead of re-implementing the plan/simulate/report
 //! glue per layer.
@@ -44,7 +43,6 @@ use hidp_sim::{
     simulate_stream_detailed, simulate_stream_in, ExecutionPlan, SimReport, SimScratch, TraceDetail,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A planned request stream: per request, its arrival time and the shared
@@ -252,49 +250,10 @@ impl Scenario {
         Ok((planned, stats))
     }
 
-    /// Simulates already-built execution plans — the tail of the pipeline,
-    /// shared by [`Scenario::run`] and by experiments that construct plans
-    /// by hand (e.g. the Fig. 1 single-node configurations). Plans are
-    /// borrowed: pass owned plans, references or `Arc`s alike.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `planned` is empty or simulation fails.
-    pub fn run_plans<P: Borrow<ExecutionPlan>>(
-        strategy: impl Into<String>,
-        scenario: impl Into<String>,
-        planned: &[(f64, P)],
-        cluster: &Cluster,
-    ) -> Result<Evaluation, CoreError> {
-        Self::run_plans_detailed(strategy, scenario, planned, cluster, TraceDetail::Full)
-    }
-
-    /// [`Scenario::run_plans`] with an explicit [`TraceDetail`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `planned` is empty or simulation fails.
-    pub fn run_plans_detailed<P: Borrow<ExecutionPlan>>(
-        strategy: impl Into<String>,
-        scenario: impl Into<String>,
-        planned: &[(f64, P)],
-        cluster: &Cluster,
-        detail: TraceDetail,
-    ) -> Result<Evaluation, CoreError> {
-        let scenario = scenario.into();
-        if planned.is_empty() {
-            return Err(CoreError::Infeasible {
-                what: format!("scenario '{scenario}' has no plans to simulate"),
-            });
-        }
-        let report = simulate_stream_detailed(planned, cluster, detail)?;
-        Self::evaluation_from(strategy, scenario, report, cluster)
-    }
-
     /// Wraps a finished simulation report into an [`Evaluation`] (energy
-    /// accounting plus metric extraction) — the shared tail of every run
-    /// entry point, including the serving runtime's
-    /// ([`crate::ServingScenario`]).
+    /// accounting plus metric extraction): the shared tail of
+    /// [`Scenario::run_with_cache`], [`Scenario::run_with_cache_in`] and the
+    /// serving runtime's records mode ([`crate::ServingScenario::run`]).
     pub(crate) fn evaluation_from(
         strategy: impl Into<String>,
         scenario: impl Into<String>,
@@ -331,8 +290,8 @@ pub struct Evaluation {
     pub total_energy: f64,
     /// Workload-attributable (dynamic) energy in joules.
     pub dynamic_energy: f64,
-    /// Plan-cache hit/miss counters for this run (`None` when the scenario
-    /// was built from pre-made plans via [`Scenario::run_plans`]).
+    /// Plan-cache hit/miss counters for this run (every run entry point
+    /// fills them in).
     pub plan_cache: Option<PlanCacheStats>,
     /// The simulated report (timings of every task; `records` is empty when
     /// the scenario ran with [`TraceDetail::Summary`]).
@@ -407,7 +366,6 @@ mod tests {
         let empty = Scenario::stream(Vec::<(f64, hidp_dnn::DnnGraph)>::new());
         assert!(empty.is_empty());
         assert!(empty.run(&strategy, &cluster, NodeIndex(0)).is_err());
-        assert!(Scenario::run_plans::<ExecutionPlan>("x", "y", &[], &cluster).is_err());
     }
 
     #[test]
@@ -431,28 +389,6 @@ mod tests {
     fn labels_can_be_overridden() {
         let scenario = Scenario::single(WorkloadModel::Vgg19.graph(1)).with_label("custom-label");
         assert_eq!(scenario.label(), "custom-label");
-    }
-
-    #[test]
-    fn run_plans_matches_run_for_strategy_plans() {
-        // run() is exactly plan-each-request + run_plans().
-        let cluster = presets::paper_cluster();
-        let strategy = HidpStrategy::new();
-        let graph = WorkloadModel::InceptionV3.graph(1);
-        let via_run = Scenario::single(graph.clone())
-            .run(&strategy, &cluster, NodeIndex(1))
-            .unwrap();
-        let plan =
-            crate::strategy::DistributedStrategy::plan(&strategy, &graph, &cluster, NodeIndex(1))
-                .unwrap();
-        let via_plans =
-            Scenario::run_plans("HiDP", graph.name(), &[(0.0, plan)], &cluster).unwrap();
-        assert_eq!(via_run.latencies, via_plans.latencies);
-        // Energy accounting sums in sorted processor order, so the two paths
-        // are bit-identical — exact equality, no ULP tolerance.
-        assert_eq!(via_run.total_energy, via_plans.total_energy);
-        assert_eq!(via_run.dynamic_energy, via_plans.dynamic_energy);
-        assert_eq!(via_run.report, via_plans.report);
     }
 
     #[test]

@@ -363,6 +363,23 @@ impl RobustnessStats {
         self.offered == self.completed + self.dropped() + self.in_flight_at_horizon
     }
 
+    /// `total` over the completed requests: the per-request mean rule of
+    /// both tiers. A shed, aborted or lost request has no latency and no
+    /// queueing delay, so it is not in the denominator either.
+    pub(crate) fn per_completed(&self, total: f64) -> f64 {
+        total / self.completed as f64
+    }
+
+    /// Completed requests per second over `seconds` of simulated time (0
+    /// for an empty span): the throughput rule of both tiers, which counts
+    /// what was served, not what was offered.
+    pub(crate) fn completed_per_second(&self, seconds: f64) -> f64 {
+        if seconds <= 0.0 {
+            return 0.0;
+        }
+        self.completed as f64 / seconds
+    }
+
     /// Field-wise accumulation (fleet rollup).
     pub fn merge(&mut self, other: &Self) {
         self.offered += other.offered;
@@ -702,7 +719,7 @@ impl ServingScenario {
             epochs_applied: run.epochs_applied,
             makespan: run.makespan,
             latency: run.latency,
-            mean_queueing_delay: tails.queueing_sum / run.latency.count as f64,
+            mean_queueing_delay: run.robustness.per_completed(tails.queueing_sum),
             max_queueing_delay: tails.queueing_max,
             deadline_misses: tails.deadline_misses,
             per_class: tails.per_class(),
@@ -1256,13 +1273,11 @@ pub struct ServingEvaluation {
 }
 
 impl ServingEvaluation {
-    /// Completed requests per second of simulated time (count over the
-    /// serving makespan).
+    /// Completed requests per second of simulated time (completions over
+    /// the serving makespan; killed requests are not counted).
     pub fn requests_per_second(&self) -> f64 {
-        if self.evaluation.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.records.len() as f64 / self.evaluation.makespan
+        self.robustness
+            .completed_per_second(self.evaluation.makespan)
     }
 }
 
@@ -1285,7 +1300,7 @@ pub struct ServingSummary {
     /// Latency tail over all requests (p50/p95/p99 are histogram estimates
     /// within 1% of the exact order statistic; count and mean are exact).
     pub latency: LatencySummary,
-    /// Mean queueing delay over all requests, seconds (exact).
+    /// Mean queueing delay over completed requests, seconds (exact).
     pub mean_queueing_delay: f64,
     /// Worst queueing delay, seconds (exact).
     pub max_queueing_delay: f64,
@@ -1317,13 +1332,10 @@ impl ServingSummary {
         self.per_class[class.priority() as usize].as_ref()
     }
 
-    /// Completed requests per second of simulated time (count over the
-    /// estimated makespan).
+    /// Completed requests per second of simulated time (completions over
+    /// the estimated makespan; dropped requests are not counted).
     pub fn requests_per_second(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.requests as f64 / self.makespan
+        self.robustness.completed_per_second(self.makespan)
     }
 }
 

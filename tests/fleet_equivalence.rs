@@ -6,16 +6,17 @@
 //!    policy collapses to "send everything to cluster 0" and the WAN cost
 //!    is zero, so the fleet run must agree with
 //!    `ServingScenario::run_streaming` on the same requests and serving
-//!    config — exactly, on every aggregate. Both tiers feed the same
-//!    latency histogram, so the percentiles are bit-identical too.
+//!    config — exactly, on every aggregate, with and without lost
+//!    requests. Both tiers feed the same latency histogram, so the
+//!    percentiles are bit-identical too.
 //! 2. **Thread-count invariance**: the sweep only decides *which thread*
 //!    advances which cluster, so the whole `FleetSummary` must be
 //!    bit-identical at 1/2/4/8 threads, for every routing policy, with
 //!    failure timelines in play.
 
 use hidp::core::{
-    AdmissionPolicy, FleetScenario, FleetScratch, ParallelSweep, RoutingPolicy, ServingScenario,
-    SlaClass,
+    AdmissionPolicy, FailureMode, FleetScenario, FleetScratch, ParallelSweep, RoutingPolicy,
+    ServingRequest, ServingScenario, SlaClass,
 };
 use hidp::platform::{presets, Cluster, ClusterTimeline, Fleet, Link, NodeIndex, WanModel};
 use hidp::workloads::{poisson_stream_classed, regional_diurnal_stream, FleetRequest};
@@ -121,6 +122,48 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
             );
         }
     }
+
+    // Kills without recovery drop requests; both tiers then take every
+    // per-request mean and rate over what completed. 40 ResNet-152 requests
+    // 50 ms apart, window 2, nodes 0 and 2 down at 0.5 s: two are lost.
+    let requests: Vec<ServingRequest> = (0..40)
+        .map(|i| ServingRequest::new(WorkloadModel::ResNet152, 0.05 * i as f64))
+        .collect();
+    let fleet_requests: Vec<FleetRequest> =
+        requests.iter().map(|&r| FleetRequest::new(r, 0)).collect();
+    let timeline = ClusterTimeline::new()
+        .node_down(0.5, NodeIndex(0))
+        .unwrap()
+        .node_down(0.5, NodeIndex(2))
+        .unwrap();
+    let reference = ServingScenario::new(requests)
+        .with_max_inflight(Some(2))
+        .with_timeline(timeline.clone())
+        .with_failure_mode(FailureMode::Kill)
+        .run_streaming(&strategy, &cluster, LEADER)
+        .expect("serving run succeeds");
+    let fleet_summary = FleetScenario::new(fleet_requests)
+        .with_max_inflight(Some(2))
+        .with_timelines(vec![timeline])
+        .with_failure_mode(FailureMode::Kill)
+        .run_streaming(&strategy, &fleet, LEADER)
+        .expect("fleet run succeeds");
+    assert_eq!(reference.robustness.lost, 2, "{:?}", reference.robustness);
+    assert_eq!(fleet_summary.robustness, reference.robustness);
+    assert_eq!(fleet_summary.latency, reference.latency);
+    assert_eq!(
+        fleet_summary.mean_queueing_delay,
+        reference.mean_queueing_delay
+    );
+    assert_eq!(
+        fleet_summary.requests_per_second(),
+        reference.requests_per_second()
+    );
+    assert_eq!(
+        reference.requests_per_second(),
+        38.0 / reference.makespan,
+        "the rate counts completions"
+    );
 }
 
 #[test]
