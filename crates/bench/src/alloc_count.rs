@@ -8,8 +8,9 @@
 //! runs.
 //!
 //! `#[global_allocator]` statics must be declared per binary, so consumers
-//! (the `exp_warm_path` binary, the `zero_alloc_warm_path` integration
-//! test) declare their own static of this one type:
+//! (the `exp_soak`, `exp_fleet`, `exp_chaos` and `exp_drift` binaries, the
+//! `zero_alloc_warm_path` integration test) declare their own static of
+//! this one type:
 //!
 //! ```ignore
 //! use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
@@ -18,7 +19,7 @@
 //! static ALLOCATOR: CountingAllocator = CountingAllocator;
 //! ```
 //!
-//! Keeping the type here means the CI gate (`exp_warm_path --quick`) and
+//! Keeping the type here means the experiments' zero-allocation gates and
 //! the counting-allocator test enforce the *same* definition of
 //! "allocation".
 

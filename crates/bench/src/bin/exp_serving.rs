@@ -11,7 +11,7 @@
 //! * **thread-count invariance** — the grid through
 //!   `ParallelSweep::run_serving` at 1, 2 and 4 worker threads produces
 //!   bit-identical `ServingEvaluation`s (the same guarantee
-//!   `exp_parallel_eval` enforces for the static sweep);
+//!   `tests/parallel_engine.rs` pins for the static sweep);
 //! * **batching wins in both regimes** — on the transfer-heavy batching
 //!   workload point (Inception-V3 burst train, serial dispatch window) and
 //!   on the compute-bound point (ResNet-152 burst train, where the win

@@ -10,8 +10,8 @@
 //! in queue order, at the same amortised O(log n) heap pop as EDF.
 //!
 //! The binary installs the counting global allocator
-//! ([`hidp_bench::alloc_count`], the same definition `exp_warm_path` and
-//! the `zero_alloc_warm_path` integration test enforce) and audits the
+//! ([`hidp_bench::alloc_count`], the same definition the
+//! `zero_alloc_warm_path` integration test enforces) and audits the
 //! timed steady-state pass of every config. Two gates, enforced on the full
 //! run (in CI) and by `--quick`, which writes nothing:
 //!

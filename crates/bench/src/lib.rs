@@ -2,9 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! HiDP paper's evaluation (§IV). Each `fig*`/`table*` function returns an
-//! [`ExperimentTable`] with the same rows/series the paper reports; the
-//! `exp_*` binaries print them, and the Criterion benches under `benches/`
-//! time the paper-figure machinery.
+//! [`ExperimentTable`] with the same rows/series the paper reports, and the
+//! `exp_*` binaries print them.
 //!
 //! The serving-tier experiments (`exp_soak`, `exp_fleet`, `exp_chaos`,
 //! `exp_drift`, `exp_serving`) also gate their runs, and a full run writes
@@ -33,25 +32,21 @@ use hidp_core::{
     chain_segments, workload_summary, AdaptiveConfig, AdmissionPolicy, DseAgent, DsePolicy,
     Evaluation, FailureMode, FleetRequest, FleetScenario, FleetScratch, FleetSummary,
     GlobalPartitioner, HidpStrategy, LatencySummary, LocalPartitioner, ParallelSweep, PlanCache,
-    PlanKey, RecoveryPolicy, RobustnessStats, RoutingPolicy, Scenario, ServingEvaluation,
-    ServingScenario, ServingScratch, ServingSummary, ServingSweepJob, SimScratch, SlaClass,
-    StrategyBandit, SweepJob, SystemModel, TraceDetail,
+    RecoveryPolicy, RobustnessStats, RoutingPolicy, Scenario, ServingEvaluation, ServingScenario,
+    ServingScratch, ServingSummary, ServingSweepJob, SlaClass, StrategyBandit, SweepJob,
+    SystemModel, TraceDetail,
 };
 use hidp_dnn::exec::{execute, execute_data_partition_batch, execute_model_partition, WeightStore};
 use hidp_dnn::partition::partition_into_blocks;
 use hidp_dnn::zoo::{self, WorkloadModel};
 use hidp_platform::{presets, Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr};
 use hidp_sim::stats::performance_timeline;
-use hidp_sim::{
-    simulate_stream, simulate_stream_detailed, simulate_stream_in, simulate_stream_reference,
-    ExecutionPlan,
-};
+use hidp_sim::{simulate_stream_detailed, ExecutionPlan};
 use hidp_tensor::Tensor;
 use hidp_workloads::{
     bursty_stream, dynamic_scenario, mixes, poisson_stream_classed, standard_fault_suite,
     DriftPlanConfig, FaultPlan, InferenceRequest,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The node at which inference requests arrive in all experiments (the
@@ -495,16 +490,18 @@ pub fn fig7_mix_throughput() -> ExperimentTable {
         "inferences / 100 s",
         strategy_names(),
     );
-    // Sixteen requests arriving every 0.15 s keep the cluster saturated
-    // (as the paper's continuous stream does), so throughput reflects the
-    // service rate rather than the arrival rate; it extrapolates to a
-    // 100 s window. The 8 × 4 mix/strategy grid fans out as one sweep.
+    // Throughput is service capacity: the mix's sixteen requests form a
+    // backlog released at t = 0, so the makespan is the time each strategy
+    // needs to serve them, not the arrival span (spaced arrivals would make
+    // every strategy read about 16 / (arrival span + the last request's
+    // latency)). It extrapolates to a 100 s window. The 8 × 4 mix/strategy
+    // grid fans out as one sweep.
     let the_mixes = mixes::all_mixes();
     // Throughput reads request completions only — Summary detail.
     let scenarios: Vec<Scenario> = the_mixes
         .iter()
         .map(|mix| {
-            mix.scenario(0.15, 16)
+            mix.scenario(0.0, 16)
                 .with_trace_detail(TraceDetail::Summary)
         })
         .collect();
@@ -586,167 +583,6 @@ pub fn fig8_node_scaling() -> ExperimentTable {
     table
 }
 
-// ---------------------------------------------------------------------------
-// Stream scaling: the event-driven engine and the plan cache at 10×–100× the
-// Fig. 6/7 stream lengths
-// ---------------------------------------------------------------------------
-
-/// The model cycle used by the stream-scaling and bench workloads: the
-/// three-model Mix-5 of Fig. 7.
-pub const SCALING_MODELS: [WorkloadModel; 3] = [
-    WorkloadModel::EfficientNetB0,
-    WorkloadModel::InceptionV3,
-    WorkloadModel::ResNet152,
-];
-
-/// Builds the `(arrival, plan)` stream the scaling experiments simulate:
-/// `count` requests cycling through [`SCALING_MODELS`] every
-/// `interval_seconds`, planned by HiDP through a [`PlanCache`] (three
-/// planner invocations regardless of `count`). The plans are **shared** —
-/// the whole stream holds three `Arc<ExecutionPlan>`s, repeated, exactly as
-/// the zero-copy `Scenario` pipeline hands them to the simulator.
-fn scaling_stream(count: usize, interval_seconds: f64) -> Vec<(f64, Arc<ExecutionPlan>)> {
-    let cluster = presets::paper_cluster();
-    let strategy = HidpStrategy::new();
-    let cache = PlanCache::new();
-    let requests = hidp_workloads::repeating_stream(&SCALING_MODELS, interval_seconds, count);
-    InferenceRequest::to_stream(&requests)
-        .into_iter()
-        .map(|(arrival, graph)| {
-            let plan = cache
-                .plan(&strategy, &graph, &cluster, LEADER)
-                .expect("planning succeeds");
-            (arrival, plan)
-        })
-        .collect()
-}
-
-record! {
-    /// One measured point of the stream-scaling experiment.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct StreamScalingPoint {
-        /// Stream length in requests.
-        pub requests: usize,
-        /// Total task count across all plans.
-        pub tasks: usize,
-        /// Wall-clock of the event-driven engine over the whole stream, ms.
-        pub event_sim_ms: f64,
-        /// Wall-clock of the O(n²) list-scheduling baseline, ms (`None` when the
-        /// point was too large to run the baseline).
-        pub list_sim_ms: Option<f64>,
-        /// Baseline time over event-engine time.
-        pub speedup: Option<f64>,
-        /// Per-request planning cost through a warm [`PlanCache`], µs.
-        pub cached_plan_us_per_request: f64,
-        /// Per-request plan-and-simulate cost (warm cache + event engine), µs.
-        pub plan_and_simulate_us_per_request: f64,
-    }
-}
-
-fn time_best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Measures the stream-scaling experiment: for each stream length in
-/// `sizes`, the event-driven engine's wall-clock, the list-scheduling
-/// baseline's wall-clock, and the per-request cost of cached planning.
-///
-/// The quadratic reference simulator is metered by a wall-clock budget
-/// rather than a hard request cap: each point runs the reference (best of
-/// up to two attempts, matching the event engine's attempt count) as long
-/// as `reference_budget_ms` of cumulative reference time remains, so large
-/// points get a measured `list_sim_ms` whenever the budget allows; a
-/// `None` means the budget ran out.
-pub fn stream_scaling_points(sizes: &[usize], reference_budget_ms: f64) -> Vec<StreamScalingPoint> {
-    let cluster = presets::paper_cluster();
-    let strategy = HidpStrategy::new();
-    let mut points = Vec::with_capacity(sizes.len());
-    let mut reference_budget_left_ms = reference_budget_ms;
-    for &count in sizes {
-        let planned = scaling_stream(count, 0.05);
-        let tasks: usize = planned.iter().map(|(_, p)| p.len()).sum();
-
-        // Same run count on both sides so the best-of selection does not
-        // bias the speedup toward the engine that got more attempts.
-        let event_sim_ms = time_best_of(2, || {
-            simulate_stream(&planned, &cluster).expect("stream simulates")
-        }) * 1e3;
-        let mut list_sim_ms = None;
-        for _ in 0..2 {
-            if reference_budget_left_ms <= 0.0 {
-                break;
-            }
-            let start = Instant::now();
-            std::hint::black_box(
-                simulate_stream_reference(&planned, &cluster).expect("stream simulates"),
-            );
-            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-            reference_budget_left_ms -= elapsed_ms;
-            list_sim_ms = Some(list_sim_ms.map_or(elapsed_ms, |best: f64| best.min(elapsed_ms)));
-        }
-
-        // Warm-cache planning cost: what each additional request pays for
-        // its plan once the three distinct models are cached. Graphs are
-        // prebuilt and the key is hoisted and reused, exactly as in the
-        // Scenario pipeline's request loop, so this times the borrowed
-        // probe (two integer stores + hash probe + Arc bump) — not zoo
-        // construction, key building or string cloning.
-        let cache = PlanCache::new();
-        let requests = hidp_workloads::repeating_stream(&SCALING_MODELS, 0.05, count);
-        let stream = InferenceRequest::to_stream(&requests);
-        let mut key = PlanKey::for_run(&strategy, &cluster, LEADER);
-        for (_, graph) in &stream {
-            key.graph_fingerprint = graph.fingerprint();
-            key.batch = graph.input_shape().batch();
-            cache
-                .plan_keyed(&key, &strategy, graph, &cluster, LEADER)
-                .expect("planning succeeds");
-        }
-        let cached_plan_s = time_best_of(3, || {
-            for (_, graph) in &stream {
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                std::hint::black_box(
-                    cache
-                        .plan_keyed(&key, &strategy, graph, &cluster, LEADER)
-                        .expect("planning succeeds"),
-                );
-            }
-        });
-
-        points.push(StreamScalingPoint {
-            requests: count,
-            tasks,
-            event_sim_ms,
-            list_sim_ms,
-            speedup: list_sim_ms.map(|l| l / event_sim_ms),
-            cached_plan_us_per_request: cached_plan_s * 1e6 / count as f64,
-            plan_and_simulate_us_per_request: (cached_plan_s * 1e3 + event_sim_ms) * 1e3
-                / count as f64,
-        });
-    }
-    points
-}
-
-/// Renders stream-scaling points as an [`ExperimentTable`] (ms / µs mix; the
-/// column keys carry the units).
-pub fn stream_scaling_table(points: &[StreamScalingPoint]) -> ExperimentTable {
-    ExperimentTable::from_points(
-        "Stream scaling: event-driven engine vs list-scheduling baseline",
-        "ms / µs / ×",
-        points,
-        |p| format!("{} requests", p.requests),
-        "tasks event_sim_ms list_sim_ms speedup cached_plan_us_per_request \
-         plan_and_simulate_us_per_request",
-    )
-}
-
 /// A `BENCH_*.json` document: the benchmark name, its workload description,
 /// then `rest` in order.
 fn bench_document(benchmark: &str, workload: &str, rest: Vec<(&'static str, Json)>) -> Json {
@@ -756,135 +592,6 @@ fn bench_document(benchmark: &str, workload: &str, rest: Vec<(&'static str, Json
     ];
     fields.extend(rest);
     Json::Obj(fields)
-}
-
-// ---------------------------------------------------------------------------
-// Warm path: the zero-copy steady-state serving loop
-// ---------------------------------------------------------------------------
-
-record! {
-    /// One measured point of the warm-path experiment.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct WarmPathPoint {
-        /// Stream length in requests.
-        pub requests: usize,
-        /// Total task count across all plans.
-        pub tasks: usize,
-        /// Per-request cost of resolving a cached plan through the borrowed
-        /// keyed probe (reused [`PlanKey`], read lock, `Arc` bump), µs.
-        pub cached_plan_us_per_request: f64,
-        /// Per-request cost of the full steady-state pass: resolve every plan
-        /// and simulate the stream into a reused [`SimScratch`] at
-        /// [`TraceDetail::Summary`], µs.
-        pub plan_and_simulate_us_per_request: f64,
-        /// Steady-state serving rate implied by the full pass.
-        pub requests_per_second: f64,
-        /// Heap allocations performed by one steady-state pass after warm-up
-        /// (`None` when no counting allocator was supplied; the zero-copy
-        /// contract is that this is zero).
-        pub steady_state_allocs: Option<u64>,
-    }
-}
-
-/// Measures the warm (steady-state) evaluation path at each stream length
-/// in `sizes`: the Mix-5 cycle at 0.05 s inter-arrival, all plans cached,
-/// the key hoisted, the simulation scratch reused, the trace summarised —
-/// the exact loop the serving-scale pipeline runs per request once planning
-/// has warmed up.
-///
-/// `alloc_count` is an optional monotone allocation counter (the
-/// `exp_warm_path` binary passes its counting `#[global_allocator]`); when
-/// present, each point audits one steady-state pass and records how many
-/// allocations it performed — the zero-copy acceptance bar is zero.
-pub fn warm_path_points(
-    sizes: &[usize],
-    alloc_count: Option<&dyn Fn() -> u64>,
-) -> Vec<WarmPathPoint> {
-    let cluster = presets::paper_cluster();
-    let strategy = HidpStrategy::new();
-    let mut points = Vec::with_capacity(sizes.len());
-    for &count in sizes {
-        let requests = hidp_workloads::repeating_stream(&SCALING_MODELS, 0.05, count);
-        let stream = InferenceRequest::to_stream(&requests);
-        let cache = PlanCache::new();
-        let mut key = PlanKey::for_run(&strategy, &cluster, LEADER);
-        // Warm the cache (three planner invocations).
-        for (_, graph) in &stream {
-            key.graph_fingerprint = graph.fingerprint();
-            key.batch = graph.input_shape().batch();
-            cache
-                .plan_keyed(&key, &strategy, graph, &cluster, LEADER)
-                .expect("planning succeeds");
-        }
-
-        // Cached planning alone.
-        let cached_plan_s = time_best_of(3, || {
-            for (_, graph) in &stream {
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                std::hint::black_box(
-                    cache
-                        .plan_keyed(&key, &strategy, graph, &cluster, LEADER)
-                        .expect("planning succeeds"),
-                );
-            }
-        });
-
-        // The full steady-state pass: plan every request into a reused
-        // buffer, simulate into a reused scratch, no trace.
-        let mut scratch = SimScratch::new();
-        let mut planned: Vec<(f64, Arc<ExecutionPlan>)> = Vec::with_capacity(count);
-        let warm_pass = |key: &mut PlanKey,
-                         planned: &mut Vec<(f64, Arc<ExecutionPlan>)>,
-                         scratch: &mut SimScratch| {
-            planned.clear();
-            for (arrival, graph) in &stream {
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                let (plan, _) = cache
-                    .plan_keyed(key, &strategy, graph, &cluster, LEADER)
-                    .expect("planning succeeds");
-                planned.push((*arrival, plan));
-            }
-            std::hint::black_box(
-                simulate_stream_in(scratch, planned, &cluster, TraceDetail::Summary)
-                    .expect("stream simulates"),
-            );
-        };
-        // Warm-up pass sizes every buffer.
-        warm_pass(&mut key, &mut planned, &mut scratch);
-        let tasks: usize = planned.iter().map(|(_, p)| p.len()).sum();
-        // Allocation audit of one steady-state pass.
-        let steady_state_allocs = alloc_count.map(|count_allocs| {
-            let before = count_allocs();
-            warm_pass(&mut key, &mut planned, &mut scratch);
-            count_allocs() - before
-        });
-        let plan_and_simulate_s =
-            time_best_of(3, || warm_pass(&mut key, &mut planned, &mut scratch));
-
-        points.push(WarmPathPoint {
-            requests: count,
-            tasks,
-            cached_plan_us_per_request: cached_plan_s * 1e6 / count as f64,
-            plan_and_simulate_us_per_request: plan_and_simulate_s * 1e6 / count as f64,
-            requests_per_second: count as f64 / plan_and_simulate_s,
-            steady_state_allocs,
-        });
-    }
-    points
-}
-
-/// Renders warm-path points as an [`ExperimentTable`].
-pub fn warm_path_table(points: &[WarmPathPoint]) -> ExperimentTable {
-    ExperimentTable::from_points(
-        "Warm path: zero-copy plan-and-simulate steady state",
-        "µs / req/s / allocs",
-        points,
-        |p| format!("{} requests", p.requests),
-        "tasks cached_plan_us_per_request plan_and_simulate_us_per_request requests_per_second \
-         steady_state_allocs",
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1022,20 +729,23 @@ pub fn serving_failure_patterns() -> Vec<(&'static str, ClusterTimeline)> {
     ]
 }
 
+/// The three-model Mix-5 cycle of Fig. 7 that the serving experiment's
+/// bursts cycle through.
+pub const MIX5_MODELS: [WorkloadModel; 3] = [
+    WorkloadModel::EfficientNetB0,
+    WorkloadModel::InceptionV3,
+    WorkloadModel::ResNet152,
+];
+
 /// Builds the serving experiment's scenario grid: for every policy ×
 /// failure-pattern cell, the same bursty workload (`count` requests in
-/// bursts of 8 — one model per burst cycling through [`SCALING_MODELS`],
+/// bursts of 8 — one model per burst cycling through [`MIX5_MODELS`],
 /// SLA classes cycling premium/standard/best-effort) served with an
 /// admission window of 2 in-flight batches. Returns
 /// `(policy_name, failure_name, scenario)` triples in grid order.
 pub fn serving_scenarios(count: usize) -> Vec<(String, String, ServingScenario)> {
-    let requests = InferenceRequest::to_serving(&bursty_stream(
-        &SCALING_MODELS,
-        8,
-        0.4,
-        count,
-        &SlaClass::ALL,
-    ));
+    let requests =
+        InferenceRequest::to_serving(&bursty_stream(&MIX5_MODELS, 8, 0.4, count, &SlaClass::ALL));
     serving_policies()
         .into_iter()
         .flat_map(|(policy_name, policy, max_batch)| {
@@ -2214,172 +1924,6 @@ pub fn drift_document(points: &[DriftPoint], bandit: &DriftBanditReport, seed: u
             ("points", points.to_json()),
             ("bandit", bandit.to_json()),
         ],
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Parallel evaluation: end-to-end requests/s of the sweep engine vs threads
-// ---------------------------------------------------------------------------
-
-record! {
-    /// One measured point of the parallel-evaluation experiment: the Mix-5
-    /// sweep's end-to-end throughput at a given worker-thread count.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct ParallelEvalPoint {
-        /// Worker threads of the [`ParallelSweep`].
-        pub threads: usize,
-        /// Wall-clock of the whole sweep (plan every request through a cold
-        /// shared cache + simulate every stream), best of the measured runs, ms.
-        pub wall_ms: f64,
-        /// End-to-end throughput: total requests across all jobs over `wall_ms`.
-        pub requests_per_second: f64,
-        /// `requests_per_second` over the 1-thread point's.
-        pub speedup_vs_one_thread: f64,
-        /// Whether every job's [`Evaluation`] was bit-identical to the 1-thread
-        /// run's (must always be true — the sweep is deterministic).
-        pub identical_to_one_thread: bool,
-    }
-}
-
-/// The full parallel-evaluation report: the workload shape, the host's
-/// parallelism (speedups are bounded by it) and one point per thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelEvalReport {
-    /// Number of independent Mix-5 stream jobs in the sweep.
-    pub jobs: usize,
-    /// Requests per job (total requests = `jobs × requests_per_job`).
-    pub requests_per_job: usize,
-    /// `std::thread::available_parallelism()` of the measuring host — the
-    /// hard ceiling on any speedup (1 on a single-core CI runner, where all
-    /// multi-thread points degenerate to ~1×).
-    pub available_parallelism: usize,
-    /// Measured points, one per thread count.
-    pub points: Vec<ParallelEvalPoint>,
-}
-
-/// The thread counts the parallel-evaluation experiment measures: 1, 2, 4
-/// and the host's available parallelism (deduplicated, ascending).
-pub fn parallel_eval_thread_counts() -> Vec<usize> {
-    let mut counts = vec![
-        1,
-        2,
-        4,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    ];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-/// Builds the Mix-5 sweep the parallel-evaluation experiment runs: `jobs`
-/// independent Mix-5 streams of `requests_per_job` requests each, with
-/// per-job inter-arrival intervals (so every job is a distinct scenario)
-/// and leaders cycling over the cluster's nodes (so planning itself — not
-/// just simulation — has concurrent work: 3 models × 5 leaders = 15
-/// distinct plan keys).
-pub fn parallel_eval_scenarios(jobs: usize, requests_per_job: usize) -> Vec<(Scenario, NodeIndex)> {
-    let cluster_len = presets::paper_cluster().len();
-    let mix5 = mixes::all_mixes()
-        .into_iter()
-        .find(|m| m.id == 5)
-        .expect("Mix-5 exists");
-    (0..jobs)
-        .map(|i| {
-            let interval = 0.05 + 0.002 * i as f64;
-            // The sweep compares whole evaluations and reads throughput —
-            // never the trace — so all jobs run at Summary detail.
-            let scenario = mix5
-                .scenario(interval, requests_per_job)
-                .with_label(format!("{}#{i}", mix5.name()))
-                .with_trace_detail(TraceDetail::Summary);
-            (scenario, NodeIndex(i % cluster_len))
-        })
-        .collect()
-}
-
-/// Measures the parallel evaluation engine end to end: the Mix-5 sweep
-/// (see [`parallel_eval_scenarios`]) through [`ParallelSweep`] at each
-/// thread count of [`parallel_eval_thread_counts`], each measurement
-/// best-of-`runs` against a **cold** shared sharded [`PlanCache`] (so every
-/// point pays the same planning work and in-flight deduplication is
-/// exercised, not bypassed). Every point's evaluations are compared against
-/// the 1-thread run's — the engine guarantees they are bit-identical.
-pub fn parallel_eval(jobs: usize, requests_per_job: usize, runs: usize) -> ParallelEvalReport {
-    let cluster = presets::paper_cluster();
-    let strategy = HidpStrategy::new();
-    let scenarios = parallel_eval_scenarios(jobs, requests_per_job);
-    let job_list: Vec<SweepJob<'_>> = scenarios
-        .iter()
-        .map(|(scenario, leader)| SweepJob {
-            scenario,
-            strategy: &strategy,
-            cluster: &cluster,
-            leader: *leader,
-        })
-        .collect();
-    let total_requests = jobs * requests_per_job;
-
-    let run_once = |threads: usize| -> (f64, Vec<Evaluation>) {
-        let cache = PlanCache::new();
-        let start = Instant::now();
-        let results = ParallelSweep::new(threads).run_scenarios(&job_list, &cache);
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        let evaluations = results
-            .into_iter()
-            .map(|r| r.expect("Mix-5 evaluation succeeds"))
-            .collect();
-        (elapsed_ms, evaluations)
-    };
-
-    let mut reference: Option<Vec<Evaluation>> = None;
-    let mut points = Vec::new();
-    let mut one_thread_rps = f64::NAN;
-    for threads in parallel_eval_thread_counts() {
-        let mut best_ms = f64::INFINITY;
-        let mut identical = true;
-        for _ in 0..runs.max(1) {
-            let (elapsed_ms, evaluations) = run_once(threads);
-            best_ms = best_ms.min(elapsed_ms);
-            match &reference {
-                None => reference = Some(evaluations),
-                Some(reference) => identical &= evaluations == *reference,
-            }
-        }
-        let requests_per_second = total_requests as f64 / (best_ms / 1e3);
-        if threads == 1 {
-            one_thread_rps = requests_per_second;
-        }
-        points.push(ParallelEvalPoint {
-            threads,
-            wall_ms: best_ms,
-            requests_per_second,
-            speedup_vs_one_thread: requests_per_second / one_thread_rps,
-            identical_to_one_thread: identical,
-        });
-    }
-    ParallelEvalReport {
-        jobs,
-        requests_per_job,
-        available_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        points,
-    }
-}
-
-/// Renders a parallel-evaluation report as an [`ExperimentTable`].
-pub fn parallel_eval_table(report: &ParallelEvalReport) -> ExperimentTable {
-    ExperimentTable::from_points(
-        format!(
-            "Parallel evaluation: Mix-5 sweep ({} jobs x {} requests), host parallelism {}",
-            report.jobs, report.requests_per_job, report.available_parallelism
-        ),
-        "ms / req/s / x",
-        &report.points,
-        |p| format!("{} threads", p.threads),
-        "wall_ms requests_per_second speedup_vs_one_thread identical_to_one_thread",
     )
 }
 

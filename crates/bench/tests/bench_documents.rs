@@ -8,50 +8,6 @@
 use hidp_bench::*;
 use hidp_core::{LatencySummary, RobustnessStats};
 
-fn stream_scaling_input() -> Vec<StreamScalingPoint> {
-    vec![
-        StreamScalingPoint {
-            requests: 40,
-            tasks: 1234,
-            event_sim_ms: 0.125,
-            list_sim_ms: Some(12.5),
-            speedup: Some(100.0),
-            cached_plan_us_per_request: 0.0375,
-            plan_and_simulate_us_per_request: 3.1875,
-        },
-        StreamScalingPoint {
-            requests: 160,
-            tasks: 4936,
-            event_sim_ms: 0.5,
-            list_sim_ms: None,
-            speedup: None,
-            cached_plan_us_per_request: 0.04,
-            plan_and_simulate_us_per_request: 3.165,
-        },
-    ]
-}
-
-fn warm_path_input() -> Vec<WarmPathPoint> {
-    vec![
-        WarmPathPoint {
-            requests: 160,
-            tasks: 4936,
-            cached_plan_us_per_request: 0.0425,
-            plan_and_simulate_us_per_request: 2.75,
-            requests_per_second: 363636.36363636365,
-            steady_state_allocs: Some(0),
-        },
-        WarmPathPoint {
-            requests: 1600,
-            tasks: 49360,
-            cached_plan_us_per_request: 0.04,
-            plan_and_simulate_us_per_request: 2.5,
-            requests_per_second: 400000.0,
-            steady_state_allocs: None,
-        },
-    ]
-}
-
 fn serving_input() -> (
     Vec<ServingGridPoint>,
     Vec<ServingBatchingPoint>,
@@ -258,30 +214,6 @@ fn drift_input() -> (Vec<DriftPoint>, DriftBanditReport) {
     )
 }
 
-fn parallel_eval_input() -> ParallelEvalReport {
-    ParallelEvalReport {
-        jobs: 8,
-        requests_per_job: 50,
-        available_parallelism: 2,
-        points: vec![
-            ParallelEvalPoint {
-                threads: 1,
-                wall_ms: 40.5,
-                requests_per_second: 9876.5,
-                speedup_vs_one_thread: 1.0,
-                identical_to_one_thread: true,
-            },
-            ParallelEvalPoint {
-                threads: 2,
-                wall_ms: 22.25,
-                requests_per_second: 17977.5,
-                speedup_vs_one_thread: 1.8203125,
-                identical_to_one_thread: false,
-            },
-        ],
-    }
-}
-
 fn tables_input() -> Vec<ExperimentTable> {
     let mut first = ExperimentTable::new(
         "Quote \" backslash \\ newline \n tab \t bell \u{7}",
@@ -389,17 +321,14 @@ fn every_perf_table_reads_its_columns_from_the_points() {
     let (drift, _) = drift_input();
     // Building a table panics on a column key its points do not have.
     let tables = [
-        stream_scaling_table(&stream_scaling_input()),
-        warm_path_table(&warm_path_input()),
         serving_table(&grid),
         serving_batching_table(&batching, "batching"),
         soak_table(&soak_input()),
         fleet_table(&routing),
         chaos_table(&chaos_input()),
         drift_table(&drift),
-        parallel_eval_table(&parallel_eval_input()),
     ];
-    let chaos = &tables[6];
+    let chaos = &tables[4];
     assert_eq!(chaos.value("no-recovery", "robustness.lost"), Some(6.0));
     assert_eq!(
         chaos.value("retry-failover", "recovery_latency.p99_ms"),
@@ -408,12 +337,8 @@ fn every_perf_table_reads_its_columns_from_the_points() {
     let absent = chaos.value("no-recovery", "recovery_latency.p99_ms");
     assert!(absent.is_some_and(f64::is_nan));
     assert_eq!(
-        tables[7].value("adaptive-drift", "drift.replans"),
+        tables[5].value("adaptive-drift", "drift.replans"),
         Some(3.0)
-    );
-    assert_eq!(
-        tables[8].value("2 threads", "identical_to_one_thread"),
-        Some(0.0)
     );
 }
 

@@ -19,11 +19,12 @@
 //!
 //! # Allocation-free planning
 //!
-//! Cold planning sits on the per-request hot path (15–190 µs each, as
-//! measured by `exp_stream_scaling`), so the searches keep **no per-call
-//! allocations**: all tables — the flattened DP cost/choice matrices, the
-//! rate-order permutation and the flops prefix sums — live in a
-//! [`PlannerScratch`] that is reused across calls. The public entry points
+//! Cold planning sits on the per-request hot path (tens to hundreds of µs
+//! each; perfbench's `plan.us_p50` and `plan.us_p90` layers measure it), so
+//! the searches keep **no per-call allocations**: all tables — the
+//! flattened DP cost/choice matrices, the rate-order permutation and the
+//! flops prefix sums — live in a [`PlannerScratch`] that is reused across
+//! calls. The public entry points
 //! borrow a per-thread scratch (a `thread_local!`), so concurrent planners
 //! in a [`crate::ParallelSweep`] never contend on scratch memory; callers
 //! that want explicit control can pass their own via the `_in` variants.

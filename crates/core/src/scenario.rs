@@ -290,8 +290,13 @@ pub struct Evaluation {
     pub total_energy: f64,
     /// Workload-attributable (dynamic) energy in joules.
     pub dynamic_energy: f64,
-    /// Plan-cache hit/miss counters for this run (every run entry point
-    /// fills them in).
+    /// Plan-cache hit/miss counters for this run. Every single-run entry
+    /// point (`Scenario::run*`, `ServingScenario::run*`) fills them in.
+    /// [`ParallelSweep::run_scenarios`](crate::ParallelSweep::run_scenarios)
+    /// and [`ParallelSweep::run_serving`](crate::ParallelSweep::run_serving)
+    /// set them to `None` on purpose: which job of a sweep pays a miss
+    /// depends on thread scheduling, so stripping the counters keeps sweep
+    /// results bit-identical at every thread count.
     pub plan_cache: Option<PlanCacheStats>,
     /// The simulated report (timings of every task; `records` is empty when
     /// the scenario ran with [`TraceDetail::Summary`]).

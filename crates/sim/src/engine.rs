@@ -271,8 +271,7 @@ impl Ord for ReadyTask {
 /// shape, subsequent runs perform **zero heap allocations** — every buffer
 /// is cleared and refilled in place, and with plans shared via `Arc` and
 /// labels interned there is nothing left to copy. `tests/
-/// zero_alloc_warm_path.rs` asserts this with a counting allocator, and the
-/// CI bench-smoke job re-asserts it on every PR via `exp_warm_path --quick`.
+/// zero_alloc_warm_path.rs` asserts this with a counting allocator.
 ///
 /// [`simulate_stream`] is the one-shot wrapper: it builds a fresh scratch,
 /// runs once and moves the report out — bit-identical output, allocation

@@ -3,10 +3,9 @@
 //!
 //! This is the original implementation of [`crate::simulate_stream`]: every
 //! scheduling step rescans all pending tasks and re-resolves dependency
-//! finish times through a `HashMap<(usize, TaskId), f64>`. It exists for two
-//! reasons only — the old-vs-new equivalence property tests
-//! (`tests/engine_equivalence.rs`) and the `stream_scaling` benchmark that
-//! records the speedup of the event-driven engine. New code should call
+//! finish times through a `HashMap<(usize, TaskId), f64>`. It exists only as
+//! the oracle of the old-vs-new equivalence property tests
+//! (`tests/engine_equivalence.rs`). New code should call
 //! [`crate::simulate_stream`].
 
 use crate::engine::{SimReport, TaskRecord};

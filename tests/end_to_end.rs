@@ -49,48 +49,60 @@ fn headline_claim_hidp_has_lowest_latency_per_model() {
 
 #[test]
 fn headline_claim_average_improvements_are_substantial() {
-    // The abstract claims ~38% lower latency on average vs the baselines.
-    // Our analytical platform reproduces the direction with a smaller but
-    // still substantial margin; require at least 15% vs the mean baseline.
+    // The abstract claims ~38% lower latency than the best competing
+    // baseline. Per workload, compare HiDP with the best of DisNet,
+    // OmniBoost and MoDNN, as the paper does. The analytical platform
+    // reproduces a smaller gap: the mean improvement reads 0.245 and the
+    // smallest per-workload one 0.186 (Inception-V3), so the bounds (mean
+    // > 0.20, every workload > 0.15) leave about 0.04 of margin each.
     let cluster = presets::paper_cluster();
-    let mut hidp_total = 0.0;
-    let mut baseline_total = 0.0;
-    let mut baseline_count = 0.0;
+    let mut improvements = Vec::new();
     for model in WorkloadModel::ALL {
         let scenario = Scenario::single(model.graph(1));
-        hidp_total += scenario
+        let hidp = scenario
             .run(&HidpStrategy::new(), &cluster, LEADER)
             .unwrap()
             .latency();
-        for strategy in [
+        let best_baseline = [
             Box::new(DisNetStrategy::new()) as Box<dyn DistributedStrategy>,
             Box::new(OmniBoostStrategy::new()),
             Box::new(ModnnStrategy::new()),
-        ] {
-            baseline_total += scenario
+        ]
+        .iter()
+        .map(|strategy| {
+            scenario
                 .run(strategy.as_ref(), &cluster, LEADER)
                 .unwrap()
-                .latency();
-            baseline_count += 1.0;
-        }
+                .latency()
+        })
+        .fold(f64::INFINITY, f64::min);
+        let improvement = 1.0 - hidp / best_baseline;
+        assert!(
+            improvement > 0.15,
+            "{model}: HiDP improves on the best baseline by only {:.1}%",
+            improvement * 100.0
+        );
+        improvements.push(improvement);
     }
-    let hidp_avg = hidp_total / WorkloadModel::ALL.len() as f64;
-    let baseline_avg = baseline_total / baseline_count;
-    let improvement = 1.0 - hidp_avg / baseline_avg;
+    let mean = improvements.iter().sum::<f64>() / improvements.len() as f64;
     assert!(
-        improvement > 0.15,
-        "average improvement was only {:.0}%",
-        improvement * 100.0
+        mean > 0.20,
+        "mean improvement over the best baseline was only {:.1}%",
+        mean * 100.0
     );
 }
 
 #[test]
 fn throughput_claim_hidp_wins_every_mix() {
-    // Fig. 7: HiDP achieves the highest throughput on all eight mixes.
+    // Fig. 7: HiDP achieves the highest throughput on all eight mixes. The
+    // mix's 16 requests are a backlog released at t = 0, so the throughput
+    // is service capacity; spaced arrivals would make every strategy read
+    // the arrival rate. HiDP over the best baseline reads 1.045 (Mix-3) to
+    // 1.400 (Mix-6); the bound 1.02 keeps a margin under the minimum.
     let cluster = presets::paper_cluster();
     let strategies = paper_strategies();
     for mix in mixes::all_mixes() {
-        let scenario = mix.scenario(0.5, 8);
+        let scenario = mix.scenario(0.0, 16);
         let throughputs: Vec<f64> = strategies
             .iter()
             .map(|s| {
@@ -102,7 +114,7 @@ fn throughput_claim_hidp_wins_every_mix() {
             .collect();
         for (i, throughput) in throughputs.iter().enumerate().skip(1) {
             assert!(
-                throughputs[0] >= *throughput * 0.99,
+                throughputs[0] >= *throughput * 1.02,
                 "{}: HiDP {:.0} vs {} {:.0}",
                 mix.name(),
                 throughputs[0],

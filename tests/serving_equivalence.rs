@@ -20,7 +20,7 @@ use hidp::{HidpStrategy, WorkloadModel};
 
 const LEADER: NodeIndex = NodeIndex(1);
 
-/// The Mix-5 stream the acceptance criterion names: EfficientNet-B0,
+/// The Mix-5 stream: EfficientNet-B0,
 /// Inception-V3 and ResNet-152 cycling at a 0.15 s inter-arrival.
 fn mix5_requests(count: usize) -> Vec<hidp::workloads::InferenceRequest> {
     let mix5 = mixes::all_mixes()

@@ -6,11 +6,12 @@
 //! after pass. This mirrors what PR 3's `PlannerScratch` test did for cold
 //! planning, one layer up.
 //!
-//! The allocator (`hidp_bench::alloc_count`, shared with the
-//! `exp_warm_path` CI gate so both enforce the same definition of
-//! "allocation") counts **per thread** — and libtest runs every test on its
-//! own thread — so the two tests here (the static warm path and the
-//! streaming serving pass) measure independent counters.
+//! The allocator (`hidp_bench::alloc_count`, shared with the zero-allocation
+//! gates of `exp_soak`, `exp_fleet`, `exp_chaos` and `exp_drift` so all
+//! enforce the same definition of "allocation") counts **per thread** — and
+//! libtest runs every test on its own thread — so the tests here (the static
+//! warm path, the streaming serving, fleet, adaptive-drift and recovery
+//! passes) measure independent counters.
 
 use hidp::core::{
     AdmissionPolicy, FleetScenario, FleetScratch, ParallelSweep, PlanCache, PlanKey, RoutingPolicy,
