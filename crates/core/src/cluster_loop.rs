@@ -53,7 +53,7 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
 use crate::fleet::fnv64;
-use crate::plan_cache::{PlanCache, PlanCacheStats};
+use crate::plan_cache::{FixedState, PlanCache, PlanCacheStats};
 use crate::serving::{
     AdmissionPolicy, DispatchEstimator, DispatchProgram, FailureMode, IndexedQueue, RecoveryPolicy,
     RobustnessStats, ServingRequest, Tails,
@@ -970,7 +970,7 @@ struct PlanMemo {
     /// The reusable plan-cache key: the run's strategy strings and leader,
     /// with the graph and cluster fields rewritten per first use.
     key: PlanKey,
-    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
+    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>, FixedState>,
     /// Entry index per `(model, combined batch, plan-cluster fingerprint)`.
     index: HashMap<(WorkloadModel, usize, u64), u32>,
     entries: Vec<MemoEntry>,
@@ -995,7 +995,7 @@ impl PlanMemo {
                 leader: NodeIndex(0),
                 cluster_fingerprint: 0,
             },
-            graphs: HashMap::new(),
+            graphs: HashMap::default(),
             index: HashMap::new(),
             entries: Vec::new(),
         }

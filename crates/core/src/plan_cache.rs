@@ -41,6 +41,11 @@
 //!   per-request loop (see `Scenario::run_with_cache`) builds one key,
 //!   mutates its graph fields per request and never clones the key's
 //!   strings on a hit — the key is only cloned when a miss publishes it.
+//! * The shard tables hash with [`FixedState`], not std's per-process
+//!   random `RandomState`: dropping a table frees its plans in table order,
+//!   and with random keys that order — and with it the heap's fragmentation
+//!   and a run's peak resident memory — changed from one process to the
+//!   next.
 
 use crate::strategy::DistributedStrategy;
 use crate::CoreError;
@@ -49,7 +54,9 @@ use hidp_platform::{Cluster, NodeIndex};
 use hidp_sim::ExecutionPlan;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -178,6 +185,9 @@ enum Entry {
     Ready(Arc<ExecutionPlan>),
 }
 
+/// One shard's table.
+type Shard = HashMap<PlanKey, Entry, FixedState>;
+
 /// A slot in the cache: published while planning is in flight, filled
 /// exactly once. Waiters block on the condvar instead of re-planning.
 #[derive(Debug)]
@@ -233,7 +243,7 @@ impl Slot {
 /// Removes `slot` from `shard` if it is still the published pending entry
 /// for `key`. Only ever removes the caller's own slot — a retry may already
 /// have published a fresh one under the same key.
-fn unpublish(shard: &RwLock<HashMap<PlanKey, Entry>>, key: &PlanKey, slot: &Arc<Slot>) {
+fn unpublish(shard: &RwLock<Shard>, key: &PlanKey, slot: &Arc<Slot>) {
     let mut map = shard.write();
     if matches!(map.get(key), Some(Entry::Pending(s)) if Arc::ptr_eq(s, slot)) {
         map.remove(key);
@@ -247,7 +257,7 @@ fn unpublish(shard: &RwLock<HashMap<PlanKey, Entry>>, key: &PlanKey, slot: &Arc<
 /// and error paths [`PendingGuard::defuse`] the guard and publish their own
 /// outcome instead.
 struct PendingGuard<'a> {
-    shard: &'a RwLock<HashMap<PlanKey, Entry>>,
+    shard: &'a RwLock<Shard>,
     pending: Option<(PlanKey, Arc<Slot>)>,
 }
 
@@ -271,13 +281,17 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
+/// SipHash with fixed keys: the hasher of every map whose drop order frees
+/// heap memory (plans, graphs), so that order is the same in every process.
+pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
+
 /// A memoization table for strategy planning, shareable across scenarios and
 /// threads: lookups route to one of [`SHARD_COUNT`] reader-writer-locked
 /// shards, warm lookups only ever take a shard *read* lock, and concurrent
 /// misses on the same key plan exactly once (see the module docs).
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    shards: [RwLock<HashMap<PlanKey, Entry>>; SHARD_COUNT],
+    shards: [RwLock<Shard>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
 }

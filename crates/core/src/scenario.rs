@@ -182,7 +182,9 @@ impl Scenario {
     ) -> Result<Evaluation, CoreError> {
         let (planned, stats) = self.plan_requests(strategy, cluster, leader, cache)?;
         let report = simulate_stream_detailed(&planned, cluster, self.trace)?;
-        let mut evaluation = Self::evaluation_from(strategy.name(), &self.label, report, cluster)?;
+        let latencies = report.latencies();
+        let mut evaluation =
+            Self::evaluation_from(strategy.name(), &self.label, report, latencies, cluster)?;
         evaluation.plan_cache = Some(stats);
         Ok(evaluation)
     }
@@ -207,7 +209,9 @@ impl Scenario {
     ) -> Result<Evaluation, CoreError> {
         let (planned, stats) = self.plan_requests(strategy, cluster, leader, cache)?;
         let report = simulate_stream_in(scratch, &planned, cluster, self.trace)?.clone();
-        let mut evaluation = Self::evaluation_from(strategy.name(), &self.label, report, cluster)?;
+        let latencies = report.latencies();
+        let mut evaluation =
+            Self::evaluation_from(strategy.name(), &self.label, report, latencies, cluster)?;
         evaluation.plan_cache = Some(stats);
         Ok(evaluation)
     }
@@ -250,14 +254,17 @@ impl Scenario {
         Ok((planned, stats))
     }
 
-    /// Wraps a finished simulation report into an [`Evaluation`] (energy
-    /// accounting plus metric extraction): the shared tail of
-    /// [`Scenario::run_with_cache`], [`Scenario::run_with_cache_in`] and the
-    /// serving runtime's records mode ([`crate::ServingScenario::run`]).
+    /// Wraps a finished simulation report and its per-request `latencies`
+    /// into an [`Evaluation`] (energy accounting): the shared tail of
+    /// [`Scenario::run_with_cache`], [`Scenario::run_with_cache_in`] (which
+    /// pass [`SimReport::latencies`]) and the serving runtime's records mode
+    /// ([`crate::ServingScenario::run`], which passes one latency per
+    /// request rather than per admitted batch).
     pub(crate) fn evaluation_from(
         strategy: impl Into<String>,
         scenario: impl Into<String>,
         report: SimReport,
+        latencies: Vec<f64>,
         cluster: &Cluster,
     ) -> Result<Evaluation, CoreError> {
         let total_energy = report.total_energy(cluster)?;
@@ -265,7 +272,7 @@ impl Scenario {
         Ok(Evaluation {
             strategy: strategy.into(),
             scenario: scenario.into(),
-            latencies: report.latencies(),
+            latencies,
             makespan: report.makespan,
             total_energy,
             dynamic_energy,

@@ -1044,11 +1044,10 @@ impl ServingScenario {
             ..RobustnessStats::default()
         };
 
-        let mut evaluation =
-            Scenario::evaluation_from(strategy.name(), &self.label, report, cluster)?;
         // Per *request* (input order), not per batch — a batched request's
         // latency runs from its own arrival to its batch's completion.
-        evaluation.latencies = latencies;
+        let mut evaluation =
+            Scenario::evaluation_from(strategy.name(), &self.label, report, latencies, cluster)?;
         evaluation.plan_cache = Some(stats);
         Ok(ServingEvaluation {
             evaluation,

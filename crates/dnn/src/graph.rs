@@ -8,7 +8,7 @@
 use crate::layer::{LayerKind, Shape};
 use crate::DnnError;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Identifier of a node inside a [`DnnGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -82,15 +82,16 @@ impl DnnGraph {
                 what: "graph has no nodes".into(),
             });
         }
-        // Validate ids and references.
-        let mut names = HashMap::new();
+        // Validate ids and references. The name set borrows, so it frees
+        // nothing but its table.
+        let mut names = HashSet::new();
         for (i, node) in nodes.iter().enumerate() {
             if node.id.0 != i {
                 return Err(DnnError::InvalidGraph {
                     what: format!("node `{}` has id {} but position {i}", node.name, node.id),
                 });
             }
-            if names.insert(node.name.clone(), node.id).is_some() {
+            if !names.insert(node.name.as_str()) {
                 return Err(DnnError::InvalidGraph {
                     what: format!("duplicate node name `{}`", node.name),
                 });

@@ -14,11 +14,23 @@
 //! The engine is event-driven: a pre-pass interns every resource into a
 //! dense index and flattens all plans into one task array with indegree
 //! counts and a CSR successor list; the run loop then pops a binary heap of
-//! ready tasks keyed by feasible start time, tracks per-resource free times
-//! in a flat `Vec<f64>`, and decrements successor indegrees on completion —
-//! O(n log n) with no per-step hashing or rescans. The original O(n²)
-//! list-scheduling implementation is preserved in [`crate::reference`] and
-//! property-tested to produce identical schedules.
+//! ready tasks keyed by feasible start time, tracks per-resource free and
+//! busy times in flat `Vec`s, and decrements successor indegrees on
+//! completion — O(n log n) with no rescans. The work that does not scale
+//! with the in-flight tasks is paid once per plan or once per run:
+//!
+//! * the pre-pass validates, costs and interns a plan the first time its
+//!   address appears in the stream; every repeat (a shared `Arc` or `&`)
+//!   copies the flattened slice, so hashing happens per distinct plan, not
+//!   per admitted request;
+//! * request roots enter the ready heap lazily, in release order, just
+//!   before the heap minimum reaches them, so the heap holds released work
+//!   only;
+//! * busy time accumulates per interned processor in a `Vec` and flushes
+//!   into the [`EnergyMeter`] once per processor at the end of the run.
+//!
+//! The original O(n²) list-scheduling implementation is preserved in
+//! [`crate::reference`] and property-tested to produce identical schedules.
 //!
 //! # The zero-copy warm path
 //!
@@ -263,8 +275,10 @@ impl Ord for ReadyTask {
 }
 
 /// Reusable working memory for [`simulate_stream_in`]: the flattened task
-/// array, indegree counts, CSR successor lists, the ready heap, per-resource
-/// free times *and* the output [`SimReport`]'s buffers.
+/// array, indegree counts, CSR successor lists, the per-plan flatten memo,
+/// the release order the ready heap is seeded in, the ready heap,
+/// per-resource free and busy times *and* the output [`SimReport`]'s
+/// buffers.
 ///
 /// Create one per worker thread (it is cheap when empty) and pass it to
 /// every simulation that thread runs: after the first run of a given stream
@@ -279,6 +293,9 @@ impl Ord for ReadyTask {
 #[derive(Debug, Default)]
 pub struct SimScratch {
     resources: HashMap<Resource, u32>,
+    /// Plan address → flat index of the plan's first flattened occurrence
+    /// in this run; a repeat copies that slice instead of re-costing it.
+    memo: HashMap<usize, usize>,
     tasks: Vec<TaskMeta>,
     /// ready_time[i]: max(arrival, finish of every completed dependency).
     ready_time: Vec<f64>,
@@ -286,10 +303,18 @@ pub struct SimScratch {
     indegree: Vec<u32>,
     /// Per-request offset of the first flat index, to globalise dep ids.
     request_base: Vec<usize>,
+    /// CSR successor lists: `succ[succ_offsets[d]..succ_offsets[d + 1]]`
+    /// holds the flat indices of the tasks depending on flat task `d`.
     succ_offsets: Vec<usize>,
     succ: Vec<usize>,
+    /// Per-plan successor counts, then fill cursors, while flattening.
     cursor: Vec<usize>,
+    /// Request indices in (release, index) order: the lazy seeding order.
+    order: Vec<usize>,
     resource_free: Vec<f64>,
+    /// busy[r]: committed busy seconds of interned processor resource `r`
+    /// (`None` until its first commit), flushed into the meter at the end.
+    busy: Vec<Option<f64>>,
     heap: BinaryHeap<Reverse<ReadyTask>>,
     report: SimReport,
     /// Failure events of the last faulty run (empty otherwise).
@@ -310,6 +335,7 @@ impl SimScratch {
     /// Clears every buffer, keeping capacity.
     fn reset(&mut self, total_tasks: usize, request_count: usize) {
         self.resources.clear();
+        self.memo.clear();
         self.tasks.clear();
         self.tasks.reserve(total_tasks);
         self.ready_time.clear();
@@ -318,6 +344,11 @@ impl SimScratch {
         self.indegree.reserve(total_tasks);
         self.request_base.clear();
         self.request_base.reserve(request_count);
+        self.succ_offsets.clear();
+        self.succ_offsets.reserve(total_tasks + 1);
+        self.succ_offsets.push(0);
+        self.succ.clear();
+        self.order.clear();
         self.heap.clear();
         self.failures.clear();
         self.report.records.clear();
@@ -325,6 +356,85 @@ impl SimScratch {
         self.report.request_arrival.clear();
         self.report.meter.reset();
         self.report.makespan = 0.0;
+    }
+
+    /// Appends the first occurrence of `plan` as request `request`:
+    /// validates it, costs and interns every task, and builds its CSR
+    /// successor lists (successors never leave their request, so the
+    /// stream's CSR is the concatenation of the per-request ones).
+    fn flatten(
+        &mut self,
+        plan: &ExecutionPlan,
+        request: usize,
+        release: f64,
+        cluster: &Cluster,
+    ) -> Result<(), SimError> {
+        plan.validate()?;
+        let batch = plan.batch();
+        let base = self.tasks.len();
+        let len = plan.len();
+        // cursor[k + 1] counts the successors of local task k.
+        self.cursor.clear();
+        self.cursor.resize(len + 1, 0);
+        for task in plan.tasks() {
+            let cost = task.cost(cluster, batch)?;
+            let resource = cost.resource.map(|r| {
+                let next = self.resources.len() as u32;
+                *self.resources.entry(r).or_insert(next)
+            });
+            let (node_a, node_b) = task.nodes();
+            self.tasks.push(TaskMeta {
+                request,
+                duration: cost.duration,
+                resource,
+                processor: cost.processor,
+                node_a: node_a.0 as u32,
+                node_b: node_b.0 as u32,
+            });
+            self.ready_time.push(release);
+            self.indegree.push(task.deps.len() as u32);
+            for dep in &task.deps {
+                self.cursor[dep.0 + 1] += 1;
+            }
+        }
+        for k in 0..len {
+            self.cursor[k + 1] += self.cursor[k];
+        }
+        let s0 = self.succ.len();
+        self.succ_offsets
+            .extend(self.cursor[1..].iter().map(|&c| s0 + c));
+        self.succ.resize(s0 + self.cursor[len], 0);
+        for (local, task) in plan.tasks().iter().enumerate() {
+            for dep in &task.deps {
+                self.succ[s0 + self.cursor[dep.0]] = base + local;
+                self.cursor[dep.0] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends a repeat of the plan first flattened at flat index `first`
+    /// (`len` tasks) as request `request`: its tasks, indegrees and
+    /// successor lists are copied and re-based — no validation, costing or
+    /// interning, which the first occurrence already did.
+    fn copy_flattened(&mut self, first: usize, len: usize, request: usize, release: f64) {
+        let base = self.tasks.len();
+        self.tasks.extend_from_within(first..first + len);
+        for t in &mut self.tasks[base..] {
+            t.request = request;
+        }
+        self.indegree.extend_from_within(first..first + len);
+        self.ready_time.extend(std::iter::repeat_n(release, len));
+        let (lo, hi) = (self.succ_offsets[first], self.succ_offsets[first + len]);
+        let s0 = self.succ.len();
+        for k in 1..=len {
+            let offset = self.succ_offsets[first + k] - lo + s0;
+            self.succ_offsets.push(offset);
+        }
+        for j in lo..hi {
+            let successor = self.succ[j] - first + base;
+            self.succ.push(successor);
+        }
     }
 
     /// The engine proper: validates, flattens, simulates, and leaves the
@@ -370,6 +480,8 @@ impl SimScratch {
         let total: usize = requests.iter().map(|e| e.plan().len()).sum();
         self.reset(total, requests.len());
 
+        let mut in_order = true;
+        let mut last_release = 0.0f64;
         for (req_idx, entry) in requests.iter().enumerate() {
             let plan = entry.plan();
             let arrival = entry.arrival();
@@ -391,65 +503,36 @@ impl SimScratch {
             // would break the exact-tie submission-order guarantee for
             // requests arriving at (±)0.0.
             let release = release + 0.0;
-            plan.validate()?;
-            let batch = plan.batch();
+            in_order &= release >= last_release;
+            last_release = release;
             self.request_base.push(self.tasks.len());
-            for task in plan.tasks() {
-                let cost = task.cost(cluster, batch)?;
-                let resource = cost.resource.map(|r| {
-                    let next = self.resources.len() as u32;
-                    *self.resources.entry(r).or_insert(next)
-                });
-                let (node_a, node_b) = task.nodes();
-                self.tasks.push(TaskMeta {
-                    request: req_idx,
-                    duration: cost.duration,
-                    resource,
-                    processor: cost.processor,
-                    node_a: node_a.0 as u32,
-                    node_b: node_b.0 as u32,
-                });
-                self.ready_time.push(release);
-                self.indegree.push(task.deps.len() as u32);
-            }
-        }
-
-        // CSR successor lists: succ[succ_offsets[d]..succ_offsets[d + 1]]
-        // holds the flat indices of the tasks depending on flat task d. The
-        // dependency ids live in the borrowed plans, so the two fill passes
-        // walk the plans again instead of storing per-task borrows.
-        let n = self.tasks.len();
-        self.succ_offsets.clear();
-        self.succ_offsets.resize(n + 1, 0);
-        for (req_idx, entry) in requests.iter().enumerate() {
-            let base = self.request_base[req_idx];
-            for task in entry.plan().tasks() {
-                for dep in &task.deps {
-                    self.succ_offsets[base + dep.0 + 1] += 1;
+            // The slice is borrowed for the whole run, so two entries whose
+            // plans share an address share the plan (one `Arc`, one `&`).
+            let key = std::ptr::from_ref(plan) as usize;
+            match self.memo.get(&key) {
+                Some(&first) => self.copy_flattened(first, plan.len(), req_idx, release),
+                None => {
+                    let first = self.tasks.len();
+                    self.flatten(plan, req_idx, release, cluster)?;
+                    self.memo.insert(key, first);
                 }
             }
         }
-        for d in 0..n {
-            self.succ_offsets[d + 1] += self.succ_offsets[d];
-        }
-        self.succ.clear();
-        self.succ.resize(self.succ_offsets[n], 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.succ_offsets[..n]);
-        let mut flat = 0usize;
-        for (req_idx, entry) in requests.iter().enumerate() {
-            let base = self.request_base[req_idx];
-            for task in entry.plan().tasks() {
-                for dep in &task.deps {
-                    let d = base + dep.0;
-                    self.succ[self.cursor[d]] = flat;
-                    self.cursor[d] += 1;
-                }
-                flat += 1;
-            }
+        // Requests in (release, index) order: the order their roots enter
+        // the ready heap.
+        self.order.extend(0..requests.len());
+        if !in_order {
+            let (order, ready_time, request_base) =
+                (&mut self.order, &self.ready_time, &self.request_base);
+            order.sort_unstable_by(|&a, &b| {
+                ready_time[request_base[a]]
+                    .total_cmp(&ready_time[request_base[b]])
+                    .then(a.cmp(&b))
+            });
         }
 
         // --- Event loop. --------------------------------------------------
+        let n = self.tasks.len();
         let Self {
             resources,
             tasks,
@@ -458,8 +541,10 @@ impl SimScratch {
             request_base,
             succ_offsets,
             succ,
+            order,
             heap,
             resource_free,
+            busy,
             report,
             failures,
             alive,
@@ -469,6 +554,8 @@ impl SimScratch {
         } = self;
         resource_free.clear();
         resource_free.resize(resources.len(), 0.0);
+        busy.clear();
+        busy.resize(resources.len(), None);
         report.request_completion.resize(requests.len(), 0.0);
         if detail == TraceDetail::Full {
             report.records.reserve(n);
@@ -488,19 +575,42 @@ impl SimScratch {
         // Heap keys are lower bounds on feasible start: exact once every
         // dependency is finished, except that the resource may become busier
         // after the push — corrected lazily on pop.
-        for i in 0..n {
-            if indegree[i] == 0 {
-                heap.push(Reverse(ReadyTask {
-                    start: ready_time[i],
-                    seq: i,
-                }));
-            }
-        }
-
+        //
+        // Roots are seeded lazily, request by request in (release, index)
+        // order: before each pop, every unseeded request released at or
+        // before the heap minimum (or, on an empty heap, the next request)
+        // pushes its roots. Keys `(start, seq)` are distinct, so the pop
+        // order depends only on the set of entries, and every root still
+        // unseeded has a key above the minimum — the schedule is exactly the
+        // one an eagerly seeded heap produces, while the heap holds only
+        // released work.
+        let mut seeded = 0usize;
         let mut committed = 0usize;
         let mut skipped = 0usize;
         let mut next_fault = 0usize;
-        while let Some(Reverse(entry)) = heap.pop() {
+        loop {
+            while let Some(&r) = order.get(seeded) {
+                let base = request_base[r];
+                // Task 0 of every plan is a root (dependencies precede their
+                // dependents), so its ready time is the request's release.
+                let release = ready_time[base];
+                if heap.peek().is_some_and(|top| release > top.0.start) {
+                    break;
+                }
+                seeded += 1;
+                let end = request_base.get(r + 1).copied().unwrap_or(n);
+                for i in base..end {
+                    if indegree[i] == 0 {
+                        heap.push(Reverse(ReadyTask {
+                            start: ready_time[i],
+                            seq: i,
+                        }));
+                    }
+                }
+            }
+            let Some(Reverse(entry)) = heap.pop() else {
+                break;
+            };
             let i = entry.seq;
             let t = tasks[i];
             if faulty && !alive[t.request] {
@@ -560,9 +670,16 @@ impl SimScratch {
             let end = start + t.duration;
             if let Some(r) = t.resource {
                 resource_free[r as usize] = end;
-            }
-            if let Some(addr) = t.processor {
-                report.meter.record_busy(addr, t.duration)?;
+                if let Some(addr) = t.processor {
+                    // The meter's own check, per commit, so an invalid
+                    // duration fails exactly where it always has; the
+                    // per-processor sums flush into the meter at the end.
+                    if t.duration < 0.0 || !t.duration.is_finite() {
+                        report.meter.record_busy(addr, t.duration)?;
+                    }
+                    let slot = &mut busy[r as usize];
+                    *slot = Some(slot.unwrap_or(0.0) + t.duration);
+                }
             }
             if end > report.request_completion[t.request] {
                 report.request_completion[t.request] = end;
@@ -611,6 +728,13 @@ impl SimScratch {
             });
         }
 
+        // Each processor's busy time summed from 0.0 in commit order — the
+        // same additions the meter's map would have made per commit.
+        for (resource, &r) in resources.iter() {
+            if let (Resource::Processor(addr), Some(seconds)) = (resource, busy[r as usize]) {
+                report.meter.record_busy(*addr, seconds)?;
+            }
+        }
         report.makespan = report
             .request_completion
             .iter()
@@ -878,6 +1002,73 @@ mod tests {
         let from_owned = simulate_stream(&owned, &cluster).unwrap();
         let from_shared = simulate_stream(&shared, &cluster).unwrap();
         assert_eq!(from_owned, from_shared);
+    }
+
+    #[test]
+    fn shared_plans_with_unsorted_tied_releases_match_deep_clones() {
+        // Two Arc plans shared across an admitted stream whose releases are
+        // out of order and tie exactly: the flatten memo and the lazy root
+        // seeding must give the same report (and, under a down-flip, the
+        // same failures) as the stream with every plan deep-cloned.
+        let cluster = presets::paper_cluster();
+        let mut chain = ExecutionPlan::new();
+        let a = chain.add_compute("a", addr(0, 1), 900_000_000, 1.0, &[]);
+        let t = chain.add_transfer("t", NodeIndex(0), NodeIndex(2), 4_000_000, &[a]);
+        chain.add_compute("b", addr(2, 1), 700_000_000, 0.8, &[t]);
+        let mut fork = ExecutionPlan::new();
+        let r = fork.add_compute("r", addr(2, 1), 300_000_000, 1.0, &[]);
+        fork.add_compute("x", addr(1, 2), 500_000_000, 1.0, &[r]);
+        fork.add_compute("y", addr(0, 0), 200_000_000, 1.0, &[r]);
+        let plans = [std::sync::Arc::new(chain), std::sync::Arc::new(fork)];
+        let releases = [0.5, 0.0, 0.25, 0.5, 0.0, 0.75, 0.25, 0.5];
+        let shared: Vec<(f64, f64, std::sync::Arc<ExecutionPlan>)> = releases
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (0.0, t, std::sync::Arc::clone(&plans[i % 2])))
+            .collect();
+        let owned: Vec<(f64, f64, ExecutionPlan)> = shared
+            .iter()
+            .map(|(arrival, release, plan)| (*arrival, *release, ExecutionPlan::clone(plan)))
+            .collect();
+
+        let mut scratch = SimScratch::new();
+        let from_shared =
+            simulate_admitted_stream_in(&mut scratch, &shared, &cluster, TraceDetail::Full)
+                .unwrap()
+                .clone();
+        let from_owned =
+            simulate_admitted_stream_in(&mut scratch, &owned, &cluster, TraceDetail::Full).unwrap();
+        assert_eq!(from_shared, *from_owned);
+        assert_eq!(from_shared.records.len(), 24);
+        // Ties at 0.0 commit in request order: request 1 before request 4.
+        let first: Vec<usize> = from_shared.records[..2].iter().map(|r| r.request).collect();
+        assert_eq!(first, vec![1, 4]);
+
+        let faults = [AvailabilityEvent {
+            time: 0.5,
+            node: NodeIndex(2),
+            up: false,
+        }];
+        let (report, failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
+            &shared,
+            &cluster,
+            &faults,
+            TraceDetail::Full,
+        )
+        .unwrap();
+        let (from_shared, shared_failures) = (report.clone(), failures.to_vec());
+        let (from_owned, owned_failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
+            &owned,
+            &cluster,
+            &faults,
+            TraceDetail::Full,
+        )
+        .unwrap();
+        assert_eq!(from_shared, *from_owned);
+        assert_eq!(shared_failures, owned_failures);
+        assert!(!shared_failures.is_empty());
     }
 
     #[test]

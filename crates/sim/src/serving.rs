@@ -36,7 +36,7 @@
 //! retries) are accounted as drops in the robustness counters, never as
 //! latency samples.
 
-use crate::stats::percentile;
+use crate::stats::{percentile_sorted, sort_samples};
 use serde::{Deserialize, Serialize};
 
 /// The service-level class of a request: a scheduling priority and a
@@ -148,15 +148,21 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarises a latency slice; `None` when it is empty.
     pub fn of(latencies: &[f64]) -> Option<Self> {
-        if latencies.is_empty() {
-            return None;
-        }
+        Self::sorting(&mut latencies.to_vec())
+    }
+
+    /// [`LatencySummary::of`] that sorts `latencies` in place: the mean
+    /// sums them in the given order, then one sort serves all three
+    /// percentiles.
+    fn sorting(latencies: &mut [f64]) -> Option<Self> {
+        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        sort_samples(latencies);
         Some(Self {
             count: latencies.len(),
-            p50: percentile(latencies, 50.0).expect("non-empty"),
-            p95: percentile(latencies, 95.0).expect("non-empty"),
-            p99: percentile(latencies, 99.0).expect("non-empty"),
-            mean: latencies.iter().sum::<f64>() / latencies.len() as f64,
+            p50: percentile_sorted(latencies, 50.0)?,
+            p95: percentile_sorted(latencies, 95.0)?,
+            p99: percentile_sorted(latencies, 99.0)?,
+            mean,
         })
     }
 }
@@ -387,42 +393,54 @@ pub struct ServingMetrics {
 impl ServingMetrics {
     /// Aggregates a set of served-request records; `None` when empty.
     pub fn from_records(records: &[ServedRequestRecord]) -> Option<Self> {
-        if records.is_empty() {
-            return None;
+        /// One class's share of the records.
+        struct ClassTally {
+            latencies: Vec<f64>,
+            queueing_sum: f64,
+            misses: usize,
         }
-        let latencies: Vec<f64> = records.iter().map(ServedRequestRecord::latency).collect();
-        let queueing: Vec<f64> = records
-            .iter()
-            .map(ServedRequestRecord::queueing_delay)
-            .collect();
+        // One pass in record order splits the classes; every sum adds in
+        // record order from -0.0, the neutral element `Iterator::sum` uses.
+        let mut latencies = Vec::with_capacity(records.len());
+        let mut classes: [ClassTally; 3] = std::array::from_fn(|_| ClassTally {
+            latencies: Vec::new(),
+            queueing_sum: -0.0,
+            misses: 0,
+        });
+        let mut queueing_sum = -0.0f64;
+        let mut max_queueing_delay = 0.0f64;
+        let mut deadline_misses = 0;
+        for record in records {
+            let latency = record.latency();
+            let queueing = record.queueing_delay();
+            let missed = usize::from(!record.deadline_met());
+            latencies.push(latency);
+            queueing_sum += queueing;
+            max_queueing_delay = max_queueing_delay.max(queueing);
+            deadline_misses += missed;
+            let class = &mut classes[usize::from(record.sla.priority())];
+            class.latencies.push(latency);
+            class.queueing_sum += queueing;
+            class.misses += missed;
+        }
         let per_class = SlaClass::ALL
             .iter()
-            .filter_map(|&class| {
-                let class_latencies: Vec<f64> = records
-                    .iter()
-                    .filter(|r| r.sla == class)
-                    .map(ServedRequestRecord::latency)
-                    .collect();
-                let latency = LatencySummary::of(&class_latencies)?;
-                let class_records = records.iter().filter(|r| r.sla == class);
+            .zip(&mut classes)
+            .filter_map(|(&class, tally)| {
                 Some(SlaClassReport {
                     class,
-                    latency,
-                    mean_queueing_delay: class_records
-                        .clone()
-                        .map(ServedRequestRecord::queueing_delay)
-                        .sum::<f64>()
-                        / class_latencies.len() as f64,
-                    deadline_misses: class_records.filter(|r| !r.deadline_met()).count(),
+                    latency: LatencySummary::sorting(&mut tally.latencies)?,
+                    mean_queueing_delay: tally.queueing_sum / tally.latencies.len() as f64,
+                    deadline_misses: tally.misses,
                 })
             })
             .collect();
         Some(Self {
             requests: records.len(),
-            latency: LatencySummary::of(&latencies).expect("non-empty"),
-            mean_queueing_delay: queueing.iter().sum::<f64>() / queueing.len() as f64,
-            max_queueing_delay: queueing.iter().copied().fold(0.0, f64::max),
-            deadline_misses: records.iter().filter(|r| !r.deadline_met()).count(),
+            latency: LatencySummary::sorting(&mut latencies)?,
+            mean_queueing_delay: queueing_sum / records.len() as f64,
+            max_queueing_delay,
+            deadline_misses,
             per_class,
         })
     }
@@ -441,6 +459,7 @@ impl ServingMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::percentile;
 
     fn record(arrival: f64, admitted: f64, completion: f64, sla: SlaClass) -> ServedRequestRecord {
         ServedRequestRecord {
@@ -509,6 +528,50 @@ mod tests {
         assert_eq!(one.p50, 0.3);
         assert_eq!(one.p99, 0.3);
         assert_eq!(one.mean, 0.3);
+    }
+
+    #[test]
+    fn summary_equals_three_percentiles_and_the_record_order_mean() {
+        // One sort per set must read exactly what three independent
+        // `percentile` calls read, and the mean must sum in slice order:
+        // random slices of 1–40 values on a coarse grid (duplicates), with
+        // zeros mixed in.
+        for seed in 0..200u64 {
+            let raw = uniform_stream(seed, 41);
+            let len = 1 + (raw[0] * 40.0) as usize;
+            let values: Vec<f64> = raw[1..=len]
+                .iter()
+                .map(|&u| {
+                    if u < 0.2 {
+                        0.0
+                    } else {
+                        (u * 8.0).floor() * 0.125
+                    }
+                })
+                .collect();
+            let summary = LatencySummary::of(&values).unwrap();
+            assert_eq!(summary.count, len, "seed {seed}");
+            assert_eq!(
+                summary.p50,
+                percentile(&values, 50.0).unwrap(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                summary.p95,
+                percentile(&values, 95.0).unwrap(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                summary.p99,
+                percentile(&values, 99.0).unwrap(),
+                "seed {seed}"
+            );
+            let mean = values.iter().sum::<f64>() / len as f64;
+            assert_eq!(summary.mean.to_bits(), mean.to_bits(), "seed {seed}");
+        }
+        let two = LatencySummary::of(&[0.4, 0.0]).unwrap();
+        assert_eq!(two.p50, 0.2);
+        assert_eq!(two.mean, 0.2);
     }
 
     #[test]

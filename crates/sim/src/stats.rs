@@ -72,11 +72,28 @@ pub fn throughput_per_window(report: &SimReport, window_seconds: f64) -> f64 {
 /// outside 0..=100. Used for the latency tail metrics (p50/p95/p99) of the
 /// Poisson stress experiment.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() || !(0.0..=100.0).contains(&p) {
+    let mut sorted = values.to_vec();
+    sort_samples(&mut sorted);
+    percentile_sorted(&sorted, p)
+}
+
+/// Sorts samples ascending, the order [`percentile_sorted`] expects
+/// (stable, so equal values such as `-0.0` and `0.0` keep their order).
+///
+/// # Panics
+///
+/// Panics when a value is NaN.
+pub(crate) fn sort_samples(values: &mut [f64]) {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("values are comparable"));
+}
+
+/// [`percentile`] of a slice already sorted ascending: the one
+/// interpolation rule, so a caller reading several percentiles of one set
+/// sorts it once.
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    if sorted.is_empty() || !(0.0..=100.0).contains(&p) {
         return None;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("values are comparable"));
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lower = rank.floor() as usize;
     let upper = rank.ceil() as usize;

@@ -1,7 +1,9 @@
 //! Property tests: the event-driven simulator engine must reproduce the
 //! original O(n²) list scheduler exactly — bit-identical task records,
 //! completion times and energy accounting — on random DAG plans with random
-//! resource bindings, dependency structure and arrival times.
+//! resource bindings, dependency structure and arrival times, including
+//! streams that share plans by reference and release out of order with
+//! exact ties.
 
 use hidp::platform::{presets, Cluster, NodeIndex, ProcessorAddr};
 use hidp::sim::{simulate_stream, simulate_stream_reference, ExecutionPlan, TaskId};
@@ -98,6 +100,40 @@ proptest! {
             .expect("reference engine simulates");
         let event = simulate_stream(&requests, &cluster).expect("event engine simulates");
         prop_assert_eq!(&reference.records, &event.records, "seed {}", seed);
+        prop_assert_eq!(reference.makespan, event.makespan);
+        prop_assert_eq!(&reference.meter, &event.meter);
+    }
+
+    #[test]
+    fn event_engine_matches_list_scheduler_on_shared_plans_with_tied_releases(
+        seed in 0u64..1_000_000,
+    ) {
+        // Requests drawn with repetition from a pool of 1–3 plans shared by
+        // reference (so repeats hit the engine's per-plan flatten memo),
+        // arriving out of order with exact ties on a 0.25 s grid (so roots
+        // seed lazily in a sorted, tie-broken release order).
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7ab1_e5ed);
+        let cluster = presets::paper_cluster();
+        let pool: Vec<ExecutionPlan> = (0..rng.gen_range(1..=3usize))
+            .map(|_| random_plan(&mut rng, &cluster, 20))
+            .collect();
+        let requests: Vec<(f64, &ExecutionPlan)> = (0..rng.gen_range(2..10usize))
+            .map(|_| {
+                let arrival = (rng.gen_range(0.0..1.5f64) * 4.0).round() / 4.0;
+                (arrival, &pool[rng.gen_range(0..pool.len())])
+            })
+            .collect();
+        let reference = simulate_stream_reference(&requests, &cluster)
+            .expect("reference engine simulates");
+        let event = simulate_stream(&requests, &cluster).expect("event engine simulates");
+        prop_assert_eq!(&reference.records, &event.records, "seed {}", seed);
+        prop_assert_eq!(
+            &reference.request_completion,
+            &event.request_completion,
+            "seed {}",
+            seed
+        );
+        prop_assert_eq!(&reference.request_arrival, &event.request_arrival);
         prop_assert_eq!(reference.makespan, event.makespan);
         prop_assert_eq!(&reference.meter, &event.meter);
     }
