@@ -15,11 +15,11 @@
 //! per run, not once per batch. Its plan memo is keyed by `(model, combined
 //! batch, plan-cluster fingerprint)`. The first use of a key in a run goes
 //! through the graph map and [`PlanCache::plan_keyed`] as an unmemoized
-//! admission would, then compiles the plan into a flat
-//! [`DispatchProgram`] on the execution cluster. Every later use in the
-//! run is a memo hit: it counts as a plan-cache hit in the loop's
-//! [`PlanCacheStats`] and runs the stored program directly. Hedge copies
-//! share the memo under the hedge cluster's fingerprint.
+//! admission would, then compiles the plan into a [`CompiledPlan`] on the
+//! execution cluster — the same per-plan table the event engine runs.
+//! Every later use in the run is a memo hit: it counts as a plan-cache hit
+//! in the loop's [`PlanCacheStats`] and runs the stored table directly.
+//! Hedge copies share the memo under the hedge cluster's fingerprint.
 //!
 //! The loop is incremental: it returns — before mutating anything — as soon
 //! as its next virtual-time step would cross `t_end`, and resumes from
@@ -55,8 +55,8 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
 use crate::fleet::fnv64;
 use crate::plan_cache::{FixedState, PlanCache, PlanCacheStats};
 use crate::serving::{
-    AdmissionPolicy, DispatchEstimator, DispatchProgram, FailureMode, IndexedQueue, RecoveryPolicy,
-    RobustnessStats, ServingRequest, Tails,
+    AdmissionPolicy, DispatchEstimator, FailureMode, IndexedQueue, RecoveryPolicy, RobustnessStats,
+    ServingRequest, Tails,
 };
 use crate::strategy::DistributedStrategy;
 use crate::{CoreError, PlanKey};
@@ -64,7 +64,7 @@ use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{AvailabilityEvent, Cluster, DriftModel, NodeIndex, SlowdownWindow};
 use hidp_sim::serving::{LatencySummary, SlaClass};
-use hidp_sim::ExecutionPlan;
+use hidp_sim::{CompiledPlan, ExecutionPlan};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt::Arguments;
@@ -345,7 +345,8 @@ pub(crate) struct ClusterLoop {
     pub(crate) dispatch: DispatchEstimator,
     /// Estimated completions of the batches in the admission window.
     inflight: TimeHeap<()>,
-    /// The current epoch's cluster (`None` when the timeline is empty).
+    /// The current epoch's cluster: the base cluster with every timeline
+    /// event applied so far (`None` only before the first reset).
     epoch_cluster: Option<Cluster>,
     hedge_cluster: Option<Cluster>,
     /// Admitted batches awaiting completion, admission order; their
@@ -415,19 +416,15 @@ impl ClusterLoop {
         self.queue.reset(requests);
         self.dispatch.reset();
         self.inflight.clear();
-        if ctx.events.is_empty() {
-            self.epoch_cluster = None;
-        } else {
-            match &mut self.epoch_cluster {
-                // Availability-only rewind keeps warm passes zero-alloc; a
-                // different base cluster falls back to a full clone.
-                Some(c) => {
-                    if c.restore_availability_from(ctx.base).is_err() {
-                        c.clone_from(ctx.base);
-                    }
+        match &mut self.epoch_cluster {
+            // Availability-only rewind keeps warm passes zero-alloc; a
+            // different base cluster falls back to a full clone.
+            Some(c) => {
+                if c.restore_availability_from(ctx.base).is_err() {
+                    c.clone_from(ctx.base);
                 }
-                None => self.epoch_cluster = Some(ctx.base.clone()),
             }
+            None => self.epoch_cluster = Some(ctx.base.clone()),
         }
         self.pending.clear();
         self.pending_members.clear();
@@ -512,6 +509,9 @@ impl ClusterLoop {
         } = self;
         let events = ctx.events;
         let recovery = ctx.recovery;
+        // Set by every reset; a loop advanced before its first reset starts
+        // from the base cluster.
+        let epoch_cluster = epoch_cluster.get_or_insert_with(|| ctx.base.clone());
 
         loop {
             // Admit everything the window allows at the current instant.
@@ -550,13 +550,12 @@ impl ClusterLoop {
                         if hysteresis {
                             adaptive.replans += 1;
                         }
-                        let belief_base: &Cluster = epoch_cluster.as_ref().unwrap_or(ctx.base);
-                        adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
+                        adaptive.rebuild_believed(epoch_cluster, hysteresis, cfg)?;
                     }
                 }
                 let plan_cluster: &Cluster = match adaptive.belief() {
                     Some(believed) => believed,
-                    None => epoch_cluster.as_ref().unwrap_or(ctx.base),
+                    None => epoch_cluster,
                 };
                 let primary =
                     memo.lookup(ctx, head.model, combined, plan_cluster, dispatch, stats)??;
@@ -564,10 +563,10 @@ impl ClusterLoop {
                 // resource free times every earlier admission left behind,
                 // on the drifting truth; the observer feeds the adaptive
                 // loop's effective-rate estimates.
-                let program = &memo.entries[primary].program;
+                let program = &memo.programs[primary];
                 let observer = ctx.adaptive.is_some().then_some(&mut *adaptive);
                 let completion = dispatch.run(program, *now, ctx.slowdowns, ctx.drift, observer);
-                let mask = program.mask;
+                let mask = program.mask();
 
                 // Hedged dispatch: a premium batch gets a second copy
                 // planned with the primary's most exposed non-leader node
@@ -581,7 +580,7 @@ impl ClusterLoop {
                 let exposed = mask & !(1u64 << (ctx.leader.0 as u64 & 63));
                 if recovery.hedge_premium && head.sla == SlaClass::Premium && exposed != 0 {
                     let avoid = NodeIndex(exposed.trailing_zeros() as usize);
-                    let base: &Cluster = epoch_cluster.as_ref().unwrap_or(ctx.base);
+                    let base: &Cluster = epoch_cluster;
                     let hc = match hedge_cluster {
                         Some(c) => {
                             if c.restore_availability_from(base).is_err() {
@@ -597,17 +596,17 @@ impl ClusterLoop {
                         // opportunistic, never fatal.
                         let hedged = memo.lookup(ctx, head.model, combined, hc, dispatch, stats)?;
                         if let Ok(hedge) = hedged {
-                            let program = &memo.entries[hedge].program;
+                            let program = &memo.programs[hedge];
                             hedge_completion =
                                 dispatch.run(program, *now, ctx.slowdowns, ctx.drift, None);
-                            hedge_mask = program.mask;
+                            hedge_mask = program.mask();
                             hedge_alive = true;
                             robustness.hedged += members.len() as u64;
                         }
                     }
                 }
 
-                sink.admit(*now, *epoch, members, memo.plan(primary));
+                sink.admit(*now, *epoch, members, &memo.plans[primary]);
                 if ctx.max_inflight.is_some() {
                     inflight.push(completion.min(hedge_completion), ());
                 }
@@ -688,11 +687,8 @@ impl ClusterLoop {
             // instant was already committed — the engine's rule).
             while *next_event < events.len() && events[*next_event].time <= t {
                 let event = events[*next_event];
-                let c = epoch_cluster
-                    .as_mut()
-                    .expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                *fingerprint = c.fingerprint();
+                epoch_cluster.set_available(event.node, event.up)?;
+                *fingerprint = epoch_cluster.fingerprint();
                 *epoch += 1;
                 *next_event += 1;
                 if adaptive.active {
@@ -760,11 +756,9 @@ impl ClusterLoop {
             while inflight.pop_due(*now).is_some() {}
             // Retire batches the clock has passed, front-first so the
             // observation order stays the admission order.
-            while let Some(front) = pending.front() {
-                if front.alive() && front.effective_completion() > *now {
-                    break;
-                }
-                let b = pending.pop_front().expect("front exists");
+            while let Some(b) =
+                pending.pop_front_if(|b| !(b.alive() && b.effective_completion() > *now))
+            {
                 let members = pending_members.drain(..b.members as usize);
                 retire(&b, members, &*inbox, sink, attempts, robustness, makespan);
             }
@@ -962,9 +956,11 @@ impl<T> TimeHeap<T> {
     }
 }
 
-/// The loop's per-run plan memo (see the module docs). Entries are never
-/// removed within a run, so an entry index stays valid until the next
-/// reset; every buffer keeps its capacity across resets.
+/// The loop's per-run plan memo (see the module docs). Entry `i` is the
+/// `i`-th key first used this run: `plans[i]` and its compiled form
+/// `programs[i]`. Entries are never removed within a run, so an entry index
+/// stays valid until the next reset; compiled forms past `plans.len()`
+/// are spare buffers from earlier runs, reused in first-use order.
 #[derive(Debug)]
 struct PlanMemo {
     /// The reusable plan-cache key: the run's strategy strings and leader,
@@ -973,15 +969,8 @@ struct PlanMemo {
     graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>, FixedState>,
     /// Entry index per `(model, combined batch, plan-cluster fingerprint)`.
     index: HashMap<(WorkloadModel, usize, u64), u32>,
-    entries: Vec<MemoEntry>,
-}
-
-/// One memoized plan: its compiled program, and the plan itself while the
-/// entry is live — `None` until the key's first use in the current run.
-#[derive(Debug, Default)]
-struct MemoEntry {
-    plan: Option<Arc<ExecutionPlan>>,
-    program: DispatchProgram,
+    plans: Vec<Arc<ExecutionPlan>>,
+    programs: Vec<CompiledPlan>,
 }
 
 impl PlanMemo {
@@ -997,14 +986,15 @@ impl PlanMemo {
             },
             graphs: HashMap::default(),
             index: HashMap::new(),
-            entries: Vec::new(),
+            plans: Vec::new(),
+            programs: Vec::new(),
         }
     }
 
-    /// Rearms the memo for a run under `ctx`. Every entry goes stale — the
-    /// plan cache may have been cleared, the execution cluster may differ
-    /// and the dispatch estimator's resource ids restart — and drops its
-    /// plan, so a cache the caller has since dropped is not kept alive.
+    /// Rearms the memo for a run under `ctx`. Every entry goes — the plan
+    /// cache may have been cleared, the execution cluster may differ and
+    /// the dispatch estimator's resource ids restart — and drops its plan,
+    /// so a cache the caller has since dropped is not kept alive.
     fn reset(&mut self, ctx: &LoopCtx<'_>) {
         // The strategy string reuses its buffer, so for default-config
         // strategies a steady-state pass rebuilds the key without
@@ -1014,15 +1004,14 @@ impl PlanMemo {
         ctx.strategy
             .write_cache_config(&mut self.key.strategy_config);
         self.key.leader = ctx.leader;
-        for entry in &mut self.entries {
-            entry.plan = None;
-        }
+        self.index.clear();
+        self.plans.clear();
     }
 
     /// The entry of `model` at batch `combined` planned on `cluster`,
-    /// filled on the key's first use this run: the graph map and the
-    /// shared plan cache (counted as the cache reports), then a compile
-    /// against the execution cluster. Later uses are plan-cache hits.
+    /// added on the key's first use this run: the graph map and the shared
+    /// plan cache (counted as the cache reports), then a compile against
+    /// the execution cluster. Later uses are plan-cache hits.
     ///
     /// # Errors
     ///
@@ -1038,18 +1027,9 @@ impl PlanMemo {
         stats: &mut PlanCacheStats,
     ) -> Result<Result<usize, CoreError>, CoreError> {
         let fingerprint = cluster.fingerprint();
-        let entries = &mut self.entries;
-        let i = *self
-            .index
-            .entry((model, combined, fingerprint))
-            .or_insert_with(|| {
-                entries.push(MemoEntry::default());
-                entries.len() as u32 - 1
-            }) as usize;
-        let entry = &mut entries[i];
-        if entry.plan.is_some() {
+        if let Some(&i) = self.index.get(&(model, combined, fingerprint)) {
             stats.hits += 1;
-            return Ok(Ok(i));
+            return Ok(Ok(i as usize));
         }
         let graph = self
             .graphs
@@ -1071,17 +1051,14 @@ impl PlanMemo {
         } else {
             stats.misses += 1;
         }
-        dispatch.compile(&plan, ctx.base, &mut entry.program)?;
-        entry.plan = Some(plan);
+        let i = self.plans.len();
+        if i == self.programs.len() {
+            self.programs.push(CompiledPlan::default());
+        }
+        dispatch.compile(&plan, ctx.base, &mut self.programs[i])?;
+        self.plans.push(plan);
+        self.index.insert((model, combined, fingerprint), i as u32);
         Ok(Ok(i))
-    }
-
-    /// The plan of entry `i`, which [`PlanMemo::lookup`] filled this run.
-    fn plan(&self, i: usize) -> &Arc<ExecutionPlan> {
-        self.entries[i]
-            .plan
-            .as_ref()
-            .expect("lookup fills the entry it returns")
     }
 }
 

@@ -116,8 +116,8 @@ use hidp_sim::serving::{
 };
 use hidp_sim::Ewma;
 use hidp_sim::{
-    simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, ExecutionPlan, FailureEvent,
-    Resource, SimScratch, TaskCost, TraceDetail,
+    simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, CompiledPlan, ExecutionPlan,
+    FailureEvent, Resource, SimScratch, TraceDetail,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -1593,16 +1593,16 @@ impl IndexedQueue {
 /// mode they only gate the admission window while the reported metrics come
 /// from the full event engine.
 ///
-/// Estimation is split in two. [`DispatchEstimator::compile`] derives a
-/// plan's per-task costs on the execution cluster once, interning each
-/// task's resource into a dense id, and writes them into a flat
-/// [`DispatchProgram`]; [`DispatchEstimator::run`] then replays that
-/// program against the free times with no hashing and no cluster lookups.
-/// The cluster loop compiles each distinct plan once per run and keeps the
-/// program in its plan memo, so every later admission of the plan is a
-/// `run` alone (and a memo hit counts as a plan-cache hit). Resource ids
-/// are only meaningful within one run: `reset` clears the intern table, so
-/// a program must be compiled again after it.
+/// Estimation is split in two. [`DispatchEstimator::compile`] compiles a
+/// plan against the execution cluster once — the event engine's
+/// [`CompiledPlan::compile`], interning resources into this run's dense
+/// ids — and [`DispatchEstimator::run`] then replays the [`CompiledPlan`]
+/// against the free times with no hashing and no cluster lookups. The
+/// cluster loop compiles each distinct plan once per run and keeps it in
+/// its plan memo, so every later admission of the plan is a `run` alone
+/// (and a memo hit counts as a plan-cache hit). Resource ids are only
+/// meaningful within one run: `reset` clears the intern table, so a plan
+/// must be compiled again after it.
 ///
 /// `pub(crate)` so every cluster loop owns one, and so the fleet router can
 /// read [`DispatchEstimator::horizon`] as its least-loaded backlog signal.
@@ -1619,45 +1619,6 @@ pub(crate) struct DispatchEstimator {
     /// drift). Drift stretches busy time at unchanged power, so this is
     /// where slowdown costs show up even when latency hides in slack.
     pub(crate) energy_j: f64,
-}
-
-/// A plan compiled against the execution cluster for
-/// [`DispatchEstimator::run`]: one flat step per task plus the
-/// concatenated dependency lists, and the set of nodes the plan is resident
-/// on. Its buffers keep their capacity across recompiles.
-#[derive(Debug, Default)]
-pub(crate) struct DispatchProgram {
-    steps: Vec<DispatchStep>,
-    /// Every step's dependencies (task ids), concatenated in task order.
-    deps: Vec<u32>,
-    /// The nodes the plan's tasks are resident on
-    /// ([`PlanTask::nodes`](hidp_sim::PlanTask::nodes): compute targets and
-    /// both transfer endpoints) as a 64-bit mask — the failure-aware
-    /// engine's per-task residency rule lifted to whole batches.
-    pub(crate) mask: u64,
-}
-
-/// One task of a [`DispatchProgram`].
-#[derive(Debug, Clone, Copy)]
-struct DispatchStep {
-    /// Nominal duration on the execution cluster, seconds.
-    nominal: f64,
-    /// The dense resource id the task holds (`None` for a same-node move).
-    resource: Option<u32>,
-    kind: StepKind,
-    /// This step's dependencies: `deps[start..end]`.
-    deps: (u32, u32),
-}
-
-/// How a step's nominal duration stretches and what it is charged.
-#[derive(Debug, Clone, Copy)]
-enum StepKind {
-    /// Compute on `node`, drawing `power_w` dynamic power while busy.
-    Compute { node: NodeIndex, power_w: f64 },
-    /// A transfer on the shared interconnect, holding its inter-node link.
-    Link,
-    /// A same-node move: holds nothing and never stretches.
-    Local,
 }
 
 impl DispatchEstimator {
@@ -1693,89 +1654,54 @@ impl DispatchEstimator {
     /// List-schedules `plan` released at `release` against the current free
     /// times and returns its estimated completion, advancing the free times
     /// of every resource the plan touches: [`DispatchEstimator::compile`]
-    /// into a one-off program, then [`DispatchEstimator::run`].
+    /// into a one-off [`CompiledPlan`], then [`DispatchEstimator::run`].
     pub(crate) fn estimate(
         &mut self,
         plan: &ExecutionPlan,
         cluster: &Cluster,
         release: f64,
     ) -> Result<f64, CoreError> {
-        let mut program = DispatchProgram::default();
+        let mut program = CompiledPlan::default();
         self.compile(plan, cluster, &mut program)?;
         Ok(self.run(&program, release, &[], None, None))
     }
 
     /// Compiles `plan` against the execution `cluster` into `program`
-    /// (overwriting it): each task's [`PlanTask::cost`](hidp_sim::PlanTask::cost)
-    /// at the plan's launch batch, its resource interned into this run's
-    /// dense ids, its processor's dynamic power and its residency.
+    /// (overwriting it) with this run's resource ids, giving every newly
+    /// interned resource a free time of 0.
     ///
     /// # Errors
     ///
-    /// Propagates [`PlanTask::cost`](hidp_sim::PlanTask::cost) errors (a
+    /// Propagates [`CompiledPlan::compile`] errors (an invalid plan, or a
     /// processor or node missing from `cluster`).
     pub(crate) fn compile(
         &mut self,
         plan: &ExecutionPlan,
         cluster: &Cluster,
-        program: &mut DispatchProgram,
+        program: &mut CompiledPlan,
     ) -> Result<(), CoreError> {
-        let batch = plan.batch();
-        program.steps.clear();
-        program.deps.clear();
-        program.mask = 0;
-        for task in plan.tasks() {
-            let TaskCost {
-                duration,
-                resource,
-                processor,
-            } = task.cost(cluster, batch)?;
-            let resource = resource.map(|r| {
-                let next = self.resource_ids.len() as u32;
-                let id = *self.resource_ids.entry(r).or_insert(next);
-                if id == next {
-                    self.free.push(0.0);
-                }
-                id
-            });
-            let kind = match processor {
-                Some(addr) => StepKind::Compute {
-                    node: addr.node,
-                    power_w: cluster.processor(addr)?.dynamic_power_w(),
-                },
-                None if resource.is_some() => StepKind::Link,
-                None => StepKind::Local,
-            };
-            let start = program.deps.len() as u32;
-            program
-                .deps
-                .extend(task.deps.iter().map(|dep| dep.0 as u32));
-            program.steps.push(DispatchStep {
-                nominal: duration,
-                resource,
-                kind,
-                deps: (start, program.deps.len() as u32),
-            });
-            let (a, b) = task.nodes();
-            program.mask |= 1u64 << (a.0 as u64 & 63) | 1u64 << (b.0 as u64 & 63);
-        }
+        program.compile(plan, cluster, &mut self.resource_ids)?;
+        self.free.resize(self.resource_ids.len(), 0.0);
         Ok(())
     }
 
-    /// Runs a program compiled this run, released at `release`, against the
-    /// current free times and returns its estimated completion. It applies
-    /// straggler windows (a compute task *starting* inside a window on its
-    /// node runs `factor`× slower, overlapping windows compound
-    /// multiplicatively; transfers are unaffected) and the continuous
-    /// [`DriftModel`] (throttle curves and background windows stretch
-    /// compute; contention stretches inter-node transfers). An optional
-    /// adaptive observer receives every compute and inter-node transfer
-    /// task's effective-over-nominal duration ratio. With no windows, no
-    /// drift and no observer the arithmetic is the plain estimate — drift
-    /// never multiplies by 1.0, it simply does not multiply.
+    /// Runs a plan compiled this run, released at `release`, against the
+    /// current free times and returns its estimated completion. A task
+    /// with a processor is compute, one with only a resource is an
+    /// inter-node transfer, and one with neither is a same-node move that
+    /// holds nothing and never stretches. It applies straggler windows (a
+    /// compute task *starting* inside a window on its node runs `factor`×
+    /// slower, overlapping windows compound multiplicatively; transfers are
+    /// unaffected) and the continuous [`DriftModel`] (throttle curves and
+    /// background windows stretch compute; contention stretches inter-node
+    /// transfers). An optional adaptive observer receives every compute and
+    /// inter-node transfer task's effective-over-nominal duration ratio.
+    /// With no windows, no drift and no observer the arithmetic is the
+    /// plain estimate — drift never multiplies by 1.0, it simply does not
+    /// multiply.
     pub(crate) fn run(
         &mut self,
-        program: &DispatchProgram,
+        program: &CompiledPlan,
         release: f64,
         slowdowns: &[SlowdownWindow],
         drift: Option<&DriftModel>,
@@ -1785,47 +1711,44 @@ impl DispatchEstimator {
         let release = release + 0.0;
         self.finish.clear();
         let mut completion = release;
-        for step in &program.steps {
+        for task in program.tasks() {
             let mut start = release;
-            for &dep in &program.deps[step.deps.0 as usize..step.deps.1 as usize] {
+            for &dep in program.deps(task) {
                 start = start.max(self.finish[dep as usize]);
             }
-            if let Some(id) = step.resource {
+            if let Some(id) = task.resource {
                 start = start.max(self.free[id as usize]);
             }
-            let nominal = step.nominal;
+            let nominal = task.duration;
             let mut duration = nominal;
-            match step.kind {
-                StepKind::Compute { node, power_w } => {
-                    for window in slowdowns {
-                        if window.applies(node, start) {
-                            duration *= window.factor;
-                        }
-                    }
-                    if let Some(model) = drift {
-                        duration = model.scale_compute(node, start, duration);
-                    }
-                    self.energy_j += duration * power_w;
-                    if let Some(state) = observer.as_deref_mut() {
-                        if nominal > 0.0 {
-                            state.observe_compute(node.0, duration / nominal);
-                        }
+            if let Some(addr) = task.processor {
+                let node = addr.node;
+                for window in slowdowns {
+                    if window.applies(node, start) {
+                        duration *= window.factor;
                     }
                 }
-                StepKind::Link => {
-                    if let Some(model) = drift {
-                        duration = model.scale_transfer(start, duration);
-                    }
-                    if let Some(state) = observer.as_deref_mut() {
-                        if nominal > 0.0 {
-                            state.observe_transfer(duration / nominal);
-                        }
+                if let Some(model) = drift {
+                    duration = model.scale_compute(node, start, duration);
+                }
+                self.energy_j += duration * task.power_w;
+                if let Some(state) = observer.as_deref_mut() {
+                    if nominal > 0.0 {
+                        state.observe_compute(node.0, duration / nominal);
                     }
                 }
-                StepKind::Local => {}
+            } else if task.resource.is_some() {
+                if let Some(model) = drift {
+                    duration = model.scale_transfer(start, duration);
+                }
+                if let Some(state) = observer.as_deref_mut() {
+                    if nominal > 0.0 {
+                        state.observe_transfer(duration / nominal);
+                    }
+                }
             }
             let end = start + duration;
-            if let Some(id) = step.resource {
+            if let Some(id) = task.resource {
                 self.free[id as usize] = end;
             }
             self.finish.push(end);
@@ -1841,7 +1764,8 @@ impl DispatchEstimator {
 mod tests {
     use super::*;
     use crate::HidpStrategy;
-    use hidp_platform::presets;
+    use hidp_platform::{presets, PlatformError};
+    use hidp_sim::{SimError, TaskCost};
 
     fn burst(model: WorkloadModel, at: f64, count: usize, sla: SlaClass) -> Vec<ServingRequest> {
         (0..count)
@@ -2273,6 +2197,102 @@ mod tests {
         }
     }
 
+    /// Records every completed request's `(arrival, admitted, completion)`.
+    #[derive(Default)]
+    struct Completions(Vec<(f64, f64, f64)>);
+
+    impl Sink for Completions {
+        fn complete(
+            &mut self,
+            request: &ServingRequest,
+            _wan: f64,
+            _retried: bool,
+            admitted: f64,
+            completion: f64,
+        ) {
+            self.0.push((request.arrival, admitted, completion));
+        }
+    }
+
+    #[test]
+    fn estimator_completions_equal_the_engine_at_window_one() {
+        // With one batch in flight, each batch is admitted at the previous
+        // one's estimated completion, so nothing overlaps and the
+        // estimator's submission-order schedule is the event engine's
+        // earliest-start one: both readings of the shared compiled plans
+        // give every request the same completion, bit for bit. (Beyond
+        // window 1 batches overlap and the estimator reads later.)
+        let cluster = presets::paper_cluster();
+        let strategy = HidpStrategy::new();
+        let models = [
+            WorkloadModel::EfficientNetB0,
+            WorkloadModel::InceptionV3,
+            WorkloadModel::ResNet152,
+        ];
+        let requests: Vec<ServingRequest> = (0..600)
+            .map(|i| {
+                let jitter = (i * 7 % 11) as f64 * 0.003;
+                ServingRequest::new(models[i % 3], i as f64 * 0.04 + jitter)
+                    .with_sla(SlaClass::ALL[i / 3 % 3])
+            })
+            .collect();
+        let mut flips = ClusterTimeline::new();
+        for k in 0..6 {
+            let at = 1.5 + 3.0 * k as f64;
+            let node = NodeIndex([0, 3, 4][k % 3]);
+            flips.push_event(at, node, false).unwrap();
+            flips.push_event(at + 1.2, node, true).unwrap();
+        }
+        let cache = PlanCache::new();
+        for (policy, batch) in [
+            (AdmissionPolicy::Fifo, 1),
+            (AdmissionPolicy::EarliestDeadline, 8),
+            (AdmissionPolicy::Priority, 4),
+        ] {
+            for timeline in [ClusterTimeline::new(), flips.clone()] {
+                let scenario = ServingScenario::new(requests.clone())
+                    .with_policy(policy)
+                    .with_max_batch(batch)
+                    .with_max_inflight(Some(1))
+                    .with_timeline(timeline)
+                    .with_failure_mode(FailureMode::Ignore);
+                let records = scenario
+                    .run_with_cache(&strategy, &cluster, NodeIndex(1), &cache)
+                    .unwrap();
+                let ctx = scenario
+                    .loop_ctx(&strategy, &cluster, NodeIndex(1), &cache)
+                    .unwrap();
+                let mut estimated = Completions::default();
+                scenario
+                    .run_loop(&ctx, &mut ServingScratch::new(), &mut estimated)
+                    .unwrap();
+                let bits = |t: &(f64, f64, f64)| (t.0.to_bits(), t.1.to_bits(), t.2.to_bits());
+                let mut engine: Vec<_> = records
+                    .records
+                    .iter()
+                    .map(|r| bits(&(r.arrival, r.admitted, r.completion)))
+                    .collect();
+                let mut estimator: Vec<_> = estimated.0.iter().map(bits).collect();
+                engine.sort_unstable();
+                estimator.sort_unstable();
+                assert_eq!(engine.len(), requests.len());
+                let flips = scenario.config().timeline.events().len();
+                assert_eq!(records.epochs_applied, flips, "every flip re-keys planning");
+                assert!(
+                    engine == estimator,
+                    "{} batch {batch}, {flips} flips: completions differ",
+                    policy.name()
+                );
+                if batch > 1 {
+                    assert!(
+                        records.admissions.len() < requests.len(),
+                        "batches coalesce"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn streaming_tails_track_exact_latencies_under_overload_kills_and_retries() {
         let cluster = presets::paper_cluster();
@@ -2619,12 +2639,20 @@ mod tests {
     }
 
     #[test]
-    fn dangling_dependency_is_a_typed_error_on_every_entry_point() {
-        // A plan whose only task depends on a task that does not exist.
-        struct Dangling;
-        impl DistributedStrategy for Dangling {
+    fn broken_plans_are_typed_errors_on_every_entry_point() {
+        // A one-task plan that depends on a task that does not exist (the
+        // plan cache's validation rejects it), or that targets a processor
+        // the cluster does not have (the cache publishes it and the cluster
+        // loop's compile rejects it).
+        struct Broken {
+            deps: &'static [hidp_sim::TaskId],
+            processor: usize,
+            /// The error, given the leader node the plan targets.
+            error: fn(usize) -> SimError,
+        }
+        impl DistributedStrategy for Broken {
             fn name(&self) -> &str {
-                "dangling"
+                "broken"
             }
             fn plan(
                 &self,
@@ -2634,56 +2662,81 @@ mod tests {
             ) -> Result<ExecutionPlan, CoreError> {
                 let target = hidp_platform::ProcessorAddr {
                     node: leader,
-                    processor: hidp_platform::ProcessorIndex(0),
+                    processor: hidp_platform::ProcessorIndex(self.processor),
                 };
                 let mut plan = ExecutionPlan::new();
-                plan.add_compute("c", target, 1_000_000, 1.0, &[hidp_sim::TaskId(5)]);
+                plan.add_compute("c", target, 1_000_000, 1.0, self.deps);
                 Ok(plan)
             }
         }
-        let dangling = |r: Result<(), CoreError>| {
-            assert_eq!(
-                r.unwrap_err(),
-                CoreError::Sim(hidp_sim::SimError::UnknownTask { id: 5 })
-            );
-        };
         let cluster = presets::paper_cluster();
+        let fleet = presets::generated_fleet(2, 1).unwrap();
         let requests = burst(WorkloadModel::EfficientNetB0, 0.0, 3, SlaClass::Standard);
         let scenario = ServingScenario::new(requests.clone());
-        dangling(scenario.run(&Dangling, &cluster, NodeIndex(1)).map(drop));
-        dangling(
-            scenario
-                .run_streaming(&Dangling, &cluster, NodeIndex(1))
-                .map(drop),
+        let fleet_scenario = crate::FleetScenario::new(
+            requests
+                .into_iter()
+                .map(|r| crate::FleetRequest::new(r, 0))
+                .collect(),
         );
-        let cache = PlanCache::new();
-        dangling(
-            scenario
-                .run_with_cache(&Dangling, &cluster, NodeIndex(1), &cache)
-                .map(drop),
-        );
-        dangling(
-            scenario
-                .run_streaming_with_cache_in(
-                    &Dangling,
-                    &cluster,
-                    NodeIndex(1),
-                    &cache,
-                    &mut ServingScratch::new(),
-                )
-                .map(drop),
-        );
-        assert!(cache.is_empty(), "a failed plan is never published");
-        let fleet = presets::generated_fleet(2, 1).unwrap();
-        let fleet_requests = requests
-            .into_iter()
-            .map(|r| crate::FleetRequest::new(r, 0))
-            .collect();
-        dangling(
-            crate::FleetScenario::new(fleet_requests)
-                .run_streaming(&Dangling, &fleet, NodeIndex(0))
-                .map(drop),
-        );
+        let cases = [
+            Broken {
+                deps: &[hidp_sim::TaskId(5)],
+                processor: 0,
+                error: |_| SimError::UnknownTask { id: 5 },
+            },
+            Broken {
+                deps: &[],
+                processor: 99,
+                error: |node| {
+                    SimError::Platform(PlatformError::UnknownProcessor {
+                        node,
+                        processor: 99,
+                    })
+                },
+            },
+        ];
+        for strategy in cases {
+            let error = strategy.error;
+            let expect = |r: Result<(), CoreError>| {
+                assert_eq!(r.unwrap_err(), CoreError::Sim(error(1)));
+            };
+            expect(scenario.run(&strategy, &cluster, NodeIndex(1)).map(drop));
+            expect(
+                scenario
+                    .run_streaming(&strategy, &cluster, NodeIndex(1))
+                    .map(drop),
+            );
+            let cache = PlanCache::new();
+            expect(
+                scenario
+                    .run_with_cache(&strategy, &cluster, NodeIndex(1), &cache)
+                    .map(drop),
+            );
+            expect(
+                scenario
+                    .run_streaming_with_cache_in(
+                        &strategy,
+                        &cluster,
+                        NodeIndex(1),
+                        &cache,
+                        &mut ServingScratch::new(),
+                    )
+                    .map(drop),
+            );
+            assert_eq!(
+                cache.is_empty(),
+                !strategy.deps.is_empty(),
+                "only a structurally valid plan is published"
+            );
+            assert_eq!(
+                fleet_scenario
+                    .run_streaming(&strategy, &fleet, NodeIndex(0))
+                    .map(drop)
+                    .unwrap_err(),
+                CoreError::Sim(error(0))
+            );
+        }
     }
 
     #[test]
@@ -2717,10 +2770,9 @@ mod tests {
         }
     }
 
-    /// The per-task estimator the compiled [`DispatchProgram`] replaced,
-    /// kept as the oracle `compile` + `run` are pinned to: every task's
-    /// cost, resource intern and processor power are looked up at
-    /// estimation time.
+    /// The per-task estimator the [`CompiledPlan`] replaced, kept as the
+    /// oracle `compile` + `run` are pinned to: every task's cost, resource
+    /// intern and processor power are looked up at estimation time.
     fn estimate_oracle(
         dispatch: &mut DispatchEstimator,
         plan: &ExecutionPlan,
@@ -3038,7 +3090,7 @@ mod tests {
                 let mut oracle = DispatchEstimator::default();
                 compiled.reset();
                 oracle.reset();
-                let mut program = DispatchProgram::default();
+                let mut program = CompiledPlan::default();
                 for _ in 0..admissions {
                     let batch = if draw.below(2) == 0 { 1 } else { 8 };
                     let tasks = 1 + draw.below(24);
@@ -3071,7 +3123,7 @@ mod tests {
                         let (a, b) = task.nodes();
                         mask | 1u64 << a.0 | 1u64 << b.0
                     });
-                    prop_assert_eq!(program.mask, mask);
+                    prop_assert_eq!(program.mask(), mask);
                 }
                 prop_assert_eq!(observed(compiled_state), observed(oracle_state));
             }

@@ -6,23 +6,26 @@
 //! have finished, the one that can start first (ties broken by submission
 //! order) is placed on its resource. Per-resource execution is FIFO,
 //! matching the run-queue behaviour of the real middleware. A task's
-//! duration and resource come from [`PlanTask::cost`](crate::PlanTask::cost)
-//! and its residency from [`PlanTask::nodes`](crate::PlanTask::nodes) — the
-//! one rule [`crate::reference`] and the serving tier's dispatch estimator
-//! share.
+//! duration, resource and residency come from [`CompiledPlan::compile`],
+//! the one compiler the serving tier's dispatch estimator also runs;
+//! [`crate::reference`] costs each task with
+//! [`PlanTask::cost`](crate::PlanTask::cost) directly, so it checks the
+//! compile step too.
 //!
-//! The engine is event-driven: a pre-pass interns every resource into a
-//! dense index and flattens all plans into one task array with indegree
-//! counts and a CSR successor list; the run loop then pops a binary heap of
-//! ready tasks keyed by feasible start time, tracks per-resource free and
-//! busy times in flat `Vec`s, and decrements successor indegrees on
-//! completion — O(n log n) with no rescans. The work that does not scale
-//! with the in-flight tasks is paid once per plan or once per run:
+//! The engine is event-driven. A pre-pass compiles each distinct plan of
+//! the stream once into a [`CompiledPlan`] (durations, dense resource ids,
+//! residency, dependency and successor lists) and appends, per task, a
+//! reference into that table plus an indegree count and a ready time. The
+//! run loop then pops a binary heap of ready tasks keyed by feasible start
+//! time, tracks per-resource free and busy times in flat `Vec`s, and
+//! decrements successor indegrees on completion — O(n log n) with no
+//! rescans. The work that does not scale with the in-flight tasks is paid
+//! once per plan or once per run:
 //!
-//! * the pre-pass validates, costs and interns a plan the first time its
-//!   address appears in the stream; every repeat (a shared `Arc` or `&`)
-//!   copies the flattened slice, so hashing happens per distinct plan, not
-//!   per admitted request;
+//! * a plan is validated, costed and interned the first time its address
+//!   appears in the stream; every repeat (a shared `Arc` or `&`) reuses the
+//!   compiled plan, so hashing happens per distinct plan, not per admitted
+//!   request;
 //! * request roots enter the ready heap lazily, in release order, just
 //!   before the heap minimum reaches them, so the heap holds released work
 //!   only;
@@ -58,7 +61,7 @@
 //! differ (the reference's epsilon rule is scan-order-dependent and not a
 //! total order, so no heap key can reproduce it).
 
-use crate::plan::{ExecutionPlan, Label, Resource, TaskId};
+use crate::plan::{CompiledPlan, ExecutionPlan, Label, Resource, TaskId};
 use crate::SimError;
 use hidp_platform::{AvailabilityEvent, Cluster, EnergyMeter, NodeIndex, ProcessorAddr};
 use serde::{Deserialize, Serialize};
@@ -231,21 +234,13 @@ impl<P: Borrow<ExecutionPlan>> StreamEntry for (f64, f64, P) {
     }
 }
 
-/// One flattened task: the plain-data view of a plan task (its
-/// [`PlanTask::cost`](crate::PlanTask::cost) with the resource interned).
-/// Holds no borrow of the plans, so the flat array persists inside
-/// [`SimScratch`] across runs.
+/// One task of a run: the request it serves and its place in that
+/// request's compiled plan.
 #[derive(Debug, Clone, Copy)]
-struct TaskMeta {
+struct TaskRef {
     request: usize,
-    duration: f64,
-    resource: Option<u32>,
-    processor: Option<ProcessorAddr>,
-    /// The task's [`PlanTask::nodes`](crate::PlanTask::nodes). Used by the
-    /// failure-aware mode to decide which unstarted tasks a down-flip
-    /// invalidates.
-    node_a: u32,
-    node_b: u32,
+    plan: u32,
+    local: u32,
 }
 
 /// A ready task in the event queue: ordered by feasible start time, with
@@ -274,11 +269,11 @@ impl Ord for ReadyTask {
     }
 }
 
-/// Reusable working memory for [`simulate_stream_in`]: the flattened task
-/// array, indegree counts, CSR successor lists, the per-plan flatten memo,
-/// the release order the ready heap is seeded in, the ready heap,
-/// per-resource free and busy times *and* the output [`SimReport`]'s
-/// buffers.
+/// Reusable working memory for [`simulate_stream_in`]: the compiled plans
+/// and their address memo, the per-task references into them with
+/// indegree counts and ready times, the release order the ready heap is
+/// seeded in, the ready heap, per-resource free and busy times *and* the
+/// output [`SimReport`]'s buffers.
 ///
 /// Create one per worker thread (it is cheap when empty) and pass it to
 /// every simulation that thread runs: after the first run of a given stream
@@ -293,22 +288,20 @@ impl Ord for ReadyTask {
 #[derive(Debug, Default)]
 pub struct SimScratch {
     resources: HashMap<Resource, u32>,
-    /// Plan address → flat index of the plan's first flattened occurrence
-    /// in this run; a repeat copies that slice instead of re-costing it.
-    memo: HashMap<usize, usize>,
-    tasks: Vec<TaskMeta>,
+    /// Plan address → index in `plans` of the plan's compiled form.
+    memo: HashMap<usize, u32>,
+    /// Compiled plans: the first `compiled` are this run's, the rest keep
+    /// their buffers for later runs.
+    plans: Vec<CompiledPlan>,
+    compiled: usize,
+    tasks: Vec<TaskRef>,
     /// ready_time[i]: max(arrival, finish of every completed dependency).
     ready_time: Vec<f64>,
     /// indegree[i]: dependencies of task i not yet finished.
     indegree: Vec<u32>,
-    /// Per-request offset of the first flat index, to globalise dep ids.
+    /// Per-request index of its first task: task `k` of request `r` is
+    /// `request_base[r] + k`.
     request_base: Vec<usize>,
-    /// CSR successor lists: `succ[succ_offsets[d]..succ_offsets[d + 1]]`
-    /// holds the flat indices of the tasks depending on flat task `d`.
-    succ_offsets: Vec<usize>,
-    succ: Vec<usize>,
-    /// Per-plan successor counts, then fill cursors, while flattening.
-    cursor: Vec<usize>,
     /// Request indices in (release, index) order: the lazy seeding order.
     order: Vec<usize>,
     resource_free: Vec<f64>,
@@ -336,6 +329,7 @@ impl SimScratch {
     fn reset(&mut self, total_tasks: usize, request_count: usize) {
         self.resources.clear();
         self.memo.clear();
+        self.compiled = 0;
         self.tasks.clear();
         self.tasks.reserve(total_tasks);
         self.ready_time.clear();
@@ -344,10 +338,6 @@ impl SimScratch {
         self.indegree.reserve(total_tasks);
         self.request_base.clear();
         self.request_base.reserve(request_count);
-        self.succ_offsets.clear();
-        self.succ_offsets.reserve(total_tasks + 1);
-        self.succ_offsets.push(0);
-        self.succ.clear();
         self.order.clear();
         self.heap.clear();
         self.failures.clear();
@@ -358,86 +348,26 @@ impl SimScratch {
         self.report.makespan = 0.0;
     }
 
-    /// Appends the first occurrence of `plan` as request `request`:
-    /// validates it, costs and interns every task, and builds its CSR
-    /// successor lists (successors never leave their request, so the
-    /// stream's CSR is the concatenation of the per-request ones).
-    fn flatten(
-        &mut self,
-        plan: &ExecutionPlan,
-        request: usize,
-        release: f64,
-        cluster: &Cluster,
-    ) -> Result<(), SimError> {
-        plan.validate()?;
-        let batch = plan.batch();
-        let base = self.tasks.len();
-        let len = plan.len();
-        // cursor[k + 1] counts the successors of local task k.
-        self.cursor.clear();
-        self.cursor.resize(len + 1, 0);
-        for task in plan.tasks() {
-            let cost = task.cost(cluster, batch)?;
-            let resource = cost.resource.map(|r| {
-                let next = self.resources.len() as u32;
-                *self.resources.entry(r).or_insert(next)
-            });
-            let (node_a, node_b) = task.nodes();
-            self.tasks.push(TaskMeta {
-                request,
-                duration: cost.duration,
-                resource,
-                processor: cost.processor,
-                node_a: node_a.0 as u32,
-                node_b: node_b.0 as u32,
-            });
-            self.ready_time.push(release);
-            self.indegree.push(task.deps.len() as u32);
-            for dep in &task.deps {
-                self.cursor[dep.0 + 1] += 1;
-            }
+    /// The index in `plans` of `plan`'s compiled form, compiling it on the
+    /// first appearance of its address this run. The stream is borrowed
+    /// for the whole run, so entries whose plans share an address share
+    /// the plan (one `Arc`, one `&`).
+    fn plan_index(&mut self, plan: &ExecutionPlan, cluster: &Cluster) -> Result<u32, SimError> {
+        let key = std::ptr::from_ref(plan) as usize;
+        if let Some(&p) = self.memo.get(&key) {
+            return Ok(p);
         }
-        for k in 0..len {
-            self.cursor[k + 1] += self.cursor[k];
+        if self.compiled == self.plans.len() {
+            self.plans.push(CompiledPlan::default());
         }
-        let s0 = self.succ.len();
-        self.succ_offsets
-            .extend(self.cursor[1..].iter().map(|&c| s0 + c));
-        self.succ.resize(s0 + self.cursor[len], 0);
-        for (local, task) in plan.tasks().iter().enumerate() {
-            for dep in &task.deps {
-                self.succ[s0 + self.cursor[dep.0]] = base + local;
-                self.cursor[dep.0] += 1;
-            }
-        }
-        Ok(())
+        self.plans[self.compiled].compile(plan, cluster, &mut self.resources)?;
+        let p = self.compiled as u32;
+        self.compiled += 1;
+        self.memo.insert(key, p);
+        Ok(p)
     }
 
-    /// Appends a repeat of the plan first flattened at flat index `first`
-    /// (`len` tasks) as request `request`: its tasks, indegrees and
-    /// successor lists are copied and re-based — no validation, costing or
-    /// interning, which the first occurrence already did.
-    fn copy_flattened(&mut self, first: usize, len: usize, request: usize, release: f64) {
-        let base = self.tasks.len();
-        self.tasks.extend_from_within(first..first + len);
-        for t in &mut self.tasks[base..] {
-            t.request = request;
-        }
-        self.indegree.extend_from_within(first..first + len);
-        self.ready_time.extend(std::iter::repeat_n(release, len));
-        let (lo, hi) = (self.succ_offsets[first], self.succ_offsets[first + len]);
-        let s0 = self.succ.len();
-        for k in 1..=len {
-            let offset = self.succ_offsets[first + k] - lo + s0;
-            self.succ_offsets.push(offset);
-        }
-        for j in lo..hi {
-            let successor = self.succ[j] - first + base;
-            self.succ.push(successor);
-        }
-    }
-
-    /// The engine proper: validates, flattens, simulates, and leaves the
+    /// The engine proper: validates, compiles, simulates, and leaves the
     /// result in `self.report` (and, when `faults` contains down-flips, the
     /// killed requests in `self.failures`).
     ///
@@ -476,14 +406,13 @@ impl SimScratch {
         // takes the fault-free path untouched.
         let faulty = faults.iter().any(|e| !e.up);
 
-        // --- Pre-pass: validate, intern resources, flatten tasks. ---------
+        // --- Pre-pass: validate, compile plans, lay out tasks. -------------
         let total: usize = requests.iter().map(|e| e.plan().len()).sum();
         self.reset(total, requests.len());
 
         let mut in_order = true;
         let mut last_release = 0.0f64;
         for (req_idx, entry) in requests.iter().enumerate() {
-            let plan = entry.plan();
             let arrival = entry.arrival();
             let release = entry.release();
             if !(arrival.is_finite() && arrival >= 0.0) {
@@ -506,17 +435,21 @@ impl SimScratch {
             in_order &= release >= last_release;
             last_release = release;
             self.request_base.push(self.tasks.len());
-            // The slice is borrowed for the whole run, so two entries whose
-            // plans share an address share the plan (one `Arc`, one `&`).
-            let key = std::ptr::from_ref(plan) as usize;
-            match self.memo.get(&key) {
-                Some(&first) => self.copy_flattened(first, plan.len(), req_idx, release),
-                None => {
-                    let first = self.tasks.len();
-                    self.flatten(plan, req_idx, release, cluster)?;
-                    self.memo.insert(key, first);
-                }
-            }
+            let p = self.plan_index(entry.plan(), cluster)?;
+            let compiled = &self.plans[p as usize];
+            let len = compiled.tasks().len();
+            self.tasks.extend((0..len as u32).map(|local| TaskRef {
+                request: req_idx,
+                plan: p,
+                local,
+            }));
+            self.indegree.extend(
+                compiled
+                    .tasks()
+                    .iter()
+                    .map(|t| compiled.deps(t).len() as u32),
+            );
+            self.ready_time.extend(std::iter::repeat_n(release, len));
         }
         // Requests in (release, index) order: the order their roots enter
         // the ready heap.
@@ -535,12 +468,11 @@ impl SimScratch {
         let n = self.tasks.len();
         let Self {
             resources,
+            plans,
             tasks,
             ready_time,
             indegree,
             request_base,
-            succ_offsets,
-            succ,
             order,
             heap,
             resource_free,
@@ -616,7 +548,9 @@ impl SimScratch {
             if faulty && !alive[t.request] {
                 continue;
             }
-            if let Some(r) = t.resource {
+            let plan = &plans[t.plan as usize];
+            let task = &plan.tasks()[t.local as usize];
+            if let Some(r) = task.resource {
                 // The resource may have advanced past this entry's key since
                 // it was pushed; re-queue with the corrected feasible start
                 // so the heap order stays the true earliest-start order.
@@ -644,12 +578,12 @@ impl SimScratch {
                 if event.up {
                     continue;
                 }
-                let v = event.node.0 as u32;
                 for (task_idx, m) in tasks.iter().enumerate() {
+                    let (a, b) = plans[m.plan as usize].tasks()[m.local as usize].nodes;
                     if !done[task_idx]
                         && alive[m.request]
                         && requests[m.request].release() <= event.time
-                        && (m.node_a == v || m.node_b == v)
+                        && (a == event.node || b == event.node)
                     {
                         // Tasks are grouped by request in ascending order,
                         // so failures come out in request order per event.
@@ -667,18 +601,18 @@ impl SimScratch {
             if faulty && !alive[t.request] {
                 continue;
             }
-            let end = start + t.duration;
-            if let Some(r) = t.resource {
+            let end = start + task.duration;
+            if let Some(r) = task.resource {
                 resource_free[r as usize] = end;
-                if let Some(addr) = t.processor {
+                if let Some(addr) = task.processor {
                     // The meter's own check, per commit, so an invalid
                     // duration fails exactly where it always has; the
                     // per-processor sums flush into the meter at the end.
-                    if t.duration < 0.0 || !t.duration.is_finite() {
-                        report.meter.record_busy(addr, t.duration)?;
+                    if task.duration < 0.0 || !task.duration.is_finite() {
+                        report.meter.record_busy(addr, task.duration)?;
                     }
                     let slot = &mut busy[r as usize];
-                    *slot = Some(slot.unwrap_or(0.0) + t.duration);
+                    *slot = Some(slot.unwrap_or(0.0) + task.duration);
                 }
             }
             if end > report.request_completion[t.request] {
@@ -689,18 +623,17 @@ impl SimScratch {
             // `records` ends up sorted by start with submission-order ties —
             // the same order the reference engine produces.
             if detail == TraceDetail::Full {
-                let local = i - request_base[t.request];
-                let task = &requests[t.request].plan().tasks()[local];
-                let (flops, bytes) = task.work();
+                let source = &requests[t.request].plan().tasks()[t.local as usize];
+                let (flops, bytes) = source.work();
                 report.records.push(TaskRecord {
-                    task: task.id,
+                    task: source.id,
                     request: t.request,
-                    name: task.name.clone(),
+                    name: source.name.clone(),
                     start,
                     finish: end,
                     flops,
                     bytes,
-                    processor: t.processor,
+                    processor: task.processor,
                 });
             }
             committed += 1;
@@ -708,13 +641,15 @@ impl SimScratch {
                 done[i] = true;
                 remaining[t.request] -= 1;
             }
-            for &s in &succ[succ_offsets[i]..succ_offsets[i + 1]] {
+            let base = request_base[t.request];
+            for &local in plan.successors(task) {
+                let s = base + local as usize;
                 if end > ready_time[s] {
                     ready_time[s] = end;
                 }
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
-                    let start = match tasks[s].resource {
+                    let start = match plan.tasks()[local as usize].resource {
                         Some(r) => ready_time[s].max(resource_free[r as usize]),
                         None => ready_time[s],
                     };
@@ -1007,7 +942,7 @@ mod tests {
     #[test]
     fn shared_plans_with_unsorted_tied_releases_match_deep_clones() {
         // Two Arc plans shared across an admitted stream whose releases are
-        // out of order and tie exactly: the flatten memo and the lazy root
+        // out of order and tie exactly: the compiled-plan memo and the lazy root
         // seeding must give the same report (and, under a down-flip, the
         // same failures) as the stream with every plan deep-cloned.
         let cluster = presets::paper_cluster();

@@ -42,7 +42,10 @@ pub use engine::{
     TraceDetail,
 };
 pub use error::SimError;
-pub use plan::{ExecutionPlan, Label, PlanTask, Resource, TaskCost, TaskId, TaskKind};
+pub use plan::{
+    CompiledPlan, CompiledTask, ExecutionPlan, Label, PlanTask, Resource, TaskCost, TaskId,
+    TaskKind,
+};
 #[doc(hidden)]
 pub use reference::simulate_stream_reference;
 pub use serving::{

@@ -10,6 +10,7 @@
 use crate::SimError;
 use hidp_platform::{Cluster, NodeIndex, ProcessorAddr};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An interned, cheaply clonable task label.
@@ -168,8 +169,8 @@ pub enum Resource {
 }
 
 /// What one task costs on a cluster at a launch batch — the single rule
-/// the event engine, the reference scheduler and the serving dispatch
-/// estimator all take their durations and resources from.
+/// [`CompiledPlan::compile`] and the reference scheduler take durations and
+/// resources from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskCost {
     /// Nominal duration in seconds: batched compute time on the target
@@ -407,6 +408,132 @@ impl ExecutionPlan {
     }
 }
 
+/// One task of a [`CompiledPlan`]: its [`PlanTask::cost`] with the resource
+/// interned, the power it draws and the nodes it is resident on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompiledTask {
+    /// Nominal duration, seconds ([`TaskCost::duration`]).
+    pub duration: f64,
+    /// The dense id of the resource the task holds; `None` for a same-node
+    /// move, which holds nothing.
+    pub resource: Option<u32>,
+    /// The processor a compute task keeps busy (`None` for transfers).
+    pub processor: Option<ProcessorAddr>,
+    /// That processor's dynamic power, watts (0 for transfers).
+    pub power_w: f64,
+    /// [`PlanTask::nodes`]: where a node failure invalidates the task.
+    pub nodes: (NodeIndex, NodeIndex),
+    deps: (u32, u32),
+    succ: (u32, u32),
+}
+
+/// A plan compiled against an execution cluster: the flat per-task table
+/// the event engine and the serving tier's dispatch estimator both run.
+/// Tasks keep their plan order; each has its dependency list and its
+/// ascending successor list (task ids). Buffers keep their capacity across
+/// recompiles, so a warm recompile allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CompiledPlan {
+    tasks: Vec<CompiledTask>,
+    deps: Vec<u32>,
+    succ: Vec<u32>,
+    mask: u64,
+}
+
+impl CompiledPlan {
+    /// Compiles `plan` against `cluster`, overwriting `self`: validates the
+    /// plan, costs every task at [`ExecutionPlan::batch`] and interns its
+    /// resource into `ids` (a new resource gets the next id, `ids.len()`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ExecutionPlan::validate`] error of an invalid plan, or
+    /// [`SimError::Platform`] when a task names a processor or node missing
+    /// from `cluster`.
+    pub fn compile(
+        &mut self,
+        plan: &ExecutionPlan,
+        cluster: &Cluster,
+        ids: &mut HashMap<Resource, u32>,
+    ) -> Result<(), SimError> {
+        plan.validate()?;
+        self.tasks.clear();
+        self.deps.clear();
+        self.mask = 0;
+        for task in plan.tasks() {
+            let cost = task.cost(cluster, plan.batch())?;
+            let resource = cost.resource.map(|r| {
+                let next = ids.len() as u32;
+                *ids.entry(r).or_insert(next)
+            });
+            let power_w = match cost.processor {
+                Some(addr) => cluster.processor(addr)?.dynamic_power_w(),
+                None => 0.0,
+            };
+            let nodes = task.nodes();
+            self.mask |= 1u64 << (nodes.0 .0 as u64 & 63) | 1u64 << (nodes.1 .0 as u64 & 63);
+            let start = self.deps.len() as u32;
+            for dep in &task.deps {
+                self.deps.push(dep.0 as u32);
+                // Count successors in the range's end for now.
+                self.tasks[dep.0].succ.1 += 1;
+            }
+            self.tasks.push(CompiledTask {
+                duration: cost.duration,
+                resource,
+                processor: cost.processor,
+                power_w,
+                nodes,
+                deps: (start, self.deps.len() as u32),
+                succ: (0, 0),
+            });
+        }
+        // Lay the successor lists out back to back, then fill each one with
+        // its range's end as the cursor; visiting dependents in task order
+        // leaves every list ascending.
+        let mut offset = 0;
+        for task in &mut self.tasks {
+            let count = task.succ.1;
+            task.succ = (offset, offset);
+            offset += count;
+        }
+        self.succ.clear();
+        self.succ.resize(offset as usize, 0);
+        for k in 0..self.tasks.len() {
+            let (start, end) = self.tasks[k].deps;
+            for &dep in &self.deps[start as usize..end as usize] {
+                let cursor = &mut self.tasks[dep as usize].succ.1;
+                self.succ[*cursor as usize] = k as u32;
+                *cursor += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The compiled tasks, plan order.
+    pub fn tasks(&self) -> &[CompiledTask] {
+        &self.tasks
+    }
+
+    /// The ids of the tasks `task` (one of [`CompiledPlan::tasks`])
+    /// depends on, plan order.
+    pub fn deps(&self, task: &CompiledTask) -> &[u32] {
+        &self.deps[task.deps.0 as usize..task.deps.1 as usize]
+    }
+
+    /// The ids of the tasks that depend on `task` (one of
+    /// [`CompiledPlan::tasks`]), ascending.
+    pub fn successors(&self, task: &CompiledTask) -> &[u32] {
+        &self.succ[task.succ.0 as usize..task.succ.1 as usize]
+    }
+
+    /// The nodes the plan is resident on, as a 64-bit mask (node `i` sets
+    /// bit `i % 64`): the OR of every task's [`PlanTask::nodes`].
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,6 +681,152 @@ mod tests {
                 "{}",
                 task.name
             );
+        }
+    }
+
+    /// A deterministic pseudo-random plan on the paper cluster: `tasks`
+    /// computes and transfers (same-node moves included), each depending on
+    /// up to three earlier tasks, duplicates allowed.
+    fn random_plan(seed: u64, tasks: usize, batch: usize) -> ExecutionPlan {
+        let processors = hidp_platform::presets::paper_cluster().all_processors();
+        let mut state = seed;
+        let mut below = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound.max(1)
+        };
+        let mut plan = ExecutionPlan::new().with_batch(batch);
+        for k in 0..tasks {
+            let deps: Vec<TaskId> = (0..below(4))
+                .filter(|_| k > 0)
+                .map(|_| TaskId(below(k)))
+                .collect();
+            if below(2) == 0 {
+                let target = processors[below(processors.len())];
+                plan.add_compute("c", target, 1 + below(1 << 31) as u64, 0.5, &deps);
+            } else {
+                let (from, to) = (NodeIndex(below(5)), NodeIndex(below(5)));
+                plan.add_transfer("t", from, to, 1 + below(1 << 24) as u64, &deps);
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn compiled_tasks_are_the_interned_costs_and_the_mask_ors_their_nodes() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        for seed in 0..32 {
+            let plan = random_plan(seed, 1 + seed as usize % 24, 1 + seed as usize % 8);
+            let mut ids = HashMap::new();
+            let mut compiled = CompiledPlan::default();
+            compiled.compile(&plan, &cluster, &mut ids).unwrap();
+            assert_eq!(compiled.tasks().len(), plan.len());
+            let mut mask = 0u64;
+            for (task, got) in plan.tasks().iter().zip(compiled.tasks()) {
+                let cost = task.cost(&cluster, plan.batch()).unwrap();
+                assert_eq!(got.duration.to_bits(), cost.duration.to_bits());
+                assert_eq!(got.resource, cost.resource.map(|r| ids[&r]));
+                assert_eq!(got.processor, cost.processor);
+                let power = cost.processor.map_or(0.0, |addr| {
+                    cluster.processor(addr).unwrap().dynamic_power_w()
+                });
+                assert_eq!(got.power_w.to_bits(), power.to_bits());
+                assert_eq!(got.nodes, task.nodes());
+                mask |= 1u64 << got.nodes.0 .0 | 1u64 << got.nodes.1 .0;
+            }
+            assert_eq!(compiled.mask(), mask);
+            // Ids are dense, in first-use order.
+            let mut seen: Vec<u32> = ids.values().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..ids.len() as u32).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn compiled_successors_invert_the_dependency_lists() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        for seed in 0..32 {
+            let plan = random_plan(seed, 1 + seed as usize % 24, 1);
+            let mut compiled = CompiledPlan::default();
+            compiled
+                .compile(&plan, &cluster, &mut HashMap::new())
+                .unwrap();
+            let (mut edges, mut inverse) = (Vec::new(), Vec::new());
+            for (k, task) in plan.tasks().iter().enumerate() {
+                let deps: Vec<u32> = task.deps.iter().map(|d| d.0 as u32).collect();
+                let got = &compiled.tasks()[k];
+                assert_eq!(compiled.deps(got), deps);
+                edges.extend(deps.iter().map(|&d| (d, k as u32)));
+                let successors = compiled.successors(got);
+                assert!(successors.windows(2).all(|w| w[0] <= w[1]), "ascending");
+                inverse.extend(successors.iter().map(|&s| (k as u32, s)));
+            }
+            // Every (dependency, dependent) edge once per occurrence.
+            edges.sort_unstable();
+            assert_eq!(edges, inverse);
+        }
+    }
+
+    #[test]
+    fn recompiling_into_a_used_buffer_equals_a_fresh_compile() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        let plans = [
+            random_plan(1, 24, 8),
+            random_plan(2, 3, 1),
+            random_plan(3, 17, 4),
+        ];
+        let mut used = CompiledPlan::default();
+        for plan in plans.iter().chain(plans.iter().rev()) {
+            let mut used_ids = HashMap::new();
+            used.compile(plan, &cluster, &mut used_ids).unwrap();
+            let mut fresh_ids = HashMap::new();
+            let mut fresh = CompiledPlan::default();
+            fresh.compile(plan, &cluster, &mut fresh_ids).unwrap();
+            assert_eq!(used, fresh);
+            assert_eq!(used_ids, fresh_ids);
+        }
+    }
+
+    #[test]
+    fn broken_plans_are_typed_errors_from_compile_and_the_engine() {
+        let cluster = hidp_platform::presets::paper_cluster();
+        let empty = ExecutionPlan::new();
+        let mut dangling = ExecutionPlan::new();
+        dangling.add_compute("a", addr(0, 0), 1, 1.0, &[TaskId(3)]);
+        let mut missing = ExecutionPlan::new();
+        let a = missing.add_compute("a", addr(0, 0), 1, 1.0, &[]);
+        missing.add_compute("b", addr(2, 9), 1, 1.0, &[a]);
+        let unknown = SimError::Platform(hidp_platform::PlatformError::UnknownProcessor {
+            node: 2,
+            processor: 9,
+        });
+        let mut good = ExecutionPlan::new();
+        good.add_compute("g", addr(0, 0), 1_000_000, 1.0, &[]);
+        let mut scratch = crate::SimScratch::new();
+        let cases = [
+            (
+                &empty,
+                SimError::InvalidPlan {
+                    what: "plan has no tasks".into(),
+                },
+            ),
+            (&dangling, SimError::UnknownTask { id: 3 }),
+            (&missing, unknown),
+        ];
+        for (plan, expected) in cases {
+            let compiled = CompiledPlan::default().compile(plan, &cluster, &mut HashMap::new());
+            assert_eq!(compiled, Err(expected.clone()));
+            // Second in the stream, after a good plan has compiled.
+            let stream = [(0.0, 0.0, &good), (0.0, 0.0, plan)];
+            let simulated = crate::simulate_admitted_stream_in(
+                &mut scratch,
+                &stream,
+                &cluster,
+                crate::TraceDetail::Summary,
+            )
+            .map(drop);
+            assert_eq!(simulated, Err(expected));
         }
     }
 
