@@ -1535,7 +1535,6 @@ impl Fields for RobustnessStats {
             ("lost", self.lost.to_json()),
             ("killed", self.killed.to_json()),
             ("retried", self.retried.to_json()),
-            ("hedged", self.hedged.to_json()),
             ("in_flight_at_horizon", self.in_flight_at_horizon.to_json()),
         ]
     }

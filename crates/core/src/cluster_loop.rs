@@ -19,7 +19,6 @@
 //! execution cluster — the same per-plan table the event engine runs.
 //! Every later use in the run is a memo hit: it counts as a plan-cache hit
 //! in the loop's [`PlanCacheStats`] and runs the stored table directly.
-//! Hedge copies share the memo under the hedge cluster's fingerprint.
 //!
 //! The loop is incremental: it returns — before mutating anything — as soon
 //! as its next virtual-time step would cross `t_end`, and resumes from
@@ -28,7 +27,7 @@
 //!
 //! Under kill semantics admitted batches wait in a pending FIFO until the
 //! clock passes their completion, then retire front-first; a down-flip
-//! kills every pending copy whose plan touches the failed node, and the
+//! kills every pending batch whose plan touches the failed node, and the
 //! killed members flow through the [`RecoveryPolicy`] to wherever the
 //! caller's [`Inbox`] sends them — back into this loop's retry heap on the
 //! serving tier, to the router on the fleet tier. Without kills nothing can
@@ -63,7 +62,7 @@ use crate::{CoreError, PlanKey};
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{AvailabilityEvent, Cluster, DriftModel, NodeIndex, SlowdownWindow};
-use hidp_sim::serving::{LatencySummary, SlaClass};
+use hidp_sim::serving::LatencySummary;
 use hidp_sim::{CompiledPlan, ExecutionPlan};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -135,8 +134,8 @@ impl<'a> LoopCtx<'a> {
 
     /// Rejects what this cluster's loop cannot run: an invalid retry or
     /// adaptive config; a timeline event, slowdown window or drift window
-    /// that is malformed or names an unknown node; and kill semantics or
-    /// hedging on a cluster too large for the 64-bit plan-residency mask.
+    /// that is malformed or names an unknown node; and kill semantics on a
+    /// cluster too large for the 64-bit plan-residency mask.
     pub(crate) fn validate(&self, name: Named<'_>) -> Result<(), CoreError> {
         if let Some(retry) = &self.recovery.retry {
             retry.validate()?;
@@ -154,10 +153,10 @@ impl<'a> LoopCtx<'a> {
         if let Some(drift) = self.drift {
             drift.validate(self.base.len())?;
         }
-        if (self.kill || self.recovery.hedge_premium) && self.base.len() > 64 {
+        if self.kill && self.base.len() > 64 {
             return Err(name.infeasible(format_args!(
-                "kill semantics and hedging track plan residency in a 64-bit \
-                 node mask; a cluster has {} nodes",
+                "kill semantics track plan residency in a 64-bit node mask; \
+                 a cluster has {} nodes",
                 self.base.len()
             )));
         }
@@ -348,7 +347,6 @@ pub(crate) struct ClusterLoop {
     /// The current epoch's cluster: the base cluster with every timeline
     /// event applied so far (`None` only before the first reset).
     epoch_cluster: Option<Cluster>,
-    hedge_cluster: Option<Cluster>,
     /// Admitted batches awaiting completion, admission order; their
     /// members, concatenated in the same order, leave with them.
     pending: VecDeque<PendingBatch>,
@@ -388,7 +386,6 @@ impl ClusterLoop {
             dispatch: DispatchEstimator::default(),
             inflight: TimeHeap::default(),
             epoch_cluster: None,
-            hedge_cluster: None,
             pending: VecDeque::new(),
             pending_members: VecDeque::new(),
             retries: TimeHeap::default(),
@@ -489,7 +486,6 @@ impl ClusterLoop {
             dispatch,
             inflight,
             epoch_cluster,
-            hedge_cluster,
             pending,
             pending_members,
             retries,
@@ -558,7 +554,7 @@ impl ClusterLoop {
                     None => epoch_cluster,
                 };
                 let primary =
-                    memo.lookup(ctx, head.model, combined, plan_cluster, dispatch, stats)??;
+                    memo.lookup(ctx, head.model, combined, plan_cluster, dispatch, stats)?;
                 // Measured-completion feedback: replay the plan against the
                 // resource free times every earlier admission left behind,
                 // on the drifting truth; the observer feeds the adaptive
@@ -566,59 +562,17 @@ impl ClusterLoop {
                 let program = &memo.programs[primary];
                 let observer = ctx.adaptive.is_some().then_some(&mut *adaptive);
                 let completion = dispatch.run(program, *now, ctx.slowdowns, ctx.drift, observer);
-                let mask = program.mask();
-
-                // Hedged dispatch: a premium batch gets a second copy
-                // planned with the primary's most exposed non-leader node
-                // marked down, so the copy survives exactly the failure
-                // most likely to kill the primary. It consumes real
-                // estimator capacity but feeds no observer — one batch
-                // must not count twice in the estimators.
-                let mut hedge_completion = f64::INFINITY;
-                let mut hedge_mask = 0u64;
-                let mut hedge_alive = false;
-                let exposed = mask & !(1u64 << (ctx.leader.0 as u64 & 63));
-                if recovery.hedge_premium && head.sla == SlaClass::Premium && exposed != 0 {
-                    let avoid = NodeIndex(exposed.trailing_zeros() as usize);
-                    let base: &Cluster = epoch_cluster;
-                    let hc = match hedge_cluster {
-                        Some(c) => {
-                            if c.restore_availability_from(base).is_err() {
-                                c.clone_from(base);
-                            }
-                            c
-                        }
-                        None => hedge_cluster.insert(base.clone()),
-                    };
-                    if hc.set_available(avoid, false).is_ok() {
-                        // A cluster that cannot plan without the avoided
-                        // node simply gets no hedge copy — hedging is
-                        // opportunistic, never fatal.
-                        let hedged = memo.lookup(ctx, head.model, combined, hc, dispatch, stats)?;
-                        if let Ok(hedge) = hedged {
-                            let program = &memo.programs[hedge];
-                            hedge_completion =
-                                dispatch.run(program, *now, ctx.slowdowns, ctx.drift, None);
-                            hedge_mask = program.mask();
-                            hedge_alive = true;
-                            robustness.hedged += members.len() as u64;
-                        }
-                    }
-                }
 
                 sink.admit(*now, *epoch, members, &memo.plans[primary]);
                 if ctx.max_inflight.is_some() {
-                    inflight.push(completion.min(hedge_completion), ());
+                    inflight.push(completion, ());
                 }
                 let b = PendingBatch {
                     admitted: *now,
                     completion,
-                    hedge_completion,
-                    mask,
-                    hedge_mask,
+                    mask: program.mask(),
                     members: members.len() as u32,
-                    primary_alive: true,
-                    hedge_alive,
+                    alive: true,
                 };
                 *batches += 1;
                 if ctx.kill {
@@ -637,19 +591,15 @@ impl ClusterLoop {
             let work_left = fresh.is_some() || queue.len() > 0 || !retries.is_empty();
             // Remaining down-flips can still kill pending work after the
             // queue drains, so the clock keeps walking events while any
-            // pending copy outlives the next *down* event (up events never
+            // pending batch outlives the next *down* event (up events never
             // kill, so they alone never drive the clock).
             let next_down = if ctx.kill {
                 events[*next_event..].iter().find(|e| !e.up)
             } else {
                 None
             };
-            let kills_pending = next_down.is_some_and(|e| {
-                pending.iter().any(|b| {
-                    (b.primary_alive && b.completion > e.time)
-                        || (b.hedge_alive && b.hedge_completion > e.time)
-                })
-            });
+            let kills_pending =
+                next_down.is_some_and(|e| pending.iter().any(|b| b.alive && b.completion > e.time));
             if !work_left && !kills_pending {
                 // Quiet until the next delivery: no remaining down-flip can
                 // touch what is pending, so its completions are settled.
@@ -682,7 +632,7 @@ impl ClusterLoop {
             }
             // Replay timeline events due by then. Each flip re-keys later
             // planning; under kill semantics a down-flip additionally kills
-            // every pending copy whose plan touches the node and whose
+            // every pending batch whose plan touches the node and whose
             // completion lies beyond the flip (work finished by the flip
             // instant was already committed — the engine's rule).
             while *next_event < events.len() && events[*next_event].time <= t {
@@ -707,18 +657,12 @@ impl ClusterLoop {
                 for b in pending.iter_mut() {
                     let span = start..start + b.members as usize;
                     start = span.end;
-                    let was_alive = b.alive();
-                    if b.primary_alive && b.completion > event.time && b.mask & bit != 0 {
-                        b.primary_alive = false;
-                    }
-                    if b.hedge_alive && b.hedge_completion > event.time && b.hedge_mask & bit != 0 {
-                        b.hedge_alive = false;
-                    }
-                    if !was_alive || b.alive() {
+                    if !(b.alive && b.completion > event.time && b.mask & bit != 0) {
                         continue;
                     }
-                    // Every copy is gone: the members are killed and flow
-                    // through the recovery policy.
+                    // The members are killed and flow through the recovery
+                    // policy.
+                    b.alive = false;
                     robustness.killed += u64::from(b.members);
                     for &m in pending_members.range(span) {
                         let i = m as usize;
@@ -756,9 +700,7 @@ impl ClusterLoop {
             while inflight.pop_due(*now).is_some() {}
             // Retire batches the clock has passed, front-first so the
             // observation order stays the admission order.
-            while let Some(b) =
-                pending.pop_front_if(|b| !(b.alive() && b.effective_completion() > *now))
-            {
+            while let Some(b) = pending.pop_front_if(|b| !(b.alive && b.completion > *now)) {
                 let members = pending_members.drain(..b.members as usize);
                 retire(&b, members, &*inbox, sink, attempts, robustness, makespan);
             }
@@ -818,12 +760,11 @@ fn retire<I: Inbox, S: Sink>(
     robustness: &mut RobustnessStats,
     makespan: &mut f64,
 ) {
-    if !b.alive() {
+    if !b.alive {
         return;
     }
-    let completion = b.effective_completion();
-    if completion > *makespan {
-        *makespan = completion;
+    if b.completion > *makespan {
+        *makespan = b.completion;
     }
     robustness.completed += u64::from(b.members);
     let requests = inbox.requests();
@@ -834,46 +775,22 @@ fn retire<I: Inbox, S: Sink>(
             inbox.wan(m),
             retried,
             b.admitted,
-            completion,
+            b.completion,
         );
     }
 }
 
 /// One admitted batch awaiting its estimated completion, with kill-tracking
-/// state: which nodes each copy's plan touches (64-bit masks — validation
-/// gates kill semantics and hedging to ≤ 64-node clusters) and whether each
-/// copy is still alive.
+/// state: which nodes its plan touches (a 64-bit mask — validation gates
+/// kill semantics to ≤ 64-node clusters) and whether it is still alive.
 #[derive(Debug, Clone, Copy)]
 struct PendingBatch {
     admitted: f64,
     completion: f64,
-    /// Estimated completion of the hedge copy (`INFINITY` when none).
-    hedge_completion: f64,
     mask: u64,
-    hedge_mask: u64,
     /// How many members the batch holds in the pending-member pool.
     members: u32,
-    primary_alive: bool,
-    hedge_alive: bool,
-}
-
-impl PendingBatch {
-    fn alive(&self) -> bool {
-        self.primary_alive || self.hedge_alive
-    }
-
-    /// The earliest completion among surviving copies (`INFINITY` when
-    /// every copy is dead).
-    fn effective_completion(&self) -> f64 {
-        let mut t = f64::INFINITY;
-        if self.primary_alive {
-            t = self.completion;
-        }
-        if self.hedge_alive && self.hedge_completion < t {
-            t = self.hedge_completion;
-        }
-        t
-    }
+    alive: bool,
 }
 
 /// A min-heap of items keyed by `(time, push sequence)`: the earliest time
@@ -1015,8 +932,7 @@ impl PlanMemo {
     ///
     /// # Errors
     ///
-    /// The outer error is a compile failure; the inner one a planning
-    /// failure, which the caller may tolerate (a hedge copy is optional).
+    /// Propagates planning and compile failures.
     fn lookup(
         &mut self,
         ctx: &LoopCtx<'_>,
@@ -1025,11 +941,11 @@ impl PlanMemo {
         cluster: &Cluster,
         dispatch: &mut DispatchEstimator,
         stats: &mut PlanCacheStats,
-    ) -> Result<Result<usize, CoreError>, CoreError> {
+    ) -> Result<usize, CoreError> {
         let fingerprint = cluster.fingerprint();
         if let Some(&i) = self.index.get(&(model, combined, fingerprint)) {
             stats.hits += 1;
-            return Ok(Ok(i as usize));
+            return Ok(i as usize);
         }
         let graph = self
             .graphs
@@ -1039,13 +955,8 @@ impl PlanMemo {
         self.key.batch = graph.input_shape().batch();
         self.key.cluster_fingerprint = fingerprint;
         let (plan, hit) =
-            match ctx
-                .cache
-                .plan_keyed(&self.key, ctx.strategy, graph, cluster, ctx.leader)
-            {
-                Ok(found) => found,
-                Err(e) => return Ok(Err(e)),
-            };
+            ctx.cache
+                .plan_keyed(&self.key, ctx.strategy, graph, cluster, ctx.leader)?;
         if hit {
             stats.hits += 1;
         } else {
@@ -1058,7 +969,7 @@ impl PlanMemo {
         dispatch.compile(&plan, ctx.base, &mut self.programs[i])?;
         self.plans.push(plan);
         self.index.insert((model, combined, fingerprint), i as u32);
-        Ok(Ok(i))
+        Ok(i)
     }
 }
 

@@ -14,8 +14,7 @@
 //! routing: the request and per-cluster checks, the loop context, the
 //! arrival order and the run rollup are the ones the serving tier uses
 //! (`crate::cluster_loop`); the fleet adds only its own checks — regions,
-//! round length, per-cluster list lengths, no hedging, and a leader in
-//! every cluster.
+//! round length, per-cluster list lengths and a leader in every cluster.
 //!
 //! # Rounds and barriers
 //!
@@ -176,8 +175,7 @@ pub struct FleetConfig {
     pub failures: FailureMode,
     /// Recovery responses for killed and at-risk requests. At the fleet
     /// tier a retry goes **back to the router**, which re-routes it away
-    /// from the cluster that killed it (failover). `hedge_premium` is a
-    /// serving-tier policy and is rejected here.
+    /// from the cluster that killed it (failover).
     pub recovery: RecoveryPolicy,
     /// Straggler windows per cluster (empty = no stragglers; when
     /// non-empty the outer length must equal the fleet's cluster count).
@@ -297,8 +295,7 @@ impl FleetScenario {
         self
     }
 
-    /// Sets the recovery policy (builder style; `hedge_premium` is rejected
-    /// at validation — hedging is a serving-tier policy).
+    /// Sets the recovery policy (builder style).
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.config.recovery = recovery;
@@ -583,8 +580,8 @@ impl FleetScenario {
     /// Rejects what the shared cluster-loop checks reject — in the request
     /// list and in every cluster's context `ctx(i)` — plus the fleet's own
     /// inputs: regions outside the fleet, a malformed round length, per-cluster
-    /// lists of the wrong length, serving-tier hedging, malformed WAN
-    /// degradation windows and a leader missing from a cluster.
+    /// lists of the wrong length, malformed WAN degradation windows and a
+    /// leader missing from a cluster.
     fn validate<'a>(
         &self,
         fleet: &Fleet,
@@ -619,12 +616,6 @@ impl FleetScenario {
                     fleet.len()
                 )));
             }
-        }
-        if config.recovery.hedge_premium {
-            return Err(name.infeasible(format_args!(
-                "hedged dispatch is a serving-tier policy (the fleet's failover \
-                 response is re-routing retries)"
-            )));
         }
         for window in &config.wan_degradations {
             window.validate()?;
@@ -1338,7 +1329,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_rejects_serving_tier_hedging_and_malformed_fault_inputs() {
+    fn fleet_rejects_malformed_fault_inputs() {
         let fleet = presets::generated_fleet(2, 1).unwrap();
         let strategy = HidpStrategy::new();
         let ok = regional_burst(4)
@@ -1348,16 +1339,6 @@ mod tests {
                 r
             })
             .collect::<Vec<_>>();
-        // Hedging is a serving-tier policy; the fleet's failover response
-        // is re-routing retries.
-        let hedged = RecoveryPolicy {
-            hedge_premium: true,
-            ..RecoveryPolicy::default()
-        };
-        assert!(FleetScenario::new(ok.clone())
-            .with_recovery(hedged)
-            .run_streaming(&strategy, &fleet, NodeIndex(1))
-            .is_err());
         // Retry backoff must be positive.
         let bad_retry = RecoveryPolicy {
             retry: Some(crate::RetryPolicy {

@@ -39,9 +39,7 @@ use crate::strategy::DistributedStrategy;
 use crate::CoreError;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{Cluster, NodeIndex};
-use hidp_sim::{
-    simulate_stream_detailed, simulate_stream_in, ExecutionPlan, SimReport, SimScratch, TraceDetail,
-};
+use hidp_sim::{simulate_stream_in, ExecutionPlan, SimReport, SimScratch, TraceDetail};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -180,13 +178,7 @@ impl Scenario {
         leader: NodeIndex,
         cache: &PlanCache,
     ) -> Result<Evaluation, CoreError> {
-        let (planned, stats) = self.plan_requests(strategy, cluster, leader, cache)?;
-        let report = simulate_stream_detailed(&planned, cluster, self.trace)?;
-        let latencies = report.latencies();
-        let mut evaluation =
-            Self::evaluation_from(strategy.name(), &self.label, report, latencies, cluster)?;
-        evaluation.plan_cache = Some(stats);
-        Ok(evaluation)
+        self.run_with_cache_in(strategy, cluster, leader, cache, &mut SimScratch::new())
     }
 
     /// [`Scenario::run_with_cache`] against caller-owned simulation working

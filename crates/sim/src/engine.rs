@@ -6,7 +6,7 @@
 //! have finished, the one that can start first (ties broken by submission
 //! order) is placed on its resource. Per-resource execution is FIFO,
 //! matching the run-queue behaviour of the real middleware. A task's
-//! duration, resource and residency come from [`CompiledPlan::compile`],
+//! duration and resource come from [`CompiledPlan::compile`],
 //! the one compiler the serving tier's dispatch estimator also runs;
 //! [`crate::reference`] costs each task with
 //! [`PlanTask::cost`](crate::PlanTask::cost) directly, so it checks the
@@ -14,7 +14,7 @@
 //!
 //! The engine is event-driven. A pre-pass compiles each distinct plan of
 //! the stream once into a [`CompiledPlan`] (durations, dense resource ids,
-//! residency, dependency and successor lists) and appends, per task, a
+//! dependency and successor lists) and appends, per task, a
 //! reference into that table plus an indegree count and a ready time. The
 //! run loop then pops a binary heap of ready tasks keyed by feasible start
 //! time, tracks per-resource free and busy times in flat `Vec`s, and
@@ -63,7 +63,7 @@
 
 use crate::plan::{CompiledPlan, ExecutionPlan, Label, Resource, TaskId};
 use crate::SimError;
-use hidp_platform::{AvailabilityEvent, Cluster, EnergyMeter, NodeIndex, ProcessorAddr};
+use hidp_platform::{Cluster, EnergyMeter, ProcessorAddr};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Reverse;
@@ -164,28 +164,6 @@ impl SimReport {
     pub fn dynamic_energy(&self, cluster: &Cluster) -> Result<f64, SimError> {
         Ok(self.meter.dynamic_energy(cluster)?)
     }
-}
-
-/// One in-flight request killed by a node failure: emitted by the
-/// failure-aware admitted-stream mode ([`simulate_admitted_stream_faulty_in`])
-/// instead of a fictitious completion on dead hardware.
-///
-/// A down-flip at time `t` kills every request released at or before `t`
-/// that still has **unstarted** work touching the failed node at that
-/// instant; a request released later is never killed by it. Tasks that began before
-/// the flip run to completion and keep their resource reservations (the
-/// abandoned work occupies hardware; nothing is rolled back). The killed
-/// request's entry in [`SimReport::request_completion`] is the finish of its
-/// last committed task (`0.0` when nothing had started) — consumers must use
-/// the failure list, not completions, to classify these requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FailureEvent {
-    /// Input index of the killed request.
-    pub request: usize,
-    /// Virtual time of the availability flip that killed it, seconds.
-    pub at: f64,
-    /// The node whose down-flip killed the request.
-    pub node: NodeIndex,
 }
 
 /// One entry of a simulated request stream: the arrival time used for
@@ -310,13 +288,6 @@ pub struct SimScratch {
     busy: Vec<Option<f64>>,
     heap: BinaryHeap<Reverse<ReadyTask>>,
     report: SimReport,
-    /// Failure events of the last faulty run (empty otherwise).
-    failures: Vec<FailureEvent>,
-    /// Faulty-mode bookkeeping: request liveness, uncommitted-task counts
-    /// per request, per-task committed flags. Untouched on fault-free runs.
-    alive: Vec<bool>,
-    remaining: Vec<u32>,
-    done: Vec<bool>,
 }
 
 impl SimScratch {
@@ -340,7 +311,6 @@ impl SimScratch {
         self.request_base.reserve(request_count);
         self.order.clear();
         self.heap.clear();
-        self.failures.clear();
         self.report.records.clear();
         self.report.request_completion.clear();
         self.report.request_arrival.clear();
@@ -368,43 +338,18 @@ impl SimScratch {
     }
 
     /// The engine proper: validates, compiles, simulates, and leaves the
-    /// result in `self.report` (and, when `faults` contains down-flips, the
-    /// killed requests in `self.failures`).
-    ///
-    /// With an empty `faults` slice this is the historical fault-free
-    /// engine: the extra bookkeeping is gated on the presence of down
-    /// events, and the arithmetic of every commit is untouched — pinned
-    /// bit-identical by test.
+    /// result in `self.report`.
     fn run<E: StreamEntry>(
         &mut self,
         requests: &[E],
         cluster: &Cluster,
         detail: TraceDetail,
-        faults: &[AvailabilityEvent],
     ) -> Result<(), SimError> {
         if requests.is_empty() {
             return Err(SimError::InvalidPlan {
                 what: "no requests to simulate".into(),
             });
         }
-        let mut prev_fault = 0.0f64;
-        for (idx, event) in faults.iter().enumerate() {
-            if !(event.time.is_finite() && event.time >= 0.0) {
-                return Err(SimError::InvalidPlan {
-                    what: format!("fault event {idx} has invalid time {}", event.time),
-                });
-            }
-            if event.time < prev_fault {
-                return Err(SimError::InvalidPlan {
-                    what: format!("fault events are not sorted by time (event {idx})"),
-                });
-            }
-            prev_fault = event.time;
-            cluster.node(event.node)?;
-        }
-        // Only down-flips kill work; a timeline of pure up events (or none)
-        // takes the fault-free path untouched.
-        let faulty = faults.iter().any(|e| !e.up);
 
         // --- Pre-pass: validate, compile plans, lay out tasks. -------------
         let total: usize = requests.iter().map(|e| e.plan().len()).sum();
@@ -478,10 +423,6 @@ impl SimScratch {
             resource_free,
             busy,
             report,
-            failures,
-            alive,
-            remaining,
-            done,
             ..
         } = self;
         resource_free.clear();
@@ -492,18 +433,6 @@ impl SimScratch {
         if detail == TraceDetail::Full {
             report.records.reserve(n);
         }
-        if faulty {
-            alive.clear();
-            alive.resize(requests.len(), true);
-            done.clear();
-            done.resize(n, false);
-            remaining.clear();
-            remaining.resize(requests.len(), 0);
-            for t in tasks.iter() {
-                remaining[t.request] += 1;
-            }
-        }
-
         // Heap keys are lower bounds on feasible start: exact once every
         // dependency is finished, except that the resource may become busier
         // after the push — corrected lazily on pop.
@@ -518,8 +447,6 @@ impl SimScratch {
         // released work.
         let mut seeded = 0usize;
         let mut committed = 0usize;
-        let mut skipped = 0usize;
-        let mut next_fault = 0usize;
         loop {
             while let Some(&r) = order.get(seeded) {
                 let base = request_base[r];
@@ -545,9 +472,6 @@ impl SimScratch {
             };
             let i = entry.seq;
             let t = tasks[i];
-            if faulty && !alive[t.request] {
-                continue;
-            }
             let plan = &plans[t.plan as usize];
             let task = &plan.tasks()[t.local as usize];
             if let Some(r) = task.resource {
@@ -564,43 +488,6 @@ impl SimScratch {
                 }
             }
             let start = entry.start;
-            // Apply every availability flip due by this commit's start
-            // before committing: commits happen in nondecreasing start
-            // order, so no task starting at or after a flip has committed
-            // when the flip is applied. A down-flip at `time` kills every
-            // request released by then that still has uncommitted work
-            // touching the failed node — including tasks starting exactly
-            // at the flip instant. A request released after the flip was
-            // admitted against the post-flip cluster and is not resident.
-            while next_fault < faults.len() && faults[next_fault].time <= start {
-                let event = faults[next_fault];
-                next_fault += 1;
-                if event.up {
-                    continue;
-                }
-                for (task_idx, m) in tasks.iter().enumerate() {
-                    let (a, b) = plans[m.plan as usize].tasks()[m.local as usize].nodes;
-                    if !done[task_idx]
-                        && alive[m.request]
-                        && requests[m.request].release() <= event.time
-                        && (a == event.node || b == event.node)
-                    {
-                        // Tasks are grouped by request in ascending order,
-                        // so failures come out in request order per event.
-                        alive[m.request] = false;
-                        skipped += remaining[m.request] as usize;
-                        remaining[m.request] = 0;
-                        failures.push(FailureEvent {
-                            request: m.request,
-                            at: event.time,
-                            node: event.node,
-                        });
-                    }
-                }
-            }
-            if faulty && !alive[t.request] {
-                continue;
-            }
             let end = start + task.duration;
             if let Some(r) = task.resource {
                 resource_free[r as usize] = end;
@@ -637,10 +524,6 @@ impl SimScratch {
                 });
             }
             committed += 1;
-            if faulty {
-                done[i] = true;
-                remaining[t.request] -= 1;
-            }
             let base = request_base[t.request];
             for &local in plan.successors(task) {
                 let s = base + local as usize;
@@ -657,7 +540,7 @@ impl SimScratch {
                 }
             }
         }
-        if committed + skipped != n {
+        if committed != n {
             return Err(SimError::InvalidPlan {
                 what: "dependency deadlock: no ready task found".into(),
             });
@@ -723,7 +606,7 @@ pub fn simulate_stream_detailed<P: Borrow<ExecutionPlan>>(
     detail: TraceDetail,
 ) -> Result<SimReport, SimError> {
     let mut scratch = SimScratch::new();
-    scratch.run(requests, cluster, detail, &[])?;
+    scratch.run(requests, cluster, detail)?;
     Ok(std::mem::take(&mut scratch.report))
 }
 
@@ -742,7 +625,7 @@ pub fn simulate_stream_in<'s, P: Borrow<ExecutionPlan>>(
     cluster: &Cluster,
     detail: TraceDetail,
 ) -> Result<&'s SimReport, SimError> {
-    scratch.run(requests, cluster, detail, &[])?;
+    scratch.run(requests, cluster, detail)?;
     Ok(&scratch.report)
 }
 
@@ -765,54 +648,14 @@ pub fn simulate_admitted_stream_in<'s, P: Borrow<ExecutionPlan>>(
     cluster: &Cluster,
     detail: TraceDetail,
 ) -> Result<&'s SimReport, SimError> {
-    scratch.run(requests, cluster, detail, &[])?;
+    scratch.run(requests, cluster, detail)?;
     Ok(&scratch.report)
-}
-
-/// Simulates an **admitted** request stream under a failure timeline — the
-/// failure-aware admitted-stream mode — against caller-owned working memory
-/// (see [`SimScratch`]).
-///
-/// `faults` is a time-sorted availability timeline (what
-/// [`hidp_platform::ClusterTimeline::events`] yields). When a down-flip at
-/// time `t` hits a node, every request released at or before `t` that
-/// still has **unstarted** work resident on that node
-/// ([`PlanTask::nodes`](crate::PlanTask::nodes)) is killed: it surfaces as
-/// a [`FailureEvent`] instead of a fictitious completion on dead hardware.
-/// A request released after `t` was admitted against the post-flip
-/// cluster, so that flip never kills it. Tasks that started before the flip run to
-/// completion and keep their resource reservations — the abandoned work
-/// occupies real hardware, exactly the cost a recovery policy has to route
-/// around. Up-flips never affect in-flight work (new capacity only matters
-/// to future planning, which the admission layer re-keys by epoch
-/// fingerprint).
-///
-/// With no down-flips in `faults` this is **bit-identical** to
-/// [`simulate_admitted_stream_in`] (pinned by test): the kill bookkeeping is
-/// gated on the presence of down events and no commit arithmetic changes.
-/// The report and failure borrows are valid until the next run. Failures
-/// are ordered by flip time, then request index.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_admitted_stream_in`], plus an error when
-/// the fault timeline is unsorted, non-finite, or names an unknown node. On
-/// error the scratch stays valid for further runs.
-pub fn simulate_admitted_stream_faulty_in<'s, P: Borrow<ExecutionPlan>>(
-    scratch: &'s mut SimScratch,
-    requests: &[(f64, f64, P)],
-    cluster: &Cluster,
-    faults: &[AvailabilityEvent],
-    detail: TraceDetail,
-) -> Result<(&'s SimReport, &'s [FailureEvent]), SimError> {
-    scratch.run(requests, cluster, detail, faults)?;
-    Ok((&scratch.report, &scratch.failures))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidp_platform::{presets, ProcessorIndex};
+    use hidp_platform::{presets, NodeIndex, ProcessorIndex};
 
     fn addr(node: usize, proc: usize) -> ProcessorAddr {
         ProcessorAddr {
@@ -943,8 +786,8 @@ mod tests {
     fn shared_plans_with_unsorted_tied_releases_match_deep_clones() {
         // Two Arc plans shared across an admitted stream whose releases are
         // out of order and tie exactly: the compiled-plan memo and the lazy root
-        // seeding must give the same report (and, under a down-flip, the
-        // same failures) as the stream with every plan deep-cloned.
+        // seeding must give the same report as the stream with every plan
+        // deep-cloned.
         let cluster = presets::paper_cluster();
         let mut chain = ExecutionPlan::new();
         let a = chain.add_compute("a", addr(0, 1), 900_000_000, 1.0, &[]);
@@ -978,34 +821,7 @@ mod tests {
         // Ties at 0.0 commit in request order: request 1 before request 4.
         let first: Vec<usize> = from_shared.records[..2].iter().map(|r| r.request).collect();
         assert_eq!(first, vec![1, 4]);
-
-        let faults = [AvailabilityEvent {
-            time: 0.5,
-            node: NodeIndex(2),
-            up: false,
-        }];
-        let (report, failures) = simulate_admitted_stream_faulty_in(
-            &mut scratch,
-            &shared,
-            &cluster,
-            &faults,
-            TraceDetail::Full,
-        )
-        .unwrap();
-        let (from_shared, shared_failures) = (report.clone(), failures.to_vec());
-        let (from_owned, owned_failures) = simulate_admitted_stream_faulty_in(
-            &mut scratch,
-            &owned,
-            &cluster,
-            &faults,
-            TraceDetail::Full,
-        )
-        .unwrap();
-        assert_eq!(from_shared, *from_owned);
-        assert_eq!(shared_failures, owned_failures);
-        assert!(!shared_failures.is_empty());
     }
-
     #[test]
     fn summary_detail_matches_full_metrics_without_records() {
         let cluster = presets::paper_cluster();
@@ -1219,239 +1035,6 @@ mod tests {
             TraceDetail::Full
         )
         .is_err());
-    }
-
-    #[test]
-    fn faulty_mode_without_down_flips_is_bit_identical() {
-        // The fault-free pin: an empty timeline AND a pure up-flip timeline
-        // must both reproduce the plain admitted-stream engine exactly.
-        let cluster = presets::paper_cluster();
-        let mut plan = ExecutionPlan::new();
-        let a = plan.add_compute("a", addr(0, 1), 900_000_000, 1.0, &[]);
-        let t = plan.add_transfer("t", NodeIndex(0), NodeIndex(2), 4_000_000, &[a]);
-        plan.add_compute("b", addr(2, 1), 700_000_000, 0.8, &[t]);
-        let stream: Vec<(f64, f64, ExecutionPlan)> = (0..8)
-            .map(|i| (i as f64 * 0.02, i as f64 * 0.02 + 0.01, plan.clone()))
-            .collect();
-        let ups = [
-            AvailabilityEvent {
-                time: 0.05,
-                node: NodeIndex(3),
-                up: true,
-            },
-            AvailabilityEvent {
-                time: 0.09,
-                node: NodeIndex(0),
-                up: true,
-            },
-        ];
-        for detail in [TraceDetail::Full, TraceDetail::Summary] {
-            let mut plain_scratch = SimScratch::new();
-            let plain =
-                simulate_admitted_stream_in(&mut plain_scratch, &stream, &cluster, detail).unwrap();
-            for faults in [&[] as &[AvailabilityEvent], &ups] {
-                let mut scratch = SimScratch::new();
-                let (report, failures) = simulate_admitted_stream_faulty_in(
-                    &mut scratch,
-                    &stream,
-                    &cluster,
-                    faults,
-                    detail,
-                )
-                .unwrap();
-                assert_eq!(report, plain);
-                assert!(failures.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn down_flip_kills_unstarted_work_and_spares_started_work() {
-        let cluster = presets::paper_cluster();
-        let mut plan = ExecutionPlan::new();
-        plan.add_compute("only", addr(1, 2), 2_000_000_000, 1.0, &[]);
-        let single = cluster
-            .processor(addr(1, 2))
-            .unwrap()
-            .compute_time(2_000_000_000, 1.0);
-        // Request 0 starts at t = 0 and is mid-flight when node 1 dies;
-        // request 1 is queued behind it and has not started: only request 1
-        // is killed, request 0 runs to completion.
-        let stream = vec![(0.0, 0.0, plan.clone()), (0.0, 0.0, plan.clone())];
-        let faults = [AvailabilityEvent {
-            time: single * 0.5,
-            node: NodeIndex(1),
-            up: false,
-        }];
-        let mut scratch = SimScratch::new();
-        let (report, failures) = simulate_admitted_stream_faulty_in(
-            &mut scratch,
-            &stream,
-            &cluster,
-            &faults,
-            TraceDetail::Full,
-        )
-        .unwrap();
-        assert_eq!(
-            failures,
-            vec![FailureEvent {
-                request: 1,
-                at: single * 0.5,
-                node: NodeIndex(1),
-            }]
-        );
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.records[0].request, 0);
-        assert!((report.request_completion[0] - single).abs() < 1e-12);
-        // The killed request committed nothing.
-        assert_eq!(report.request_completion[1], 0.0);
-    }
-
-    #[test]
-    fn down_flip_at_time_zero_kills_every_resident_request() {
-        // Failure at t = 0: nothing has started, so the one request
-        // released by then is killed; request 1, released at 0.1 s after
-        // the flip, is not resident and runs.
-        let cluster = presets::paper_cluster();
-        let mut plan = ExecutionPlan::new();
-        plan.add_compute("only", addr(2, 1), 1_000_000_000, 1.0, &[]);
-        let stream = vec![(0.0, 0.0, plan.clone()), (0.1, 0.1, plan.clone())];
-        let faults = [AvailabilityEvent {
-            time: 0.0,
-            node: NodeIndex(2),
-            up: false,
-        }];
-        let mut scratch = SimScratch::new();
-        let (report, failures) = simulate_admitted_stream_faulty_in(
-            &mut scratch,
-            &stream,
-            &cluster,
-            &faults,
-            TraceDetail::Full,
-        )
-        .unwrap();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].request, 0);
-        assert_eq!(failures[0].at, 0.0);
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.records[0].request, 1);
-        assert_eq!(report.request_completion[0], 0.0);
-    }
-
-    #[test]
-    fn a_down_flip_spares_requests_released_after_it() {
-        // Node 2 is down over [0.5, 1.0). Request 0 (released at 0.2,
-        // queued behind a long job on the same processor) is resident at
-        // the down-flip and killed; request 1 (released at 0.7, between
-        // the flips) and request 2 (released at 1.5, after the up-flip)
-        // were admitted after it and survive.
-        let cluster = presets::paper_cluster();
-        let mut plan = ExecutionPlan::new();
-        plan.add_compute("only", addr(2, 1), 1_000_000_000, 1.0, &[]);
-        let mut long = ExecutionPlan::new();
-        long.add_compute("long", addr(2, 1), 100_000_000_000, 1.0, &[]);
-        let stream = vec![
-            (0.0, 0.0, long.clone()),
-            (0.2, 0.2, plan.clone()),
-            (0.7, 0.7, plan.clone()),
-            (1.5, 1.5, plan.clone()),
-        ];
-        let faults = [
-            AvailabilityEvent {
-                time: 0.5,
-                node: NodeIndex(2),
-                up: false,
-            },
-            AvailabilityEvent {
-                time: 1.0,
-                node: NodeIndex(2),
-                up: true,
-            },
-        ];
-        let mut scratch = SimScratch::new();
-        let (report, failures) = simulate_admitted_stream_faulty_in(
-            &mut scratch,
-            &stream,
-            &cluster,
-            &faults,
-            TraceDetail::Summary,
-        )
-        .unwrap();
-        assert_eq!(
-            failures,
-            vec![FailureEvent {
-                request: 1,
-                at: 0.5,
-                node: NodeIndex(2),
-            }]
-        );
-        // The long job started before the flip and completes; the two
-        // later requests complete after it.
-        let long_end = report.request_completion[0];
-        assert!(long_end > 1.5);
-        assert!(report.request_completion[2] > long_end);
-        assert!(report.request_completion[3] > report.request_completion[2]);
-    }
-
-    #[test]
-    fn transfer_endpoints_count_as_residency() {
-        // A request whose only contact with the failed node is a transfer
-        // endpoint is still killed — the link's far side is gone.
-        let cluster = presets::paper_cluster();
-        let mut plan = ExecutionPlan::new();
-        let a = plan.add_compute("a", addr(0, 1), 2_000_000_000, 1.0, &[]);
-        plan.add_transfer("t", NodeIndex(0), NodeIndex(3), 4_000_000, &[a]);
-        let compute = cluster
-            .processor(addr(0, 1))
-            .unwrap()
-            .compute_time(2_000_000_000, 1.0);
-        // Node 3 dies while "a" is running on node 0: the transfer to node 3
-        // has not started, so the request dies mid-flight.
-        let faults = [AvailabilityEvent {
-            time: compute * 0.5,
-            node: NodeIndex(3),
-            up: false,
-        }];
-        let mut scratch = SimScratch::new();
-        let (_, failures) = simulate_admitted_stream_faulty_in(
-            &mut scratch,
-            &[(0.0, 0.0, plan)],
-            &cluster,
-            &faults,
-            TraceDetail::Summary,
-        )
-        .unwrap();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].node, NodeIndex(3));
-    }
-
-    #[test]
-    fn unsorted_or_invalid_fault_timelines_are_rejected() {
-        let cluster = presets::paper_cluster();
-        let mut plan = ExecutionPlan::new();
-        plan.add_compute("only", addr(0, 0), 1, 1.0, &[]);
-        let stream = [(0.0, 0.0, plan)];
-        let event = |time, node| AvailabilityEvent {
-            time,
-            node: NodeIndex(node),
-            up: false,
-        };
-        for faults in [
-            vec![event(1.0, 0), event(0.5, 1)],
-            vec![event(f64::NAN, 0)],
-            vec![event(-1.0, 0)],
-            vec![event(1.0, 99)],
-        ] {
-            let mut scratch = SimScratch::new();
-            assert!(simulate_admitted_stream_faulty_in(
-                &mut scratch,
-                &stream,
-                &cluster,
-                &faults,
-                TraceDetail::Summary
-            )
-            .is_err());
-        }
     }
 
     #[test]

@@ -37,9 +37,8 @@ pub mod serving;
 pub mod stats;
 
 pub use engine::{
-    simulate, simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, simulate_stream,
-    simulate_stream_detailed, simulate_stream_in, FailureEvent, SimReport, SimScratch, TaskRecord,
-    TraceDetail,
+    simulate, simulate_admitted_stream_in, simulate_stream, simulate_stream_detailed,
+    simulate_stream_in, SimReport, SimScratch, TaskRecord, TraceDetail,
 };
 pub use error::SimError;
 pub use plan::{

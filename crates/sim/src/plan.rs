@@ -409,7 +409,7 @@ impl ExecutionPlan {
 }
 
 /// One task of a [`CompiledPlan`]: its [`PlanTask::cost`] with the resource
-/// interned, the power it draws and the nodes it is resident on.
+/// interned and the power it draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompiledTask {
     /// Nominal duration, seconds ([`TaskCost::duration`]).
@@ -421,8 +421,6 @@ pub struct CompiledTask {
     pub processor: Option<ProcessorAddr>,
     /// That processor's dynamic power, watts (0 for transfers).
     pub power_w: f64,
-    /// [`PlanTask::nodes`]: where a node failure invalidates the task.
-    pub nodes: (NodeIndex, NodeIndex),
     deps: (u32, u32),
     succ: (u32, u32),
 }
@@ -483,7 +481,6 @@ impl CompiledPlan {
                 resource,
                 processor: cost.processor,
                 power_w,
-                nodes,
                 deps: (start, self.deps.len() as u32),
                 succ: (0, 0),
             });
@@ -732,8 +729,8 @@ mod tests {
                     cluster.processor(addr).unwrap().dynamic_power_w()
                 });
                 assert_eq!(got.power_w.to_bits(), power.to_bits());
-                assert_eq!(got.nodes, task.nodes());
-                mask |= 1u64 << got.nodes.0 .0 | 1u64 << got.nodes.1 .0;
+                let nodes = task.nodes();
+                mask |= 1u64 << nodes.0 .0 | 1u64 << nodes.1 .0;
             }
             assert_eq!(compiled.mask(), mask);
             // Ids are dense, in first-use order.

@@ -59,7 +59,6 @@ fn persistent_retry() -> RecoveryPolicy {
         }),
         deadline_abort: false,
         shed: false,
-        hedge_premium: false,
     }
 }
 
@@ -118,8 +117,8 @@ fn no_fault_robust_serving_and_fleet_pin_to_inert() {
     assert_eq!(r.offered, requests.len() as u64);
     assert_eq!(r.completed, requests.len() as u64);
     assert_eq!(
-        (r.shed, r.aborted, r.lost, r.killed, r.retried, r.hedged),
-        (0, 0, 0, 0, 0, 0)
+        (r.shed, r.aborted, r.lost, r.killed, r.retried),
+        (0, 0, 0, 0, 0)
     );
     assert_eq!(r.in_flight_at_horizon, 0);
 
