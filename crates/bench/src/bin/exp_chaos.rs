@@ -19,7 +19,7 @@
 //! * **bounded memory** — the audited one-thread pass performs **zero**
 //!   heap allocations per configuration, recovery machinery included;
 //! * **determinism** — the retry-failover run at 1/2/4 worker threads
-//!   yields a bit-identical `FleetSummary`.
+//!   yields a bit-identical `RunSummary`.
 
 use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
 use hidp_core::{FleetScratch, ParallelSweep, RecoveryPolicy};

@@ -16,7 +16,7 @@
 //! * **bounded memory** — the audited one-thread pass performs **zero**
 //!   heap allocations per policy;
 //! * **determinism** — the same scenario at 1/2/4 worker threads yields a
-//!   bit-identical `FleetSummary`;
+//!   bit-identical `RunSummary`;
 //! * **soak floor** (full run only) — 1M requests across 64 clusters must
 //!   sustain at least 150k requests per wall-clock second at one thread.
 

@@ -30,11 +30,10 @@ use json::record;
 use hidp_baselines::paper_strategies;
 use hidp_core::{
     chain_segments, workload_summary, AdaptiveConfig, AdmissionPolicy, DseAgent, DsePolicy,
-    Evaluation, FailureMode, FleetRequest, FleetScenario, FleetScratch, FleetSummary,
-    GlobalPartitioner, HidpStrategy, LatencySummary, LocalPartitioner, ParallelSweep, PlanCache,
-    RecoveryPolicy, RobustnessStats, RoutingPolicy, Scenario, ServingEvaluation, ServingScenario,
-    ServingScratch, ServingSummary, ServingSweepJob, SlaClass, StrategyBandit, SweepJob,
-    SystemModel, TraceDetail,
+    Evaluation, FailureMode, FleetRequest, FleetScenario, FleetScratch, GlobalPartitioner,
+    HidpStrategy, LatencySummary, LocalPartitioner, ParallelSweep, PlanCache, RecoveryPolicy,
+    RobustnessStats, RoutingPolicy, RunSummary, Scenario, ServingEvaluation, ServingScenario,
+    ServingScratch, ServingSweepJob, SlaClass, StrategyBandit, SweepJob, SystemModel, TraceDetail,
 };
 use hidp_dnn::exec::{execute, execute_data_partition_batch, execute_model_partition, WeightStore};
 use hidp_dnn::partition::partition_into_blocks;
@@ -1275,7 +1274,7 @@ pub fn fleet_routing_points(
 
 fn fleet_point(
     routing: RoutingPolicy,
-    summary: &FleetSummary,
+    summary: &RunSummary,
     steady_state_allocs: Option<u64>,
 ) -> FleetPoint {
     FleetPoint {
@@ -1364,13 +1363,13 @@ record! {
         /// Offered/completed/dropped accounting including recovery traffic.
         pub robustness: RobustnessStats,
         /// In-deadline completions over offered requests — the robustness
-        /// headline. A shed, aborted, lost or merely late request all count
-        /// against it equally.
+        /// headline ([`RunSummary::sla_goodput`]).
         pub sla_goodput: f64,
         /// 99th-percentile end-to-end latency of completed requests, ms.
         pub p99_ms: f64,
-        /// Completed requests that missed their class deadline, over
-        /// offered requests.
+        /// Requests not served within their class deadline, over offered
+        /// requests ([`RunSummary::sla_miss_rate`]): a shed, aborted or
+        /// lost request counts as a miss, so this is `1 − sla_goodput`.
         pub sla_miss_rate: f64,
         /// Fleet makespan, simulated seconds.
         pub makespan_s: f64,
@@ -1499,20 +1498,12 @@ pub fn chaos_points(
     points
 }
 
-fn chaos_point(
-    label: &str,
-    summary: &FleetSummary,
-    steady_state_allocs: Option<u64>,
-) -> ChaosPoint {
-    let in_deadline = summary
-        .robustness
-        .completed
-        .saturating_sub(summary.deadline_misses as u64);
+fn chaos_point(label: &str, summary: &RunSummary, steady_state_allocs: Option<u64>) -> ChaosPoint {
     ChaosPoint {
         config: label.to_string(),
         requests: summary.requests,
         robustness: summary.robustness,
-        sla_goodput: in_deadline as f64 / summary.robustness.offered as f64,
+        sla_goodput: summary.sla_goodput(),
         p99_ms: summary.latency.p99 * 1e3,
         sla_miss_rate: summary.sla_miss_rate(),
         makespan_s: summary.makespan,
@@ -1571,7 +1562,7 @@ pub fn chaos_table(points: &[ChaosPoint]) -> ExperimentTable {
 pub fn chaos_document(points: &[ChaosPoint], seed: u64) -> Json {
     bench_document(
         "chaos",
-        "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation",
+        "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation; latency tails cover completed requests, sla_goodput and sla_miss_rate are over offered requests (a shed, aborted or lost request is a miss)",
         vec![
             ("fault_seed", seed.to_json()),
             ("points", points.to_json()),
@@ -1738,7 +1729,7 @@ pub fn drift_points(count: usize, seed: u64, counter: Option<&dyn Fn() -> u64>) 
 fn drift_point(
     label: &str,
     cluster: &Cluster,
-    summary: &ServingSummary,
+    summary: &RunSummary,
     steady_state_allocs: Option<u64>,
 ) -> DriftPoint {
     DriftPoint {

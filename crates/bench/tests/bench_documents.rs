@@ -383,7 +383,7 @@ const GOLDEN_FLEET: &str = r#"{
 
 const GOLDEN_CHAOS: &str = r#"{
   "benchmark": "chaos",
-  "workload": "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation",
+  "workload": "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation; latency tails cover completed requests, sla_goodput and sla_miss_rate are over offered requests (a shed, aborted or lost request is a miss)",
   "fault_seed": 803845,
   "points": [
     {"config": "retry-failover", "requests": 8000, "robustness": {"offered": 8000, "completed": 7998, "shed": 1, "aborted": 1, "lost": 0, "killed": 7, "retried": 5, "in_flight_at_horizon": 0}, "sla_goodput": 0.9375, "p99_ms": 1800.5, "sla_miss_rate": 0.0625, "makespan_s": 900.25, "time_to_first_retry_s": 12.75, "recovery_latency": {"count": 5, "p50_ms": 500, "p95_ms": 1250, "p99_ms": 1500, "mean_ms": 750}, "steady_state_allocs": 0},

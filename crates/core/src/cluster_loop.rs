@@ -44,8 +44,8 @@
 //! Everything else both tiers must know about a loop's inputs lives here
 //! too, so neither restates it: [`LoopCtx::new`] (with the batch and
 //! window clamps), the shared checks ([`validate_requests`] and
-//! [`LoopCtx::validate`]), [`arrival_order`], and the run [`Rollup`]
-//! (offered count, conservation check, no-completion error, drift stats).
+//! [`LoopCtx::validate`]), [`arrival_order`], and the one [`RunSummary`]
+//! both tiers return, with its single constructor and metric rulebook.
 //! One [`TimeHeap`] orders the admission window, the retry heap, the
 //! fleet's failover heap and the serving reference loop by `(time, push
 //! sequence)`.
@@ -62,7 +62,7 @@ use crate::{CoreError, PlanKey};
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{AvailabilityEvent, Cluster, DriftModel, NodeIndex, SlowdownWindow};
-use hidp_sim::serving::LatencySummary;
+use hidp_sim::serving::{LatencySummary, SlaClass, SlaClassReport};
 use hidp_sim::{CompiledPlan, ExecutionPlan};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -218,26 +218,87 @@ pub(crate) fn arrival_order(order: &mut Vec<u32>, n: usize, arrival: impl Fn(usi
     });
 }
 
-/// What a finished run's cluster loops add up to, merged in the order
-/// given — cluster index order on the fleet, which keeps the rollup
-/// thread-count invariant.
-pub(crate) struct Rollup {
-    pub(crate) latency: LatencySummary,
-    pub(crate) max_latency: f64,
-    pub(crate) robustness: RobustnessStats,
-    pub(crate) drift: DriftStats,
-    pub(crate) plan_cache: PlanCacheStats,
-    pub(crate) batches: usize,
-    pub(crate) epochs_applied: usize,
-    pub(crate) makespan: f64,
-    /// The earliest first retry of any loop (`INFINITY` when none).
-    pub(crate) first_retry: f64,
+/// The bounded-memory result of a streaming run, on either tier: counts,
+/// the makespan, histogram latency tails, exact queueing figures,
+/// fixed-size per-class aggregates and the routing balance. Everything is
+/// `Copy` (no per-request records, no heap), so a soak over millions of
+/// requests returns the same few hundred bytes as a toy run, and the
+/// audited steady-state pass returns without allocating.
+///
+/// [`ServingScenario::run_streaming`](crate::ServingScenario::run_streaming)
+/// and [`FleetScenario::run_streaming`](crate::FleetScenario::run_streaming)
+/// both return it. A serving run is the one-cluster, one-round fleet: one
+/// cluster, one round, every request on that cluster and no WAN round
+/// trip.
+///
+/// Latency and queueing figures cover completed requests only: a shed,
+/// aborted or lost request has neither. [`RunSummary::sla_miss_rate`] and
+/// [`RunSummary::sla_goodput`] are over offered requests.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSummary {
+    /// Requests offered to the run (the input stream).
+    pub requests: usize,
+    /// Clusters that served the run (1 on the serving tier).
+    pub clusters: usize,
+    /// Router rounds executed: arrival-bearing windows plus the drain (1 on
+    /// the serving tier, which runs as one round to +∞).
+    pub rounds: usize,
+    /// Batches admitted across all clusters.
+    pub batches: usize,
+    /// Timeline events applied across all clusters.
+    pub epochs_applied: usize,
+    /// Estimated completion time of the last batch anywhere, seconds.
+    pub makespan: f64,
+    /// Latency tail over completed requests: queueing + service + WAN round
+    /// trip (zero on the serving tier). p50/p95/p99 are histogram estimates
+    /// within 1% of the exact order statistic; count and mean are exact.
+    pub latency: LatencySummary,
+    /// Worst latency of a completed request, seconds (exact).
+    pub max_latency: f64,
+    /// Mean queueing delay over completed requests, seconds (exact; local
+    /// queueing, WAN excluded).
+    pub mean_queueing_delay: f64,
+    /// Worst queueing delay of a completed request, seconds (exact).
+    pub max_queueing_delay: f64,
+    /// Completed requests whose latency missed their class deadline
+    /// (exact).
+    pub deadline_misses: usize,
+    /// Per-class aggregates over completed requests, indexed by
+    /// [`SlaClass::priority`]; `None` for classes with no completion.
+    pub per_class: [Option<SlaClassReport>; 3],
+    /// Plan-cache traffic summed over the clusters' caches.
+    pub plan_cache: PlanCacheStats,
+    /// Requests routed to the most-loaded cluster (the routing balance
+    /// signal; the fleet router counts a re-routed retry again).
+    pub busiest_cluster_requests: usize,
+    /// Requests routed to the least-loaded cluster.
+    pub idlest_cluster_requests: usize,
+    /// WAN round trips paid, retried attempts included, per completed
+    /// request, seconds (0 when all traffic stays at its regional ingress).
+    pub mean_wan_round_trip: f64,
+    /// Offered/completed/dropped accounting, including recovery traffic.
+    /// Fault-free runs report `offered == completed == requests`.
+    pub robustness: RobustnessStats,
+    /// Adaptive-loop counters and dynamic compute energy, summed over
+    /// clusters. Non-adaptive runs report zero re-plans and observations;
+    /// `energy_j` is always accrued (identically on every path, so
+    /// drift-free configs stay bit-identical across loops).
+    pub drift: DriftStats,
+    /// Virtual time of the first kill that produced a retry anywhere
+    /// (`INFINITY` when nothing was retried).
+    pub time_to_first_retry: f64,
+    /// Latency tail over completions that needed at least one retry (the
+    /// recovery cost); `None` when no retried request completed.
+    pub recovery_latency: Option<LatencySummary>,
 }
 
-impl Rollup {
-    /// Adds up `loops`, which were offered `offered` requests between them
-    /// and reported every completion into `tails`; request conservation is
-    /// debug-asserted.
+impl RunSummary {
+    /// Adds up a finished run that was offered `offered` requests and took
+    /// `rounds` router rounds. Each item of `clusters` is one cluster's
+    /// loop, the sink its completions went to, the requests routed to it
+    /// and the WAN round trips it paid, in the order to merge them —
+    /// cluster index order on the fleet, which keeps the summary
+    /// thread-count invariant. Request conservation is debug-asserted.
     ///
     /// # Errors
     ///
@@ -245,8 +306,8 @@ impl Rollup {
     pub(crate) fn of<'l>(
         name: Named<'_>,
         offered: usize,
-        loops: impl IntoIterator<Item = &'l ClusterLoop>,
-        tails: &Tails,
+        rounds: usize,
+        clusters: impl IntoIterator<Item = (&'l ClusterLoop, &'l Tails, usize, f64)>,
     ) -> Result<Self, CoreError> {
         let mut robustness = RobustnessStats {
             offered: offered as u64,
@@ -254,9 +315,13 @@ impl Rollup {
         };
         let mut drift = DriftStats::default();
         let mut plan_cache = PlanCacheStats::default();
-        let (mut batches, mut epochs_applied) = (0, 0);
-        let (mut makespan, mut first_retry) = (0.0f64, f64::INFINITY);
-        for run in loops {
+        let mut tails = Tails::new();
+        let (mut count, mut batches, mut epochs_applied) = (0, 0, 0);
+        let (mut busiest, mut idlest) = (0, usize::MAX);
+        let (mut makespan, mut first_retry, mut wan_sum) = (0.0f64, f64::INFINITY, 0.0f64);
+        for (run, run_tails, routed, wan) in clusters {
+            count += 1;
+            tails.merge(run_tails);
             robustness.merge(&run.robustness);
             drift.merge(&DriftStats {
                 replans: run.adaptive.replans,
@@ -269,6 +334,9 @@ impl Rollup {
             epochs_applied += run.epoch;
             makespan = makespan.max(run.makespan);
             first_retry = first_retry.min(run.first_retry);
+            busiest = busiest.max(routed);
+            idlest = idlest.min(routed);
+            wan_sum += wan;
         }
         debug_assert!(
             robustness.accounts_for_every_request(),
@@ -279,16 +347,57 @@ impl Rollup {
             .summary()
             .ok_or_else(|| name.infeasible(format_args!("no request completed")))?;
         Ok(Self {
-            latency,
-            max_latency: all.max(),
-            robustness,
-            drift,
-            plan_cache,
+            requests: offered,
+            clusters: count,
+            rounds,
             batches,
             epochs_applied,
             makespan,
-            first_retry,
+            latency,
+            max_latency: all.max(),
+            mean_queueing_delay: robustness.per_completed(tails.queueing_sum),
+            max_queueing_delay: tails.queueing_max,
+            deadline_misses: tails.deadline_misses,
+            per_class: tails.per_class(),
+            plan_cache,
+            busiest_cluster_requests: busiest,
+            idlest_cluster_requests: idlest,
+            mean_wan_round_trip: robustness.per_completed(wan_sum),
+            robustness,
+            drift,
+            time_to_first_retry: first_retry,
+            recovery_latency: tails.recovered_latency.summary(),
         })
+    }
+
+    /// Requests that were not served within their deadline, over offered
+    /// requests: `(offered − completed + deadline_misses) / offered`. A
+    /// shed, aborted, lost or still-in-flight request counts as a miss, so
+    /// this is `1 − sla_goodput()`. A run that completes every request
+    /// reads `deadline_misses / requests`.
+    pub fn sla_miss_rate(&self) -> f64 {
+        let r = &self.robustness;
+        (r.offered - r.completed + self.deadline_misses as u64) as f64 / r.offered as f64
+    }
+
+    /// Completions within their class deadline, over offered requests: the
+    /// robustness headline. A shed, aborted, lost or late request all count
+    /// against it equally.
+    pub fn sla_goodput(&self) -> f64 {
+        let r = &self.robustness;
+        r.completed.saturating_sub(self.deadline_misses as u64) as f64 / r.offered as f64
+    }
+
+    /// The report for one class, over its completed requests; `None` when
+    /// none of them completed.
+    pub fn class(&self, class: SlaClass) -> Option<&SlaClassReport> {
+        self.per_class[class.priority() as usize].as_ref()
+    }
+
+    /// Completed requests over the makespan, per second of simulated time
+    /// (dropped requests are not counted).
+    pub fn requests_per_second(&self) -> f64 {
+        self.robustness.completed_per_second(self.makespan)
     }
 }
 

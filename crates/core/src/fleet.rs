@@ -12,9 +12,10 @@
 //! feed mergeable WAN-aware histograms, and a killed request goes back to
 //! the router instead of retrying in place. The front end is down to
 //! routing: the request and per-cluster checks, the loop context, the
-//! arrival order and the run rollup are the ones the serving tier uses
-//! (`crate::cluster_loop`); the fleet adds only its own checks — regions,
-//! round length, per-cluster list lengths and a leader in every cluster.
+//! arrival order and the [`RunSummary`] constructor are the ones the
+//! serving tier uses (`crate::cluster_loop`); the fleet adds only its own
+//! checks — regions, round length, per-cluster list lengths and a leader in
+//! every cluster.
 //!
 //! # Rounds and barriers
 //!
@@ -58,22 +59,19 @@
 //! tail latency and SLA misses, which is exactly the trade-off locality
 //! routing navigates.
 
-use crate::adaptive::{AdaptiveConfig, DriftStats};
+use crate::adaptive::AdaptiveConfig;
 use crate::cluster_loop::{
-    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, Rollup, TimeHeap,
+    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, RunSummary, TimeHeap,
 };
 use crate::parallel::ParallelSweep;
-use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::serving::{
-    AdmissionPolicy, FailureMode, RecoveryPolicy, RobustnessStats, ServingRequest, Tails,
-};
+use crate::plan_cache::PlanCache;
+use crate::serving::{AdmissionPolicy, FailureMode, RecoveryPolicy, ServingRequest, Tails};
 use crate::strategy::DistributedStrategy;
 use crate::CoreError;
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_platform::{
     ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow, WanDegradation,
 };
-use hidp_sim::serving::{LatencySummary, SlaClass, SlaClassReport};
 use serde::{Deserialize, Serialize};
 
 /// Request payload carried over the WAN, bytes: one 224×224×3 f32 image.
@@ -367,7 +365,7 @@ impl FleetScenario {
         strategy: &dyn DistributedStrategy,
         fleet: &Fleet,
         leader: NodeIndex,
-    ) -> Result<FleetSummary, CoreError> {
+    ) -> Result<RunSummary, CoreError> {
         self.run_streaming_in(
             strategy,
             fleet,
@@ -395,7 +393,7 @@ impl FleetScenario {
         leader: NodeIndex,
         sweep: &ParallelSweep,
         scratch: &mut FleetScratch,
-    ) -> Result<FleetSummary, CoreError> {
+    ) -> Result<RunSummary, CoreError> {
         let requests = &self.requests;
         let n = requests.len();
         let clusters = fleet.clusters();
@@ -539,38 +537,15 @@ impl FleetScenario {
         }
 
         // Merge the workers in cluster index order, which is what makes the
-        // rollup thread-count invariant.
-        let mut tails = Tails::new();
-        let (mut busiest, mut idlest, mut wan_sum) = (0usize, usize::MAX, 0.0f64);
-        for worker in workers.iter() {
-            tails.merge(&worker.tails);
-            busiest = busiest.max(worker.requests.len());
-            idlest = idlest.min(worker.requests.len());
-            wan_sum += worker.wan2.iter().sum::<f64>();
-        }
-        let run = Rollup::of(self.named(), n, workers.iter().map(|w| &w.run), &tails)?;
-        Ok(FleetSummary {
-            requests: n,
-            clusters: clusters.len(),
+        // summary thread-count invariant.
+        RunSummary::of(
+            self.named(),
+            n,
             rounds,
-            batches: run.batches,
-            epochs_applied: run.epochs_applied,
-            makespan: run.makespan,
-            latency: run.latency,
-            max_latency: run.max_latency,
-            mean_queueing_delay: run.robustness.per_completed(tails.queueing_sum),
-            max_queueing_delay: tails.queueing_max,
-            deadline_misses: tails.deadline_misses,
-            per_class: tails.per_class(),
-            plan_cache: run.plan_cache,
-            busiest_cluster_requests: busiest,
-            idlest_cluster_requests: idlest,
-            mean_wan_round_trip: run.robustness.per_completed(wan_sum),
-            robustness: run.robustness,
-            drift: run.drift,
-            time_to_first_retry: run.first_retry,
-            recovery_latency: tails.recovered_latency.summary(),
-        })
+            workers
+                .iter()
+                .map(|w| (&w.run, &w.tails, w.requests.len(), w.wan2.iter().sum())),
+        )
     }
 
     fn named(&self) -> Named<'_> {
@@ -897,84 +872,10 @@ impl Inbox for FleetInbox<'_> {
     }
 }
 
-/// The bounded-memory result of a fleet run: counts, the fleet makespan,
-/// exact-merge latency tails (WAN round trips included) and per-class
-/// aggregates. Everything is `Copy`, like [`crate::ServingSummary`], so the
-/// audited steady-state pass returns without allocating.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetSummary {
-    /// Total requests served across the fleet.
-    pub requests: usize,
-    /// Clusters in the fleet.
-    pub clusters: usize,
-    /// Router rounds executed (arrival-bearing windows plus the drain).
-    pub rounds: usize,
-    /// Batches admitted across all clusters.
-    pub batches: usize,
-    /// Timeline events applied across all clusters.
-    pub epochs_applied: usize,
-    /// Estimated completion time of the last batch anywhere, seconds.
-    pub makespan: f64,
-    /// Fleet-wide latency tail (queueing + service + WAN round trip;
-    /// p50/p95/p99 at histogram bin resolution, count and mean exact).
-    pub latency: LatencySummary,
-    /// Worst fleet latency, seconds (exact).
-    pub max_latency: f64,
-    /// Mean queueing delay over completed requests, seconds (exact; local
-    /// queueing, WAN excluded).
-    pub mean_queueing_delay: f64,
-    /// Worst queueing delay, seconds (exact).
-    pub max_queueing_delay: f64,
-    /// Requests whose fleet latency missed their class deadline.
-    pub deadline_misses: usize,
-    /// Per-class aggregates indexed by [`SlaClass::priority`]; `None` for
-    /// classes absent from the stream.
-    pub per_class: [Option<SlaClassReport>; 3],
-    /// Plan-cache traffic summed over the per-cluster caches.
-    pub plan_cache: PlanCacheStats,
-    /// Requests routed to the most-loaded cluster (routing balance signal).
-    pub busiest_cluster_requests: usize,
-    /// Requests routed to the least-loaded cluster.
-    pub idlest_cluster_requests: usize,
-    /// WAN round trips paid, retried attempts included, per completed
-    /// request, seconds (0 when all traffic stays at its regional ingress).
-    pub mean_wan_round_trip: f64,
-    /// Offered/completed/dropped accounting including recovery traffic.
-    /// Trivially all-completed when the config enables no failure handling.
-    pub robustness: RobustnessStats,
-    /// Adaptive-loop accounting summed over cluster workers: re-plans
-    /// triggered, rate observations fed, and dynamic dispatch energy.
-    pub drift: DriftStats,
-    /// Virtual time of the first kill that produced a re-routed retry
-    /// anywhere in the fleet (`INFINITY` when nothing was retried).
-    pub time_to_first_retry: f64,
-    /// Latency tail over completions that needed at least one retry
-    /// (recovery cost); `None` when no retried request completed.
-    pub recovery_latency: Option<LatencySummary>,
-}
-
-impl FleetSummary {
-    /// Fraction of all requests that missed their deadline.
-    pub fn sla_miss_rate(&self) -> f64 {
-        self.deadline_misses as f64 / self.requests as f64
-    }
-
-    /// The report for one class, if any of its requests were served.
-    pub fn class(&self, class: SlaClass) -> Option<&SlaClassReport> {
-        self.per_class[class.priority() as usize].as_ref()
-    }
-
-    /// Completed requests per second of simulated time (completions over
-    /// the estimated makespan; dropped requests are not counted).
-    pub fn requests_per_second(&self) -> f64 {
-        self.robustness.completed_per_second(self.makespan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HidpStrategy;
+    use crate::{HidpStrategy, RobustnessStats, SlaClass};
     use hidp_platform::presets;
 
     /// A two-region stream mixing two models and all SLA classes.

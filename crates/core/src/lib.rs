@@ -61,12 +61,11 @@ mod strategy;
 mod system_model;
 
 pub use adaptive::{AdaptiveConfig, DriftStats, StrategyBandit};
+pub use cluster_loop::RunSummary;
 pub use dse::{Decision, DseAgent, DsePolicy};
 pub use engine::{HidpStrategy, HierarchicalPlan};
 pub use error::CoreError;
-pub use fleet::{
-    FleetConfig, FleetRequest, FleetScenario, FleetScratch, FleetSummary, RoutingPolicy,
-};
+pub use fleet::{FleetConfig, FleetRequest, FleetScenario, FleetScratch, RoutingPolicy};
 pub use global::{
     chain_segments, workload_summary, GlobalAssignment, GlobalPartitioner, GlobalShare, ShareKind,
 };
@@ -77,7 +76,6 @@ pub use scenario::{Evaluation, Scenario};
 pub use serving::{
     AdmissionPolicy, AdmittedBatch, FailureMode, RecoveryPolicy, RetryPolicy, RobustnessStats,
     ServingConfig, ServingEvaluation, ServingRequest, ServingScenario, ServingScratch,
-    ServingSummary,
 };
 pub use strategy::DistributedStrategy;
 pub use system_model::{Resource, SystemModel};
@@ -85,6 +83,14 @@ pub use system_model::{Resource, SystemModel};
 // tag SLA classes without depending on hidp-sim directly.
 pub use hidp_sim::serving::{LatencySummary, ServingMetrics, SlaClass};
 pub use hidp_sim::{SimScratch, TraceDetail};
+
+/// The former name of [`RunSummary`] on the serving tier, kept only because
+/// the repository benchmark (`perfbench/`) imports it.
+pub type ServingSummary = RunSummary;
+
+/// The former name of [`RunSummary`] on the fleet tier, kept only because
+/// the repository benchmark (`perfbench/`) imports it.
+pub type FleetSummary = RunSummary;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

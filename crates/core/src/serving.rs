@@ -53,7 +53,7 @@
 //! **no per-request state**: latency tails go into constant-memory,
 //! mergeable [`LatencyHistogram`]s (the same sink the fleet's clusters
 //! feed), queueing delay and per-class aggregates into exact sums, and the
-//! result is an all-`Copy` [`ServingSummary`].
+//! result is an all-`Copy` [`RunSummary`].
 //! After the first pass has sized the scratch buffers, a steady-state
 //! streaming pass performs zero heap allocations
 //! (`tests/zero_alloc_warm_path.rs`), which is what lets the 1M-request
@@ -97,9 +97,10 @@
 //! `tests/chaos_robustness.rs` and `tests/drift_adaptive.rs`). Deadlines,
 //! retries included, follow the rule in `hidp_sim::serving`.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
+use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::cluster_loop::{
-    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, Rollup, Sink, TimeHeap,
+    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, RunSummary, Sink,
+    TimeHeap,
 };
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scenario::{Evaluation, Scenario};
@@ -109,7 +110,7 @@ use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{Cluster, ClusterTimeline, DriftModel, NodeIndex, SlowdownWindow};
 use hidp_sim::serving::{
-    LatencyHistogram, LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass, SlaClassReport,
+    LatencyHistogram, ServedRequestRecord, ServingMetrics, SlaClass, SlaClassReport,
 };
 use hidp_sim::Ewma;
 use hidp_sim::{
@@ -667,7 +668,7 @@ impl ServingScenario {
     /// but no per-request records, no admission log and no full-stream
     /// simulation — completions come from the dispatch model, latency tails
     /// from constant-memory latency histograms, and the result is the all-`Copy`
-    /// [`ServingSummary`]. Memory is O(requests) for the input plus O(1)
+    /// [`RunSummary`]. Memory is O(requests) for the input plus O(1)
     /// for the aggregates, which is what the 1M-request soak runs on.
     ///
     /// # Errors
@@ -678,7 +679,7 @@ impl ServingScenario {
         strategy: &dyn DistributedStrategy,
         cluster: &Cluster,
         leader: NodeIndex,
-    ) -> Result<ServingSummary, CoreError> {
+    ) -> Result<RunSummary, CoreError> {
         let mut scratch = ServingScratch::new();
         self.run_streaming_with_cache_in(strategy, cluster, leader, &PlanCache::new(), &mut scratch)
     }
@@ -698,26 +699,12 @@ impl ServingScenario {
         leader: NodeIndex,
         cache: &PlanCache,
         scratch: &mut ServingScratch,
-    ) -> Result<ServingSummary, CoreError> {
+    ) -> Result<RunSummary, CoreError> {
         let ctx = self.loop_ctx(strategy, cluster, leader, cache)?;
         let mut tails = Tails::new();
         self.run_loop(&ctx, scratch, &mut tails)?;
         let n = self.requests.len();
-        let run = Rollup::of(self.named(), n, [&scratch.cluster], &tails)?;
-        Ok(ServingSummary {
-            requests: n,
-            batches: run.batches,
-            epochs_applied: run.epochs_applied,
-            makespan: run.makespan,
-            latency: run.latency,
-            mean_queueing_delay: run.robustness.per_completed(tails.queueing_sum),
-            max_queueing_delay: tails.queueing_max,
-            deadline_misses: tails.deadline_misses,
-            per_class: tails.per_class(),
-            plan_cache: run.plan_cache,
-            robustness: run.robustness,
-            drift: run.drift,
-        })
+        RunSummary::of(self.named(), n, 1, [(&scratch.cluster, &tails, n, 0.0)])
     }
 
     /// Runs the cluster loop over the whole scenario as one round to +∞,
@@ -1204,64 +1191,6 @@ impl ServingEvaluation {
     pub fn requests_per_second(&self) -> f64 {
         self.robustness
             .completed_per_second(self.evaluation.makespan)
-    }
-}
-
-/// The bounded-memory result of a streaming serving run
-/// ([`ServingScenario::run_streaming`]): counts, the estimated makespan,
-/// histogram latency tails, exact queueing figures and fixed-size per-class
-/// aggregates.
-/// Everything is `Copy` — no per-request records, no heap — so a soak over
-/// millions of requests returns the same few hundred bytes as a toy run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServingSummary {
-    /// Total requests served.
-    pub requests: usize,
-    /// Batches admitted (== requests when batching is off).
-    pub batches: usize,
-    /// Timeline events applied during the run (the final epoch number).
-    pub epochs_applied: usize,
-    /// Estimated completion time of the last batch, seconds.
-    pub makespan: f64,
-    /// Latency tail over all requests (p50/p95/p99 are histogram estimates
-    /// within 1% of the exact order statistic; count and mean are exact).
-    pub latency: LatencySummary,
-    /// Mean queueing delay over completed requests, seconds (exact).
-    pub mean_queueing_delay: f64,
-    /// Worst queueing delay, seconds (exact).
-    pub max_queueing_delay: f64,
-    /// Requests that missed their class deadline (exact).
-    pub deadline_misses: usize,
-    /// Per-class aggregates indexed by [`SlaClass::priority`]; `None` for
-    /// classes absent from the stream.
-    pub per_class: [Option<SlaClassReport>; 3],
-    /// Plan-cache traffic of the run.
-    pub plan_cache: PlanCacheStats,
-    /// Offered/completed/dropped accounting, including recovery traffic.
-    /// Fault-free runs report `offered == completed == requests`.
-    pub robustness: RobustnessStats,
-    /// Adaptive-loop counters and dynamic compute energy. Non-adaptive
-    /// runs report zero re-plans and observations; `energy_j` is always
-    /// accrued (identically on every path, so drift-free configs stay
-    /// bit-identical across loops).
-    pub drift: DriftStats,
-}
-
-impl ServingSummary {
-    /// Fraction of all requests that missed their deadline.
-    pub fn sla_miss_rate(&self) -> f64 {
-        self.deadline_misses as f64 / self.requests as f64
-    }
-
-    /// The report for one class, if any of its requests were served.
-    pub fn class(&self, class: SlaClass) -> Option<&SlaClassReport> {
-        self.per_class[class.priority() as usize].as_ref()
-    }
-
-    /// Completed requests per second of simulated time (completions over
-    /// the estimated makespan; dropped requests are not counted).
-    pub fn requests_per_second(&self) -> f64 {
-        self.robustness.completed_per_second(self.makespan)
     }
 }
 
@@ -3094,7 +3023,7 @@ mod tests {
         scenario: &ServingScenario,
         cluster: &Cluster,
         scratch: &mut ServingScratch,
-    ) -> ServingSummary {
+    ) -> RunSummary {
         let cache = PlanCache::new();
         scenario
             .run_streaming_with_cache_in(

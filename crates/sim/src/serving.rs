@@ -364,7 +364,9 @@ pub struct SlaClassReport {
 }
 
 impl SlaClassReport {
-    /// Fraction of this class's requests that missed their deadline.
+    /// This class's completed requests that missed their deadline, over the
+    /// class's completed requests (`latency.count`): a request that never
+    /// completed is in neither count.
     pub fn miss_rate(&self) -> f64 {
         self.deadline_misses as f64 / self.latency.count as f64
     }

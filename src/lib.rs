@@ -55,4 +55,8 @@ pub use hidp_core::{AdmissionPolicy, ServingConfig, ServingEvaluation, ServingSc
 
 /// The fleet serving tier (multi-cluster routing on one clock),
 /// re-exported for convenience.
-pub use hidp_core::{FleetRequest, FleetScenario, FleetSummary, RoutingPolicy};
+pub use hidp_core::{FleetRequest, FleetScenario, RoutingPolicy};
+
+/// The one summary a streaming serving run and a fleet run both return,
+/// re-exported for convenience.
+pub use hidp_core::RunSummary;

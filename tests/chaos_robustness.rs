@@ -6,9 +6,11 @@
 //!    faults to act on must reproduce the inert configuration's serving and
 //!    fleet runs bit for bit, summary field by summary field, under FIFO
 //!    and earliest-deadline admission alike.
-//! 2. **Conservation** — under a seeded fault suite, every recovery policy
-//!    keeps the accounting invariant `offered == completed + dropped +
-//!    in_flight_at_horizon`; with bounded-but-generous retries and no
+//! 2. **Conservation and the metric rulebook** — under a seeded fault
+//!    suite, every recovery policy keeps the accounting invariant `offered
+//!    == completed + dropped + in_flight_at_horizon` on both tiers, and
+//!    `sla_miss_rate` counts every dropped request as a miss, so it adds
+//!    up to 1 with `sla_goodput`; with bounded-but-generous retries and no
 //!    deadline abort, nothing is permanently lost.
 //! 3. **Edge cases** — a failure at t = 0, a down-flip landing at exactly
 //!    an arrival instant, and a double flap inside one backoff window (the
@@ -163,38 +165,100 @@ fn accounting_balances_under_every_recovery_policy() {
     let plans = standard_fault_suite(&node_counts, 0xFA57, horizon_of(&requests), LEADER).unwrap();
     let timelines: Vec<ClusterTimeline> = plans.iter().map(|p| p.timeline.clone()).collect();
     let slowdowns: Vec<_> = plans.iter().map(|p| p.slowdowns.clone()).collect();
+    // The serving tier runs the whole stream on cluster 0 under cluster 0's
+    // faults.
+    let cluster = &fleet.clusters()[0];
+    let serving_requests: Vec<ServingRequest> = requests.iter().map(|r| r.request).collect();
 
-    let policies: [(&str, RecoveryPolicy); 4] = [
-        ("no-recovery", RecoveryPolicy::default()),
-        ("standard", RecoveryPolicy::standard()),
+    // `None` is the fault-free row: no faults injected, nothing armed.
+    let policies: [(&str, Option<RecoveryPolicy>); 5] = [
+        ("fault-free", None),
+        ("no-recovery", Some(RecoveryPolicy::default())),
+        ("standard", Some(RecoveryPolicy::standard())),
         (
             "standard+shed",
-            RecoveryPolicy {
+            Some(RecoveryPolicy {
                 shed: true,
                 ..RecoveryPolicy::standard()
-            },
+            }),
         ),
-        ("persistent", persistent_retry()),
+        ("persistent", Some(persistent_retry())),
     ];
     for (name, recovery) in policies {
-        let summary = FleetScenario::new(requests.clone())
+        let mut fleet_scenario = FleetScenario::new(requests.clone())
             .with_routing(RoutingPolicy::LeastLoaded)
             .with_max_batch(4)
-            .with_max_inflight(Some(2))
-            .with_timelines(timelines.clone())
-            .with_slowdowns(slowdowns.clone())
-            .with_wan_degradations(plans[0].wan.clone())
-            .with_failure_mode(FailureMode::Kill)
-            .with_recovery(recovery)
-            .run_streaming(&strategy, &fleet, LEADER)
-            .unwrap();
-        let r = summary.robustness;
-        assert_eq!(r.offered, requests.len() as u64, "{name}");
-        assert!(r.accounts_for_every_request(), "{name}: {r:?}");
-        assert_eq!(
-            summary.latency.count as u64, r.completed,
-            "{name}: only completed requests contribute latency samples"
-        );
+            .with_max_inflight(Some(2));
+        let mut serving_scenario = ServingScenario::new(serving_requests.clone())
+            .with_max_batch(4)
+            .with_max_inflight(Some(2));
+        if let Some(recovery) = recovery {
+            fleet_scenario = fleet_scenario
+                .with_timelines(timelines.clone())
+                .with_slowdowns(slowdowns.clone())
+                .with_wan_degradations(plans[0].wan.clone())
+                .with_failure_mode(FailureMode::Kill)
+                .with_recovery(recovery);
+            serving_scenario = serving_scenario
+                .with_timeline(timelines[0].clone())
+                .with_slowdowns(slowdowns[0].clone())
+                .with_failure_mode(FailureMode::Kill)
+                .with_recovery(recovery);
+        }
+        let tiers = [
+            (
+                "fleet",
+                fleet_scenario
+                    .run_streaming(&strategy, &fleet, LEADER)
+                    .unwrap(),
+            ),
+            (
+                "serving",
+                serving_scenario
+                    .run_streaming(&strategy, cluster, LEADER)
+                    .unwrap(),
+            ),
+        ];
+        for (tier, summary) in tiers {
+            let tag = format!("{tier}/{name}");
+            let r = summary.robustness;
+            assert_eq!(r.offered, requests.len() as u64, "{tag}");
+            assert!(r.accounts_for_every_request(), "{tag}: {r:?}");
+            assert_eq!(
+                summary.latency.count as u64, r.completed,
+                "{tag}: only completed requests contribute latency samples"
+            );
+
+            // The metric rulebook: a request is either served within its
+            // deadline or a miss, so every shed, aborted and lost request
+            // counts as a miss.
+            let miss_rate = summary.sla_miss_rate();
+            assert!(
+                (miss_rate + summary.sla_goodput() - 1.0).abs() < 1e-12,
+                "{tag}: miss rate {miss_rate} + goodput {} != 1",
+                summary.sla_goodput()
+            );
+            let misses = r.offered - r.completed + summary.deadline_misses as u64;
+            assert_eq!(
+                (miss_rate * r.offered as f64).round() as u64,
+                misses,
+                "{tag}: {r:?}"
+            );
+            match name {
+                "fault-free" => {
+                    assert_eq!(r.completed, r.offered, "{tag}");
+                    assert_eq!(
+                        miss_rate.to_bits(),
+                        (summary.deadline_misses as f64 / summary.requests as f64).to_bits(),
+                        "{tag}: a run that completes every request reads misses / requests"
+                    );
+                }
+                // These rows must really drop work, or they test nothing.
+                "no-recovery" => assert!(r.lost > 0, "{tag}: {r:?}"),
+                "standard+shed" => assert!(r.shed > 0, "{tag}: {r:?}"),
+                _ => {}
+            }
+        }
     }
 
     // With generous retries and no deadline abort, kills can only resolve
