@@ -19,10 +19,10 @@ fn main() {
         hidp_bench::poisson_stress(&[0.5, 1.0, 2.0, 4.0], 48, 42),
         {
             let scenarios = hidp_bench::serving_scenarios(240);
-            let evaluations = hidp_bench::serving_evaluations(&scenarios, 0);
+            let evaluations = hidp_bench::serving_evaluations(&scenarios);
             hidp_bench::serving_table(&hidp_bench::serving_points(&scenarios, &evaluations))
         },
-        hidp_bench::fleet_table(&hidp_bench::fleet_routing_points(12_000, 8, 4, 1.8, None)),
+        hidp_bench::fleet_table(&hidp_bench::fleet_routing_points(12_000, 8, 4, 1.8)),
     ];
     for table in &tables {
         println!("{}", table.to_markdown());

@@ -5,9 +5,8 @@
 //! Prints a markdown table; a full run writes it to `BENCH_chaos.json`,
 //! which the committed copy pins.
 //!
-//! The binary installs the counting global allocator and audits the timed
-//! steady-state pass of every configuration. Gates, enforced on the full
-//! run (in CI) and by `--quick`, which writes nothing:
+//! Gates, enforced on the full run (in CI) and by `--quick`, which writes
+//! nothing:
 //!
 //! * **no silent loss** — with retry + failover enabled, zero requests are
 //!   permanently lost, and the offered/completed/dropped accounting balances
@@ -15,18 +14,11 @@
 //! * **goodput floor** — retry + failover holds SLA goodput (in-deadline
 //!   completions over offered) at ≥ 90% of the fault-free run's;
 //! * **faults hurt without recovery** — the no-recovery baseline must lose
-//!   requests, or the suite is not actually injecting meaningful faults;
-//! * **bounded memory** — the audited one-thread pass performs **zero**
-//!   heap allocations per configuration, recovery machinery included;
-//! * **determinism** — the retry-failover run at 1/2/4 worker threads
-//!   yields a bit-identical `RunSummary`.
-
-use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
-use hidp_core::{FleetScratch, ParallelSweep, RecoveryPolicy};
-use hidp_platform::presets;
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+//!   requests, or the suite is not actually injecting meaningful faults.
+//!
+//! The recovery path's bounded-memory contract is enforced by
+//! `tests/zero_alloc_warm_path.rs` and its thread invariance by
+//! `tests/chaos_robustness.rs`.
 
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
@@ -39,9 +31,7 @@ fn main() -> std::io::Result<()> {
         (40_000, 4, 2, 1.2, 0xC4405)
     };
 
-    let counter: &dyn Fn() -> u64 = &allocations_on_this_thread;
-    let points =
-        hidp_bench::chaos_points(count, clusters, regions, rate_scale, seed, Some(counter));
+    let points = hidp_bench::chaos_points(count, clusters, regions, rate_scale, seed);
     println!("{}", hidp_bench::chaos_table(&points).to_markdown());
 
     let mut violations = 0usize;
@@ -97,62 +87,6 @@ fn main() -> std::io::Result<()> {
         violations += 1;
     }
 
-    // Gate 4: bounded memory — zero steady-state allocations everywhere,
-    // recovery machinery included.
-    for p in &points {
-        match p.steady_state_allocs {
-            Some(0) => {}
-            Some(n) => {
-                eprintln!(
-                    "chaos [{}]: {} allocations in the steady-state pass over {} \
-                     requests (bounded-memory contract is 0)",
-                    p.config, n, p.requests
-                );
-                violations += 1;
-            }
-            None => unreachable!("a counter was supplied"),
-        }
-    }
-
-    // Gate 5: determinism — the recovered run is bit-identical at 1/2/4
-    // worker threads.
-    {
-        let fleet = presets::generated_fleet(clusters, regions).expect("fleet preset is valid");
-        let strategy = hidp_core::HidpStrategy::new();
-        let check = count.min(6_000);
-        let requests = hidp_bench::fleet_trace(check, regions, rate_scale);
-        let horizon = requests
-            .iter()
-            .map(|r| r.request.arrival)
-            .fold(0.0, f64::max)
-            .max(1.0);
-        let node_counts: Vec<usize> = fleet.clusters().iter().map(|c| c.len()).collect();
-        let plans = hidp_bench::chaos_fault_suite(&node_counts, horizon, seed);
-        let scenario =
-            hidp_bench::chaos_scenario(requests, &plans, "determinism", RecoveryPolicy::standard());
-        let mut reference = None;
-        for threads in [1usize, 2, 4] {
-            let summary = scenario
-                .run_streaming_in(
-                    &strategy,
-                    &fleet,
-                    hidp_bench::LEADER,
-                    &ParallelSweep::new(threads),
-                    &mut FleetScratch::new(),
-                )
-                .expect("chaos determinism pass succeeds");
-            match &reference {
-                None => reference = Some(summary),
-                Some(r) if *r == summary => {}
-                Some(_) => {
-                    eprintln!("chaos: summary diverges at {threads} threads");
-                    violations += 1;
-                }
-            }
-        }
-        println!("determinism: {check} requests under faults bit-identical at 1/2/4 threads");
-    }
-
     if !quick {
         hidp_bench::write_bench(
             "BENCH_chaos.json",
@@ -165,8 +99,7 @@ fn main() -> std::io::Result<()> {
     }
     println!(
         "chaos: zero requests lost under retry+failover, goodput within 90% of fault-free, \
-         no-recovery baseline measurably degrades, zero steady-state allocations, \
-         bit-identical at 1/2/4 threads"
+         no-recovery baseline measurably degrades"
     );
     Ok(())
 }

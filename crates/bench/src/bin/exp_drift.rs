@@ -7,9 +7,8 @@
 //! the believed cluster). Prints a markdown table; a full run writes it to
 //! `BENCH_drift.json`, which the committed copy pins.
 //!
-//! The binary installs the counting global allocator and audits the timed
-//! steady-state pass of every configuration. Gates, enforced on the full
-//! run (in CI) and by `--quick`, which writes nothing:
+//! Gates, enforced on the full run (in CI) and by `--quick`, which writes
+//! nothing:
 //!
 //! * **latency** — adaptive re-planning beats static plans on p99 latency
 //!   at equal offered load;
@@ -19,17 +18,16 @@
 //!   never more than the hysteresis bound; non-adaptive runs never re-plan;
 //! * **bit-identity** — estimation armed with nothing drifting changes no
 //!   measured output (only the observation count may differ);
-//! * **bounded memory** — the audited steady-state pass performs **zero**
-//!   heap allocations per configuration, estimation and re-planning
-//!   machinery included;
+//! * **no lost work** — every configuration's accounting balances and
+//!   nothing is dropped;
 //! * **bandit convergence** — the episode-level UCB1 over adaptive tunings
 //!   tries every arm and settles on the lowest-p99 one.
+//!
+//! The adaptive loop's bounded-memory contract is enforced by
+//! `tests/zero_alloc_warm_path.rs` and its thread invariance by
+//! `tests/drift_adaptive.rs`.
 
-use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
 use hidp_core::AdaptiveConfig;
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
@@ -43,8 +41,7 @@ fn main() -> std::io::Result<()> {
         (8_000, 0xD21F7, 12u32)
     };
 
-    let counter: &dyn Fn() -> u64 = &allocations_on_this_thread;
-    let points = hidp_bench::drift_points(count, seed, Some(counter));
+    let points = hidp_bench::drift_points(count, seed);
     println!("{}", hidp_bench::drift_table(&points).to_markdown());
 
     let mut violations = 0usize;
@@ -114,7 +111,6 @@ fn main() -> std::io::Result<()> {
         let mut control = no_drift_adaptive.clone();
         control.config = no_drift.config.clone();
         control.observations = no_drift.observations;
-        control.steady_state_allocs = no_drift.steady_state_allocs;
         if control != *no_drift {
             eprintln!(
                 "drift: no-drift-adaptive diverges from no-drift: {no_drift_adaptive:?} vs {no_drift:?}"
@@ -135,24 +131,7 @@ fn main() -> std::io::Result<()> {
         }
     }
 
-    // Gate 6: bounded memory — zero steady-state allocations everywhere,
-    // estimation and believed-cluster re-planning included.
-    for p in &points {
-        match p.steady_state_allocs {
-            Some(0) => {}
-            Some(n) => {
-                eprintln!(
-                    "drift [{}]: {} allocations in the steady-state pass over {} \
-                     requests (bounded-memory contract is 0)",
-                    p.config, n, p.requests
-                );
-                violations += 1;
-            }
-            None => unreachable!("a counter was supplied"),
-        }
-    }
-
-    // Gate 7: the episode-level bandit tries every tuning and settles on
+    // Gate 6: the episode-level bandit tries every tuning and settles on
     // the lowest-p99 arm.
     let bandit = hidp_bench::drift_bandit(count.min(4_000), seed, episodes);
     println!(
@@ -193,8 +172,8 @@ fn main() -> std::io::Result<()> {
     }
     println!(
         "drift: adaptive re-planning beats static plans on p99 and energy, re-plans within \
-         the hysteresis bound, no-drift runs bit-identical with estimation armed, zero \
-         steady-state allocations, bandit settled on the best tuning"
+         the hysteresis bound, no-drift runs bit-identical with estimation armed, no work \
+         lost, bandit settled on the best tuning"
     );
     Ok(())
 }

@@ -5,37 +5,26 @@
 //! throughput, tail latency, queueing delay and SLA-miss rate to
 //! `BENCH_serving.json`, which the committed copy pins.
 //!
-//! Two invariants are asserted on every run, the full one (in CI) and
-//! `--quick`, which writes nothing:
+//! One gate, asserted on every run, the full one (in CI) and `--quick`,
+//! which writes nothing: **batching wins in both regimes** — on the
+//! transfer-heavy batching workload point (Inception-V3 burst train,
+//! serial dispatch window) and on the compute-bound point (ResNet-152
+//! burst train, where the win comes from the sublinear batch cost model
+//! rather than message amortization), the k = 4 and k = 8 dynamic batcher
+//! serves measurably more requests per second than batch = 1 (simulated
+//! time, so the comparison is deterministic).
 //!
-//! * **thread-count invariance** — the grid through
-//!   `ParallelSweep::run_serving` at 1, 2 and 4 worker threads produces
-//!   bit-identical `ServingEvaluation`s (the same guarantee
-//!   `tests/parallel_engine.rs` pins for the static sweep);
-//! * **batching wins in both regimes** — on the transfer-heavy batching
-//!   workload point (Inception-V3 burst train, serial dispatch window) and
-//!   on the compute-bound point (ResNet-152 burst train, where the win
-//!   comes from the sublinear batch cost model rather than message
-//!   amortization), the k = 4 and k = 8 dynamic batcher serves measurably
-//!   more requests per second than batch = 1 (simulated time, so the
-//!   comparison is deterministic).
+//! The grid's thread-count invariance is pinned by
+//! `serving_sweep_is_thread_count_invariant` (`tests/serving_equivalence.rs`),
+//! which runs this grid at 1, 2 and 4 worker threads.
 
 fn main() -> std::io::Result<()> {
     let quick = std::env::args().any(|a| a == "--quick");
     let count = if quick { 64 } else { 240 };
 
     let scenarios = hidp_bench::serving_scenarios(count);
-    let reference = hidp_bench::serving_evaluations(&scenarios, 1);
-    for threads in [2usize, 4] {
-        let evaluations = hidp_bench::serving_evaluations(&scenarios, threads);
-        assert!(
-            evaluations == reference,
-            "{threads} worker threads produced different serving evaluations than 1 thread"
-        );
-    }
-    println!("serving grid: bit-identical results at 1/2/4 worker threads");
-
-    let points = hidp_bench::serving_points(&scenarios, &reference);
+    let evaluations = hidp_bench::serving_evaluations(&scenarios);
+    let points = hidp_bench::serving_points(&scenarios, &evaluations);
     println!("{}", hidp_bench::serving_table(&points).to_markdown());
 
     let batching = hidp_bench::serving_batching_points(count);

@@ -6,12 +6,15 @@
 //! `exp_*` binaries print them.
 //!
 //! The serving-tier experiments (`exp_soak`, `exp_fleet`, `exp_chaos`,
-//! `exp_drift`, `exp_serving`) also gate their runs, and a full run writes
-//! a `BENCH_*.json` document of model outputs only: no field depends on the
-//! host, so a document is a pure function of the code and the committed
-//! copies are goldens that CI regenerates and diffs. Host wall-clock is
-//! measured by the repository benchmark (`perfbench/`); the binaries time
-//! only what a gate reads (the soak throughput floors) and print it.
+//! `exp_drift`, `exp_serving`) also gate their model outputs, and a full
+//! run writes a `BENCH_*.json` document of model outputs only: no field
+//! depends on the host, so a document is a pure function of the code and
+//! the committed copies are goldens that CI regenerates and diffs. Each
+//! other contract has one home outside this crate: host wall-clock is
+//! measured by the repository benchmark (`perfbench/`), steady-state
+//! allocations are counted by `tests/zero_alloc_warm_path.rs`, and thread
+//! invariance is property-tested in `tests/`. The one host timing here is
+//! [`dse_overhead`], the paper's own DSE-overhead table.
 //!
 //! The experiment configuration mirrors the paper's setup: the five-device
 //! cluster of Table II, requests arriving at the Jetson TX2 (the device used
@@ -20,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc_count;
 pub mod json;
 
 pub use json::{write_bench, Fields, Json, ToJson};
@@ -38,7 +40,9 @@ use hidp_core::{
 use hidp_dnn::exec::{execute, execute_data_partition_batch, execute_model_partition, WeightStore};
 use hidp_dnn::partition::partition_into_blocks;
 use hidp_dnn::zoo::{self, WorkloadModel};
-use hidp_platform::{presets, Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr};
+use hidp_platform::{
+    presets, Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, ProcessorAddr,
+};
 use hidp_sim::stats::performance_timeline;
 use hidp_sim::{simulate_stream_detailed, ExecutionPlan};
 use hidp_tensor::Tensor;
@@ -765,14 +769,12 @@ pub fn serving_scenarios(count: usize) -> Vec<(String, String, ServingScenario)>
         .collect()
 }
 
-/// Runs a serving-scenario grid through [`ParallelSweep::run_serving`] at
-/// the given worker-thread count (0 = the host's available parallelism)
+/// Runs a serving-scenario grid through [`ParallelSweep::run_serving`]
 /// against one shared sharded [`PlanCache`], in grid order. Results are
-/// bit-identical at every thread count (the `exp_serving` binary and CI
-/// assert this at 1/2/4 threads).
+/// bit-identical at every thread count
+/// (`tests/serving_equivalence.rs` runs this grid at 1/2/4 threads).
 pub fn serving_evaluations(
     scenarios: &[(String, String, ServingScenario)],
-    threads: usize,
 ) -> Vec<ServingEvaluation> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
@@ -786,12 +788,7 @@ pub fn serving_evaluations(
         })
         .collect();
     let cache = PlanCache::new();
-    let sweep = if threads == 0 {
-        ParallelSweep::with_available_parallelism()
-    } else {
-        ParallelSweep::new(threads)
-    };
-    sweep
+    sweep()
         .run_serving(&jobs, &cache)
         .into_iter()
         .map(|r| r.expect("serving evaluation succeeds"))
@@ -1006,13 +1003,12 @@ pub fn serving_document(
 }
 
 // ---------------------------------------------------------------------------
-// Soak: the streaming serving loop at 10^6-request scale, bounded memory
+// Soak: the streaming serving loop at 10^6-request scale
 // ---------------------------------------------------------------------------
 
 record! {
     /// One soak pass: the streaming serving loop
-    /// ([`ServingScenario::run_streaming_with_cache_in`]) over a diurnal trace,
-    /// audited for steady-state allocations.
+    /// ([`ServingScenario::run_streaming_with_cache_in`]) over a diurnal trace.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SoakPoint {
         /// Admission policy + batching config of the pass.
@@ -1033,11 +1029,6 @@ record! {
         pub mean_queueing_ms: f64,
         /// Fraction of requests missing their SLA deadline.
         pub sla_miss_rate: f64,
-        /// Heap allocations during the audited steady-state pass (`None` when
-        /// no counter was supplied). The bounded-memory contract is 0: after
-        /// the warm pass, the loop runs entirely on reused buffers and `Copy`
-        /// accumulators, so memory cannot grow with the request count.
-        pub steady_state_allocs: Option<u64>,
     }
 }
 
@@ -1065,68 +1056,69 @@ pub fn soak_trace(count: usize) -> Vec<hidp_core::ServingRequest> {
     ))
 }
 
-/// Runs the soak: for each config, one warm pass (cold planning + buffer
-/// sizing), then one timed, allocation-audited steady-state pass over the
-/// full trace. The two passes must agree bit for bit — the audited pass is
-/// not a different code path. Each point comes with the wall-clock seconds
-/// of its steady-state pass, which the throughput floor reads and the
-/// document leaves out.
-pub fn soak_points(count: usize, counter: Option<&dyn Fn() -> u64>) -> Vec<(SoakPoint, f64)> {
+/// The admission policies the soak compares, as `(config label, policy)`.
+pub fn soak_configs() -> [(&'static str, AdmissionPolicy); 2] {
+    [
+        ("fifo-batch8", AdmissionPolicy::Fifo),
+        ("edf-batch8", AdmissionPolicy::EarliestDeadline),
+    ]
+}
+
+/// Wraps the serving config every soak pass shares: batch 8 and admission
+/// window 4 under the given admission `policy`.
+pub fn soak_scenario(
+    requests: Vec<hidp_core::ServingRequest>,
+    label: &str,
+    policy: AdmissionPolicy,
+) -> ServingScenario {
+    ServingScenario::new(requests)
+        .with_label(format!("soak-{label}"))
+        .with_policy(policy)
+        .with_max_batch(8)
+        .with_max_inflight(Some(4))
+}
+
+/// Runs the soak: one streaming pass over the full trace per config of
+/// [`soak_configs`], in config order.
+pub fn soak_points(count: usize) -> Vec<SoakPoint> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
     let requests = soak_trace(count);
-    let configs = [
-        ("fifo-batch8", AdmissionPolicy::Fifo),
-        ("edf-batch8", AdmissionPolicy::EarliestDeadline),
-    ];
-    let mut points = Vec::new();
-    for (label, policy) in configs {
-        let scenario = ServingScenario::new(requests.clone())
-            .with_label(format!("soak-{label}"))
-            .with_policy(policy)
-            .with_max_batch(8)
-            .with_max_inflight(Some(4));
-        let cache = PlanCache::new();
-        let mut scratch = hidp_core::ServingScratch::new();
-        let warm = scenario
-            .run_streaming_with_cache_in(&strategy, &cluster, LEADER, &cache, &mut scratch)
-            .expect("soak warm pass succeeds");
-
-        let before = counter.map(|f| f());
-        let start = Instant::now();
-        let summary = scenario
-            .run_streaming_with_cache_in(&strategy, &cluster, LEADER, &cache, &mut scratch)
-            .expect("soak steady-state pass succeeds");
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let steady_state_allocs = counter.map(|f| f() - before.unwrap());
-
-        assert_eq!(summary.makespan, warm.makespan, "passes must agree");
-        assert_eq!(summary.batches, warm.batches);
-        let point = SoakPoint {
-            config: label.to_string(),
-            requests: summary.requests,
-            batches: summary.batches,
-            sim_makespan_s: summary.makespan,
-            sim_requests_per_second: summary.requests_per_second(),
-            p50_ms: summary.latency.p50 * 1e3,
-            p99_ms: summary.latency.p99 * 1e3,
-            mean_queueing_ms: summary.mean_queueing_delay * 1e3,
-            sla_miss_rate: summary.sla_miss_rate(),
-            steady_state_allocs,
-        };
-        points.push((point, wall_seconds));
-    }
-    points
+    soak_configs()
+        .into_iter()
+        .map(|(label, policy)| {
+            let summary = soak_scenario(requests.clone(), label, policy)
+                .run_streaming_with_cache_in(
+                    &strategy,
+                    &cluster,
+                    LEADER,
+                    &PlanCache::new(),
+                    &mut ServingScratch::new(),
+                )
+                .expect("soak pass succeeds");
+            SoakPoint {
+                config: label.to_string(),
+                requests: summary.requests,
+                batches: summary.batches,
+                sim_makespan_s: summary.makespan,
+                sim_requests_per_second: summary.requests_per_second(),
+                p50_ms: summary.latency.p50 * 1e3,
+                p99_ms: summary.latency.p99 * 1e3,
+                mean_queueing_ms: summary.mean_queueing_delay * 1e3,
+                sla_miss_rate: summary.sla_miss_rate(),
+            }
+        })
+        .collect()
 }
 
 /// Renders soak points as an [`ExperimentTable`].
 pub fn soak_table(points: &[SoakPoint]) -> ExperimentTable {
     ExperimentTable::from_points(
-        "Soak: streaming serving over a diurnal trace (histogram tails, zero-alloc steady state)",
+        "Soak: streaming serving over a diurnal trace (histogram tails)",
         "req/s / ms",
         points,
         |p| p.config.clone(),
-        "requests batches p50_ms p99_ms mean_queueing_ms steady_state_allocs",
+        "requests batches p50_ms p99_ms mean_queueing_ms",
     )
 }
 
@@ -1145,8 +1137,7 @@ pub fn soak_document(points: &[SoakPoint]) -> Json {
 
 record! {
     /// One fleet pass: [`FleetScenario::run_streaming_in`] over a skewed
-    /// regional diurnal trace under one routing policy, (at one thread)
-    /// audited for steady-state allocations.
+    /// regional diurnal trace under one routing policy.
     #[derive(Debug, Clone, PartialEq)]
     pub struct FleetPoint {
         /// Routing policy of the pass.
@@ -1172,11 +1163,6 @@ record! {
         pub busiest_cluster_requests: usize,
         /// Requests on the least-loaded cluster.
         pub idlest_cluster_requests: usize,
-        /// Heap allocations during the audited steady-state pass (`None` when
-        /// no counter was supplied). The contract is 0 at one thread: every
-        /// cluster's serving loop runs on reused scratch, and per-request fleet
-        /// state is `Copy`.
-        pub steady_state_allocs: Option<u64>,
     }
 }
 
@@ -1237,48 +1223,36 @@ pub fn fleet_scenario(requests: Vec<FleetRequest>, routing: RoutingPolicy) -> Fl
 
 /// Runs the routing comparison: the same trace through every policy of
 /// [`fleet_routing_policies`] on a generated fleet — equal offered
-/// throughput, only the routing differs. One warm pass per policy (cold
-/// planning + scratch sizing), then one allocation-audited steady-state
-/// pass at one thread. Returns the points in policy order.
+/// throughput, only the routing differs. One pass per policy at one
+/// thread; returns the points in policy order.
 pub fn fleet_routing_points(
     count: usize,
     clusters: usize,
     regions: usize,
     rate_scale: f64,
-    counter: Option<&dyn Fn() -> u64>,
 ) -> Vec<FleetPoint> {
     let fleet = presets::generated_fleet(clusters, regions).expect("fleet preset is valid");
-    let strategy = HidpStrategy::new();
     let requests = fleet_trace(count, regions, rate_scale);
-    let sweep = ParallelSweep::new(1);
-    let mut points = Vec::new();
-    for routing in fleet_routing_policies() {
-        let scenario = fleet_scenario(requests.clone(), routing);
-        let mut scratch = FleetScratch::new();
-        let warm = scenario
-            .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
-            .expect("fleet warm pass succeeds");
-
-        let before = counter.map(|f| f());
-        let summary = scenario
-            .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
-            .expect("fleet steady-state pass succeeds");
-        let steady_state_allocs = counter.map(|f| f() - before.unwrap());
-
-        assert_eq!(summary.makespan, warm.makespan, "passes must agree");
-        assert_eq!(summary.batches, warm.batches);
-        points.push(fleet_point(routing, &summary, steady_state_allocs));
-    }
-    points
+    fleet_routing_policies()
+        .into_iter()
+        .map(|routing| fleet_point(&fleet, fleet_scenario(requests.clone(), routing)))
+        .collect()
 }
 
-fn fleet_point(
-    routing: RoutingPolicy,
-    summary: &RunSummary,
-    steady_state_allocs: Option<u64>,
-) -> FleetPoint {
+/// Serves `scenario` on `fleet` in one pass at one thread and reads its
+/// point.
+fn fleet_point(fleet: &Fleet, scenario: FleetScenario) -> FleetPoint {
+    let summary = scenario
+        .run_streaming_in(
+            &HidpStrategy::new(),
+            fleet,
+            LEADER,
+            &ParallelSweep::new(1),
+            &mut FleetScratch::new(),
+        )
+        .expect("fleet pass succeeds");
     FleetPoint {
-        routing: routing.name().to_string(),
+        routing: scenario.config().routing.name().to_string(),
         requests: summary.requests,
         clusters: summary.clusters,
         sim_requests_per_second: summary.requests_per_second(),
@@ -1289,37 +1263,25 @@ fn fleet_point(
         sla_miss_rate: summary.sla_miss_rate(),
         busiest_cluster_requests: summary.busiest_cluster_requests,
         idlest_cluster_requests: summary.idlest_cluster_requests,
-        steady_state_allocs,
     }
 }
 
 /// The fleet soak: one least-loaded pass over `count` requests across a
-/// `clusters`-cluster fleet, warm pass first, then the timed steady-state
-/// pass at `threads` workers. Returns the point and the wall-clock seconds
-/// of the timed pass, which the soak floor reads and the document leaves
-/// out.
+/// `clusters`-cluster fleet at one thread.
 pub fn fleet_soak_point(
     count: usize,
     clusters: usize,
     regions: usize,
     rate_scale: f64,
-    threads: usize,
-) -> (FleetPoint, f64) {
+) -> FleetPoint {
     let fleet = presets::generated_fleet(clusters, regions).expect("fleet preset is valid");
-    let strategy = HidpStrategy::new();
-    let routing = RoutingPolicy::LeastLoaded;
-    let scenario = fleet_scenario(fleet_trace(count, regions, rate_scale), routing);
-    let sweep = ParallelSweep::new(threads);
-    let mut scratch = FleetScratch::new();
-    scenario
-        .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
-        .expect("fleet soak warm pass succeeds");
-    let start = Instant::now();
-    let summary = scenario
-        .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
-        .expect("fleet soak pass succeeds");
-    let wall_seconds = start.elapsed().as_secs_f64();
-    (fleet_point(routing, &summary, None), wall_seconds)
+    fleet_point(
+        &fleet,
+        fleet_scenario(
+            fleet_trace(count, regions, rate_scale),
+            RoutingPolicy::LeastLoaded,
+        ),
+    )
 }
 
 /// Renders fleet points as an [`ExperimentTable`].
@@ -1330,7 +1292,7 @@ pub fn fleet_table(points: &[FleetPoint]) -> ExperimentTable {
         points,
         |p| p.routing.clone(),
         "requests clusters p50_ms p99_ms mean_queueing_ms mean_wan_ms sla_miss_rate \
-         busiest_cluster_requests steady_state_allocs",
+         busiest_cluster_requests",
     )
 }
 
@@ -1352,8 +1314,7 @@ pub fn fleet_document(points: &[FleetPoint], soak: &FleetPoint) -> Json {
 
 record! {
     /// One chaos pass: the fleet under a seeded fault suite with one
-    /// recovery configuration, (at one thread) audited for steady-state
-    /// allocations.
+    /// recovery configuration.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ChaosPoint {
         /// Recovery configuration of the pass (see [`chaos_points`]).
@@ -1379,11 +1340,6 @@ record! {
         /// Latency tail over completions that needed at least one retry — the
         /// per-policy recovery cost; `None` when no retried request completed.
         pub recovery_latency: Option<LatencySummary>,
-        /// Heap allocations during the audited steady-state pass (`None` when
-        /// no counter was supplied). The contract is 0 at one thread: the
-        /// recovery machinery — pending FIFO, retry heap, re-routing — runs
-        /// entirely on reused scratch once warmed.
-        pub steady_state_allocs: Option<u64>,
     }
 }
 
@@ -1396,24 +1352,30 @@ pub fn chaos_fault_suite(node_counts: &[usize], horizon: f64, seed: u64) -> Vec<
         .expect("the generated fleet's clusters all have faultable nodes")
 }
 
-/// Wraps the fleet scenario every chaos configuration shares: the fleet
-/// comparison's serving shape ([`fleet_scenario`]) with kill semantics
-/// armed and the fault suite installed — timelines and straggler windows
-/// per cluster, WAN degradation fleet-wide. Only `recovery` varies between
+/// Wraps the fleet scenario of one chaos configuration: the fleet
+/// comparison's serving shape ([`fleet_scenario`]) under least-loaded
+/// routing. With a `recovery` policy, kill semantics are armed and the
+/// fault suite is installed — timelines and straggler windows per cluster,
+/// WAN degradation fleet-wide; without one (`fault-free`), nothing is
+/// injected and `plans` is unused. Only `recovery` varies between
 /// configurations.
 pub fn chaos_scenario(
     requests: Vec<FleetRequest>,
     plans: &[FaultPlan],
     label: &str,
-    recovery: RecoveryPolicy,
+    recovery: Option<RecoveryPolicy>,
 ) -> FleetScenario {
-    fleet_scenario(requests, RoutingPolicy::LeastLoaded)
-        .with_label(format!("chaos-{label}"))
-        .with_failure_mode(FailureMode::Kill)
-        .with_recovery(recovery)
-        .with_timelines(plans.iter().map(|p| p.timeline.clone()).collect())
-        .with_slowdowns(plans.iter().map(|p| p.slowdowns.clone()).collect())
-        .with_wan_degradations(plans[0].wan.clone())
+    let scenario =
+        fleet_scenario(requests, RoutingPolicy::LeastLoaded).with_label(format!("chaos-{label}"));
+    match recovery {
+        None => scenario,
+        Some(recovery) => scenario
+            .with_failure_mode(FailureMode::Kill)
+            .with_recovery(recovery)
+            .with_timelines(plans.iter().map(|p| p.timeline.clone()).collect())
+            .with_slowdowns(plans.iter().map(|p| p.slowdowns.clone()).collect())
+            .with_wan_degradations(plans[0].wan.clone()),
+    }
 }
 
 /// The recovery configurations the chaos experiment compares, in order:
@@ -1445,16 +1407,14 @@ pub fn chaos_configs() -> Vec<(&'static str, Option<RecoveryPolicy>)> {
 /// Runs the chaos experiment: the fleet-comparison trace through every
 /// configuration of [`chaos_configs`] on a generated fleet under one seeded
 /// fault suite — equal offered load, only the failure handling differs. One
-/// warm pass per configuration (cold planning + scratch sizing), then one
-/// allocation-audited steady-state pass at one thread. Returns the points
-/// in configuration order.
+/// pass per configuration at one thread; returns the points in
+/// configuration order.
 pub fn chaos_points(
     count: usize,
     clusters: usize,
     regions: usize,
     rate_scale: f64,
     seed: u64,
-    counter: Option<&dyn Fn() -> u64>,
 ) -> Vec<ChaosPoint> {
     let fleet = presets::generated_fleet(clusters, regions).expect("fleet preset is valid");
     let strategy = HidpStrategy::new();
@@ -1469,36 +1429,18 @@ pub fn chaos_points(
     let node_counts: Vec<usize> = fleet.clusters().iter().map(|c| c.len()).collect();
     let plans = chaos_fault_suite(&node_counts, horizon, seed);
     let sweep = ParallelSweep::new(1);
-    let mut points = Vec::new();
-    for (label, recovery) in chaos_configs() {
-        let scenario = match recovery {
-            None => fleet_scenario(requests.clone(), RoutingPolicy::LeastLoaded)
-                .with_label("chaos-fault-free".to_string()),
-            Some(recovery) => chaos_scenario(requests.clone(), &plans, label, recovery),
-        };
-        let mut scratch = FleetScratch::new();
-        let warm = scenario
-            .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
-            .expect("chaos warm pass succeeds");
-
-        let before = counter.map(|f| f());
-        let summary = scenario
-            .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut scratch)
-            .expect("chaos steady-state pass succeeds");
-        let steady_state_allocs = counter.map(|f| f() - before.unwrap());
-
-        // Cache traffic differs between the cold and warm pass by design;
-        // everything the gates read must agree bit for bit.
-        assert_eq!(summary.makespan, warm.makespan, "passes must agree");
-        assert_eq!(summary.batches, warm.batches);
-        assert_eq!(summary.robustness, warm.robustness);
-        assert_eq!(summary.latency, warm.latency);
-        points.push(chaos_point(label, &summary, steady_state_allocs));
-    }
-    points
+    chaos_configs()
+        .into_iter()
+        .map(|(label, recovery)| {
+            let summary = chaos_scenario(requests.clone(), &plans, label, recovery)
+                .run_streaming_in(&strategy, &fleet, LEADER, &sweep, &mut FleetScratch::new())
+                .expect("chaos pass succeeds");
+            chaos_point(label, &summary)
+        })
+        .collect()
 }
 
-fn chaos_point(label: &str, summary: &RunSummary, steady_state_allocs: Option<u64>) -> ChaosPoint {
+fn chaos_point(label: &str, summary: &RunSummary) -> ChaosPoint {
     ChaosPoint {
         config: label.to_string(),
         requests: summary.requests,
@@ -1512,7 +1454,6 @@ fn chaos_point(label: &str, summary: &RunSummary, steady_state_allocs: Option<u6
             .is_finite()
             .then_some(summary.time_to_first_retry),
         recovery_latency: summary.recovery_latency,
-        steady_state_allocs,
     }
 }
 
@@ -1554,7 +1495,7 @@ pub fn chaos_table(points: &[ChaosPoint]) -> ExperimentTable {
         |p| p.config.clone(),
         "requests robustness.completed robustness.killed robustness.retried robustness.lost \
          robustness.shed robustness.aborted sla_goodput p99_ms time_to_first_retry_s \
-         recovery_latency.p99_ms steady_state_allocs",
+         recovery_latency.p99_ms",
     )
 }
 
@@ -1576,8 +1517,7 @@ pub fn chaos_document(points: &[ChaosPoint], seed: u64) -> Json {
 
 /// One drift pass: the serving tier under a seeded continuous drift trace
 /// (thermal throttle ramps, background load, network contention) with or
-/// without the adaptive estimation/re-planning loop, audited for
-/// steady-state allocations.
+/// without the adaptive estimation/re-planning loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftPoint {
     /// Drift/adaptive configuration of the pass (see [`drift_configs`]).
@@ -1609,11 +1549,6 @@ pub struct DriftPoint {
     /// Offered/completed accounting (the serving tier drains, so offered
     /// equals completed; emitted uniformly with `BENCH_chaos.json`).
     pub robustness: RobustnessStats,
-    /// Heap allocations during the audited steady-state pass (`None` when
-    /// no counter was supplied). The contract is 0 with estimation and
-    /// drift active: the EWMA bank, the believed cluster and the re-keyed
-    /// plans all live on reused scratch once warmed.
-    pub steady_state_allocs: Option<u64>,
 }
 
 /// The drift trace the experiment injects over the paper cluster: two
@@ -1680,10 +1615,9 @@ pub fn drift_scenario(
 /// Runs the drift experiment: the diurnal serving trace through every
 /// configuration of [`drift_configs`] on the paper cluster under one seeded
 /// drift trace — equal offered load, only the drift exposure and the
-/// adaptive loop differ. One warm pass per configuration (cold planning +
-/// scratch sizing), then one allocation-audited steady-state pass. Returns
-/// the points in configuration order.
-pub fn drift_points(count: usize, seed: u64, counter: Option<&dyn Fn() -> u64>) -> Vec<DriftPoint> {
+/// adaptive loop differ. One pass per configuration; returns the points in
+/// configuration order.
+pub fn drift_points(count: usize, seed: u64) -> Vec<DriftPoint> {
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
     let requests = soak_trace(count);
@@ -1695,43 +1629,29 @@ pub fn drift_points(count: usize, seed: u64, counter: Option<&dyn Fn() -> u64>) 
         .fold(0.0, f64::max)
         .max(1.0);
     let model = drift_trace(cluster.len(), horizon, seed);
-    let mut points = Vec::new();
-    for (label, with_drift, adaptive) in drift_configs() {
-        let scenario = drift_scenario(
-            requests.clone(),
-            label,
-            with_drift.then(|| model.clone()),
-            adaptive,
-        );
-        let cache = PlanCache::new();
-        let mut scratch = ServingScratch::new();
-        let warm = scenario
-            .run_streaming_with_cache_in(&strategy, &cluster, LEADER, &cache, &mut scratch)
-            .expect("drift warm pass succeeds");
-
-        let before = counter.map(|f| f());
-        let summary = scenario
-            .run_streaming_with_cache_in(&strategy, &cluster, LEADER, &cache, &mut scratch)
-            .expect("drift steady-state pass succeeds");
-        let steady_state_allocs = counter.map(|f| f() - before.unwrap());
-
-        // Cache traffic differs between the cold and warm pass by design;
-        // everything the gates read must agree bit for bit.
-        assert_eq!(summary.makespan, warm.makespan, "passes must agree");
-        assert_eq!(summary.batches, warm.batches);
-        assert_eq!(summary.latency, warm.latency);
-        assert_eq!(summary.drift, warm.drift);
-        points.push(drift_point(label, &cluster, &summary, steady_state_allocs));
-    }
-    points
+    drift_configs()
+        .into_iter()
+        .map(|(label, with_drift, adaptive)| {
+            let summary = drift_scenario(
+                requests.clone(),
+                label,
+                with_drift.then(|| model.clone()),
+                adaptive,
+            )
+            .run_streaming_with_cache_in(
+                &strategy,
+                &cluster,
+                LEADER,
+                &PlanCache::new(),
+                &mut ServingScratch::new(),
+            )
+            .expect("drift pass succeeds");
+            drift_point(label, &cluster, &summary)
+        })
+        .collect()
 }
 
-fn drift_point(
-    label: &str,
-    cluster: &Cluster,
-    summary: &RunSummary,
-    steady_state_allocs: Option<u64>,
-) -> DriftPoint {
+fn drift_point(label: &str, cluster: &Cluster, summary: &RunSummary) -> DriftPoint {
     DriftPoint {
         config: label.to_string(),
         requests: summary.requests,
@@ -1745,7 +1665,6 @@ fn drift_point(
         replans: summary.drift.replans,
         observations: summary.drift.observations,
         robustness: summary.robustness,
-        steady_state_allocs,
     }
 }
 
@@ -1768,7 +1687,6 @@ impl Fields for DriftPoint {
             ("total_energy_j", self.total_energy_j.to_json()),
             ("drift", Json::Obj(drift)),
             ("robustness", self.robustness.to_json()),
-            ("steady_state_allocs", self.steady_state_allocs.to_json()),
         ]
     }
 }
@@ -1781,7 +1699,7 @@ pub fn drift_table(points: &[DriftPoint]) -> ExperimentTable {
         points,
         |p| p.config.clone(),
         "requests batches p50_ms p99_ms sla_miss_rate makespan_s total_energy_j drift.replans \
-         drift.observations steady_state_allocs",
+         drift.observations",
     )
 }
 

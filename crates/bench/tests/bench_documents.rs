@@ -86,7 +86,6 @@ fn soak_input() -> Vec<SoakPoint> {
             p99_ms: 2100.5,
             mean_queueing_ms: 300.25,
             sla_miss_rate: 0.125,
-            steady_state_allocs: Some(0),
         },
         SoakPoint {
             config: "edf-batch8".to_string(),
@@ -98,12 +97,11 @@ fn soak_input() -> Vec<SoakPoint> {
             p99_ms: 1900.0,
             mean_queueing_ms: 280.0,
             sla_miss_rate: 0.0625,
-            steady_state_allocs: None,
         },
     ]
 }
 
-fn fleet_point(routing: &str, allocs: Option<u64>) -> FleetPoint {
+fn fleet_point(routing: &str) -> FleetPoint {
     FleetPoint {
         routing: routing.to_string(),
         requests: 12000,
@@ -116,17 +114,13 @@ fn fleet_point(routing: &str, allocs: Option<u64>) -> FleetPoint {
         sla_miss_rate: 0.03125,
         busiest_cluster_requests: 2400,
         idlest_cluster_requests: 900,
-        steady_state_allocs: allocs,
     }
 }
 
 fn fleet_input() -> (Vec<FleetPoint>, FleetPoint) {
     (
-        vec![
-            fleet_point("random", Some(0)),
-            fleet_point("least-loaded", Some(3)),
-        ],
-        fleet_point("least-loaded", None),
+        vec![fleet_point("random"), fleet_point("least-loaded")],
+        fleet_point("least-loaded"),
     )
 }
 
@@ -161,7 +155,6 @@ fn chaos_input() -> Vec<ChaosPoint> {
                 p99: 1.5,
                 mean: 0.75,
             }),
-            steady_state_allocs: Some(0),
         },
         ChaosPoint {
             config: "no-recovery".to_string(),
@@ -173,13 +166,12 @@ fn chaos_input() -> Vec<ChaosPoint> {
             makespan_s: 899.5,
             time_to_first_retry_s: None,
             recovery_latency: None,
-            steady_state_allocs: None,
         },
     ]
 }
 
 fn drift_input() -> (Vec<DriftPoint>, DriftBanditReport) {
-    let point = |config: &str, replans: u32, allocs: Option<u64>| DriftPoint {
+    let point = |config: &str, replans: u32| DriftPoint {
         config: config.to_string(),
         requests: 4000,
         batches: 700,
@@ -196,13 +188,9 @@ fn drift_input() -> (Vec<DriftPoint>, DriftBanditReport) {
             completed: 4000,
             ..RobustnessStats::default()
         },
-        steady_state_allocs: allocs,
     };
     (
-        vec![
-            point("static-drift", 0, Some(0)),
-            point("adaptive-drift", 3, None),
-        ],
+        vec![point("static-drift", 0), point("adaptive-drift", 3)],
         DriftBanditReport {
             arms: vec!["default".to_string(), "fast-ewma".to_string()],
             pulls: vec![5, 3],
@@ -281,14 +269,11 @@ fn bench_drift_document_is_byte_identical() {
 fn small_run_documents() -> [String; 4] {
     const CHAOS_SEED: u64 = 0xC4405;
     const DRIFT_SEED: u64 = 0xD21F7;
-    let soak: Vec<SoakPoint> = soak_points(400, None)
-        .into_iter()
-        .map(|(point, _)| point)
-        .collect();
-    let routing = fleet_routing_points(400, 4, 2, 1.8, None);
-    let (fleet_soak, _) = fleet_soak_point(400, 4, 2, 1.8, 2);
-    let chaos = chaos_points(400, 4, 2, 1.2, CHAOS_SEED, None);
-    let drift = drift_points(300, DRIFT_SEED, None);
+    let soak = soak_points(400);
+    let routing = fleet_routing_points(400, 4, 2, 1.8);
+    let fleet_soak = fleet_soak_point(400, 4, 2, 1.8);
+    let chaos = chaos_points(400, 4, 2, 1.2, CHAOS_SEED);
+    let drift = drift_points(300, DRIFT_SEED);
     let bandit = drift_bandit(300, DRIFT_SEED, 5);
     [
         soak_document(&soak),
@@ -364,8 +349,8 @@ const GOLDEN_SOAK: &str = r#"{
   "benchmark": "soak",
   "workload": "diurnal Mix-5 trace (trough 8 req/s, peak 24 req/s around the ~18 req/s service capacity, 2000 s period, seed 42), SLA classes cycling, HiDP planning, max_batch 8, admission window 4, streaming mode (no per-request records, log-linear latency histograms)",
   "points": [
-    {"config": "fifo-batch8", "requests": 50000, "batches": 7000, "sim_makespan_s": 2800.5, "sim_requests_per_second": 17.85, "p50_ms": 420, "p99_ms": 2100.5, "mean_queueing_ms": 300.25, "sla_miss_rate": 0.125, "steady_state_allocs": 0},
-    {"config": "edf-batch8", "requests": 50000, "batches": 6900, "sim_makespan_s": 2801, "sim_requests_per_second": 17.75, "p50_ms": 400, "p99_ms": 1900, "mean_queueing_ms": 280, "sla_miss_rate": 0.0625, "steady_state_allocs": null}
+    {"config": "fifo-batch8", "requests": 50000, "batches": 7000, "sim_makespan_s": 2800.5, "sim_requests_per_second": 17.85, "p50_ms": 420, "p99_ms": 2100.5, "mean_queueing_ms": 300.25, "sla_miss_rate": 0.125},
+    {"config": "edf-batch8", "requests": 50000, "batches": 6900, "sim_makespan_s": 2801, "sim_requests_per_second": 17.75, "p50_ms": 400, "p99_ms": 1900, "mean_queueing_ms": 280, "sla_miss_rate": 0.0625}
   ]
 }
 "#;
@@ -374,10 +359,10 @@ const GOLDEN_FLEET: &str = r#"{
   "benchmark": "fleet",
   "workload": "skewed regional diurnal trace (region weights 4/2/1/..., phase-shifted sinusoidal rates, seed 42), Mix-5 model cycle, SLA classes cycling, HiDP planning, EDF admission, max_batch 8, window 4 per cluster, 1 s router rounds",
   "routing_points": [
-    {"routing": "random", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": 0},
-    {"routing": "least-loaded", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": 3}
+    {"routing": "random", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900},
+    {"routing": "least-loaded", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900}
   ],
-  "soak": {"routing": "least-loaded", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900, "steady_state_allocs": null}
+  "soak": {"routing": "least-loaded", "requests": 12000, "clusters": 8, "sim_requests_per_second": 48.25, "p50_ms": 350.5, "p99_ms": 1500, "mean_queueing_ms": 120.125, "mean_wan_ms": 12.5, "sla_miss_rate": 0.03125, "busiest_cluster_requests": 2400, "idlest_cluster_requests": 900}
 }
 "#;
 
@@ -386,8 +371,8 @@ const GOLDEN_CHAOS: &str = r#"{
   "workload": "skewed regional diurnal trace (fleet comparison shape), least-loaded routing, EDF admission, max_batch 8, window 4 per cluster; seeded fault suite: node flaps on every cluster, a correlated rack outage on cluster 0, a straggler window on cluster 1, fleet-wide WAN degradation; latency tails cover completed requests, sla_goodput and sla_miss_rate are over offered requests (a shed, aborted or lost request is a miss)",
   "fault_seed": 803845,
   "points": [
-    {"config": "retry-failover", "requests": 8000, "robustness": {"offered": 8000, "completed": 7998, "shed": 1, "aborted": 1, "lost": 0, "killed": 7, "retried": 5, "in_flight_at_horizon": 0}, "sla_goodput": 0.9375, "p99_ms": 1800.5, "sla_miss_rate": 0.0625, "makespan_s": 900.25, "time_to_first_retry_s": 12.75, "recovery_latency": {"count": 5, "p50_ms": 500, "p95_ms": 1250, "p99_ms": 1500, "mean_ms": 750}, "steady_state_allocs": 0},
-    {"config": "no-recovery", "requests": 8000, "robustness": {"offered": 8000, "completed": 7992, "shed": 1, "aborted": 1, "lost": 6, "killed": 7, "retried": 5, "in_flight_at_horizon": 0}, "sla_goodput": 0.875, "p99_ms": 1700, "sla_miss_rate": 0.125, "makespan_s": 899.5, "time_to_first_retry_s": null, "recovery_latency": null, "steady_state_allocs": null}
+    {"config": "retry-failover", "requests": 8000, "robustness": {"offered": 8000, "completed": 7998, "shed": 1, "aborted": 1, "lost": 0, "killed": 7, "retried": 5, "in_flight_at_horizon": 0}, "sla_goodput": 0.9375, "p99_ms": 1800.5, "sla_miss_rate": 0.0625, "makespan_s": 900.25, "time_to_first_retry_s": 12.75, "recovery_latency": {"count": 5, "p50_ms": 500, "p95_ms": 1250, "p99_ms": 1500, "mean_ms": 750}},
+    {"config": "no-recovery", "requests": 8000, "robustness": {"offered": 8000, "completed": 7992, "shed": 1, "aborted": 1, "lost": 6, "killed": 7, "retried": 5, "in_flight_at_horizon": 0}, "sla_goodput": 0.875, "p99_ms": 1700, "sla_miss_rate": 0.125, "makespan_s": 899.5, "time_to_first_retry_s": null, "recovery_latency": null}
   ]
 }
 "#;
@@ -397,8 +382,8 @@ const GOLDEN_DRIFT: &str = r#"{
   "workload": "diurnal Mix-5 trace (soak shape), EDF admission, max_batch 8, window 4, paper cluster; seeded drift trace: two thermal throttle ramps (peak 3x), two background-load bursts (1.6x), one network-contention window (2x), leader protected",
   "drift_seed": 860663,
   "points": [
-    {"config": "static-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 0, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "in_flight_at_horizon": 0}, "steady_state_allocs": 0},
-    {"config": "adaptive-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 3, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "in_flight_at_horizon": 0}, "steady_state_allocs": null}
+    {"config": "static-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 0, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "in_flight_at_horizon": 0}},
+    {"config": "adaptive-drift", "requests": 4000, "batches": 700, "p50_ms": 410.5, "p99_ms": 2050.25, "sla_miss_rate": 0.1875, "makespan_s": 400.5, "dynamic_energy_j": 1234.5, "total_energy_j": 5678.25, "drift": {"replans": 3, "observations": 98765, "energy_j": 1234.5}, "robustness": {"offered": 4000, "completed": 4000, "shed": 0, "aborted": 0, "lost": 0, "killed": 0, "retried": 0, "in_flight_at_horizon": 0}}
   ],
   "bandit": {
     "episodes": 8,

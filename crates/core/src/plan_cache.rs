@@ -110,8 +110,8 @@ impl PlanKey {
     /// run: the strategy strings and cluster fingerprint are computed once,
     /// and the graph fields are zeroed for the caller's per-request loop to
     /// overwrite before each [`PlanCache::plan_keyed`] probe. This is the
-    /// single definition of the hoisting `Scenario::run_with_cache`, the
-    /// warm-path benches and the zero-alloc test all share.
+    /// single definition of the hoisting `Scenario::run_with_cache` and the
+    /// zero-alloc test share.
     pub fn for_run(
         strategy: &dyn DistributedStrategy,
         cluster: &Cluster,

@@ -56,8 +56,8 @@
 //! result is an all-`Copy` [`RunSummary`].
 //! After the first pass has sized the scratch buffers, a steady-state
 //! streaming pass performs zero heap allocations
-//! (`tests/zero_alloc_warm_path.rs`), which is what lets the 1M-request
-//! soak (`exp_soak`) run at full throughput in bounded memory.
+//! (`tests/zero_alloc_warm_path.rs`), which is what keeps a 1M-request
+//! soak in bounded memory.
 //!
 //! # The degenerate mode
 //!
@@ -642,10 +642,9 @@ impl ServingScenario {
     /// loop, kept as the frozen baseline for the indexed structure. Output
     /// is bit-identical to [`ServingScenario::run`] (pinned by
     /// `tests/serving_admission_equivalence.rs`); complexity is O(n) per
-    /// admission instead of O(log n). Exists for the equivalence tests and
-    /// the admission benchmark — new code should call
-    /// [`ServingScenario::run`]. Hidden from the documented API: it is a
-    /// test oracle, not a second way to serve.
+    /// admission instead of O(log n). Exists for the equivalence tests —
+    /// new code should call [`ServingScenario::run`]. Hidden from the
+    /// documented API: it is a test oracle, not a second way to serve.
     ///
     /// # Errors
     ///
@@ -1203,8 +1202,7 @@ impl ServingEvaluation {
 /// thread performs: after the first run of a given workload shape, a
 /// steady-state streaming pass performs **zero** heap allocations — every
 /// buffer is cleared and refilled in place. `tests/zero_alloc_warm_path.rs`
-/// asserts this with a counting allocator and `exp_soak --quick` re-asserts
-/// it in CI.
+/// asserts this with a counting allocator.
 #[derive(Debug)]
 pub struct ServingScratch {
     sim: SimScratch,

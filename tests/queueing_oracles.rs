@@ -11,8 +11,17 @@
 //! Both completion models are checked: streaming mode, where the dispatch
 //! estimator times completions, and records mode, where the event engine
 //! does. The service times come from solo runs of each model.
+//!
+//! The saturation oracle needs no statistics: a backlog released at t = 0
+//! keeps a window-1 server busy from the first admission to the last
+//! completion, so the makespan is the sum of the admitted plans' solo
+//! latencies and the served throughput is the service rate — 1/E[S] at
+//! batch 1, b/S(b) for batches of b, where S(b) is the batch-b plan's solo
+//! latency.
 
-use hidp::core::{AdmissionPolicy, PlanCache, ServingRequest, ServingScenario, ServingScratch};
+use hidp::core::{
+    AdmissionPolicy, PlanCache, Scenario, ServingRequest, ServingScenario, ServingScratch,
+};
 use hidp::platform::{presets, Cluster, NodeIndex};
 use hidp::workloads::{poisson_stream, InferenceRequest};
 use hidp::{HidpStrategy, WorkloadModel};
@@ -149,6 +158,89 @@ fn window_one_queueing_matches_pollaczek_khinchine() {
                  (SE {latency_se:.5} s)",
                 wq + mean_s
             );
+        }
+    }
+}
+
+/// `a` and `b` agree to a relative 1e-9.
+fn assert_close(a: f64, b: f64, what: &str) {
+    assert!((a - b).abs() <= 1e-9 * b.abs(), "{what}: {a} vs oracle {b}");
+}
+
+/// The makespan and served throughput of `scenario` in each completion
+/// model, as `[streaming, records]`.
+fn makespan_and_throughput(
+    scenario: &ServingScenario,
+    cluster: &Cluster,
+    cache: &PlanCache,
+) -> [(f64, f64); 2] {
+    let strategy = HidpStrategy::new();
+    let streaming = scenario
+        .run_streaming_with_cache_in(
+            &strategy,
+            cluster,
+            LEADER,
+            cache,
+            &mut ServingScratch::new(),
+        )
+        .expect("streaming run succeeds");
+    let records = scenario
+        .run_with_cache(&strategy, cluster, LEADER, cache)
+        .expect("records run succeeds");
+    [
+        (streaming.makespan, streaming.requests_per_second()),
+        (records.evaluation.makespan, records.requests_per_second()),
+    ]
+}
+
+#[test]
+fn saturated_window_one_backlog_completes_at_the_service_rate() {
+    let cluster = presets::paper_cluster();
+    let cache = PlanCache::new();
+    // S(b): the latency of one batch-b request through the static
+    // pipeline, which shares no admission or dispatch code with serving.
+    let solo = |model: WorkloadModel, batch: usize| {
+        Scenario::single(model.graph(batch))
+            .run_with_cache(&HidpStrategy::new(), &cluster, LEADER, &cache)
+            .expect("solo run succeeds")
+            .latency()
+    };
+
+    // Batch 1: a 30-request Mix-5 backlog, served one request at a time.
+    let backlog: Vec<ServingRequest> = (0..30)
+        .map(|i| ServingRequest::new(MODELS[i % MODELS.len()], 0.0))
+        .collect();
+    let total: f64 = backlog.iter().map(|r| solo(r.model, 1)).sum();
+    let mean_s = total / backlog.len() as f64;
+    let runs = makespan_and_throughput(&mg1(backlog), &cluster, &cache);
+    for ((makespan, throughput), mode) in runs.into_iter().zip(["streaming", "records"]) {
+        assert_close(makespan, total, &format!("{mode} batch 1 makespan"));
+        assert_close(
+            throughput,
+            1.0 / mean_s,
+            &format!("{mode} batch 1 throughput"),
+        );
+    }
+
+    // Batch b: a single-model backlog of 4 full batches.
+    for model in MODELS {
+        for batch in [2, 4, 8] {
+            let backlog = vec![ServingRequest::new(model, 0.0); 4 * batch];
+            let scenario = mg1(backlog).with_max_batch(batch);
+            let service = solo(model, batch);
+            for ((makespan, throughput), mode) in
+                makespan_and_throughput(&scenario, &cluster, &cache)
+                    .into_iter()
+                    .zip(["streaming", "records"])
+            {
+                let what = format!("{mode} {model:?} batch {batch}");
+                assert_close(makespan, 4.0 * service, &format!("{what} makespan"));
+                assert_close(
+                    throughput,
+                    batch as f64 / service,
+                    &format!("{what} throughput"),
+                );
+            }
         }
     }
 }

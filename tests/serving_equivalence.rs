@@ -147,8 +147,9 @@ fn summary_and_full_traces_agree_on_all_serving_aggregates() {
 #[test]
 fn serving_sweep_is_thread_count_invariant() {
     // The same grid of serving jobs through ParallelSweep::run_serving at
-    // 1/2/4 threads must produce bit-identical results (CI additionally
-    // enforces this on every PR via `exp_serving --quick`).
+    // 1/2/4 threads must produce bit-identical results: a Poisson grid over
+    // every admission policy, plus the `exp_serving` grid with its failure
+    // timelines (`hidp_bench::serving_scenarios`, at its `--quick` size).
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
     let requests = InferenceRequest::to_serving(&poisson_stream_classed(
@@ -158,7 +159,7 @@ fn serving_sweep_is_thread_count_invariant() {
         11,
         &SlaClass::ALL,
     ));
-    let scenarios: Vec<ServingScenario> = [
+    let mut scenarios: Vec<ServingScenario> = [
         AdmissionPolicy::Fifo,
         AdmissionPolicy::Priority,
         AdmissionPolicy::EarliestDeadline,
@@ -175,6 +176,11 @@ fn serving_sweep_is_thread_count_invariant() {
         })
     })
     .collect();
+    scenarios.extend(
+        hidp_bench::serving_scenarios(64)
+            .into_iter()
+            .map(|(_, _, scenario)| scenario),
+    );
     let jobs: Vec<ServingSweepJob<'_>> = scenarios
         .iter()
         .map(|scenario| ServingSweepJob {

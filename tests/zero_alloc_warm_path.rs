@@ -3,15 +3,19 @@
 //! evaluation path — per-request cached-plan probes through a reused
 //! borrowed `PlanKey` plus `simulate_stream_in` into a reused `SimScratch`
 //! at `TraceDetail::Summary` — performs **zero** heap allocations, pass
-//! after pass. This mirrors what PR 3's `PlannerScratch` test did for cold
+//! after pass. This mirrors the `PlannerScratch` contract for cold
 //! planning, one layer up.
 //!
-//! The allocator (`hidp_bench::alloc_count`, shared with the zero-allocation
-//! gates of `exp_soak`, `exp_fleet`, `exp_chaos` and `exp_drift` so all
-//! enforce the same definition of "allocation") counts **per thread** — and
-//! libtest runs every test on its own thread — so the tests here (the static
-//! warm path, the streaming serving, fleet, adaptive-drift and recovery
-//! passes) measure independent counters.
+//! This file is the one place steady-state allocations are counted. Its
+//! inputs are the configs the serving-tier experiments run: both soak
+//! admission policies, every fleet routing policy, every chaos recovery
+//! configuration and every drift configuration, at small sizes (chaos
+//! `retry-shed` at the chaos experiment's 40 000 requests, where it kills
+//! and retries work; at 400 it only sheds). The
+//! counting allocator below counts **per thread** — and libtest runs every
+//! test on its own thread — so the tests here (the static warm path, the
+//! streaming serving, fleet, adaptive-drift and recovery passes) measure
+//! independent counters.
 
 use hidp::core::{
     AdmissionPolicy, FleetScenario, FleetScratch, ParallelSweep, PlanCache, PlanKey, RoutingPolicy,
@@ -22,11 +26,80 @@ use hidp::platform::{presets, NodeIndex};
 use hidp::sim::{simulate_stream_detailed, simulate_stream_in, ExecutionPlan};
 use hidp::workloads::InferenceRequest;
 use hidp::HidpStrategy;
-use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Debug;
 use std::sync::Arc;
+
+/// Wraps the system allocator and counts every allocation (`alloc`,
+/// `alloc_zeroed`, `realloc`) on the calling thread. The count is
+/// thread-local so unrelated threads — the test harness, a parallel
+/// sweep's workers — cannot pollute an audit.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Total allocations performed on the calling thread since it started
+/// (monotone — audit a region by differencing before/after counts).
+fn allocations_on_this_thread() -> u64 {
+    ALLOCATIONS.with(|count| count.get())
+}
+
+fn bump() {
+    // try_with: the allocator must stay usable during TLS teardown.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The audit every test here runs on `pass`: one cold pass (planning and
+/// buffer sizing may allocate freely), one expected pass that fixes the
+/// result (its cache stats — all hits — match every later pass's, while
+/// the cold pass records misses), then five audited passes that must each
+/// reproduce it bit for bit and together allocate nothing. Returns the
+/// expected result.
+fn assert_steady_state_allocates_nothing<T: PartialEq + Debug>(
+    what: &str,
+    mut pass: impl FnMut() -> T,
+) -> T {
+    pass();
+    let expected = pass();
+    let before = allocations_on_this_thread();
+    for _ in 0..5 {
+        assert_eq!(pass(), expected, "{what}: a steady-state pass diverged");
+    }
+    let allocations = allocations_on_this_thread() - before;
+    assert_eq!(
+        allocations, 0,
+        "{what}: the steady-state pass must not allocate (got {allocations} \
+         allocations over 5 passes)"
+    );
+    expected
+}
 
 #[test]
 fn steady_state_warm_path_allocates_nothing() {
@@ -49,41 +122,23 @@ fn steady_state_warm_path_allocates_nothing() {
 
     let mut scratch = SimScratch::new();
     let mut planned: Vec<(f64, Arc<ExecutionPlan>)> = Vec::with_capacity(stream.len());
-    let warm_pass = |key: &mut PlanKey,
-                     planned: &mut Vec<(f64, Arc<ExecutionPlan>)>,
-                     scratch: &mut SimScratch|
-     -> f64 {
+    // The cold pass plans the 3 distinct models (allocating — cold planning
+    // is allowed to) and sizes every buffer; the per-request warm path
+    // after it must be allocation-free.
+    assert_steady_state_allocates_nothing("warm path, 60 requests", || {
         planned.clear();
         for (arrival, graph) in &stream {
             key.graph_fingerprint = graph.fingerprint();
             key.batch = graph.input_shape().batch();
             let (plan, _) = cache
-                .plan_keyed(key, &strategy, graph, &cluster, leader)
+                .plan_keyed(&key, &strategy, graph, &cluster, leader)
                 .expect("planning succeeds");
             planned.push((*arrival, plan));
         }
-        let report = simulate_stream_in(scratch, planned, &cluster, TraceDetail::Summary)
-            .expect("stream simulates");
-        report.makespan
-    };
-
-    // First pass: plans the 3 distinct models (allocating — cold planning
-    // is allowed to) and sizes every buffer.
-    let expected_makespan = warm_pass(&mut key, &mut planned, &mut scratch);
-
-    // Steady state: every subsequent pass — the per-request warm path — must
-    // be allocation-free, and bit-identical.
-    let before = allocations_on_this_thread();
-    for _ in 0..5 {
-        let makespan = warm_pass(&mut key, &mut planned, &mut scratch);
-        assert_eq!(makespan, expected_makespan);
-    }
-    let allocations = allocations_on_this_thread() - before;
-    assert_eq!(
-        allocations, 0,
-        "the steady-state warm path must not allocate (got {allocations} \
-         allocations over 5 passes of 60 requests)"
-    );
+        simulate_stream_in(&mut scratch, &planned, &cluster, TraceDetail::Summary)
+            .expect("stream simulates")
+            .makespan
+    });
 
     // The zero-alloc path is not a different pipeline: its report matches
     // the one-shot allocating entry point exactly.
@@ -103,7 +158,8 @@ fn steady_state_streaming_serving_pass_allocates_nothing() {
     // steady-state `run_streaming_with_cache_in` pass over a bursty,
     // batching, windowed workload performs **zero** heap allocations. This
     // is the property that bounds the 1M-request soak's memory: per pass the
-    // loop touches only reused buffers and Copy accumulators.
+    // loop touches only reused buffers and Copy accumulators. Both soak
+    // configs (FIFO and EDF, batch 8, window 4) run, plus FIFO at window 2.
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
     let leader = NodeIndex(1);
@@ -120,40 +176,29 @@ fn steady_state_streaming_serving_pass_allocates_nothing() {
         120,
         &hidp::core::SlaClass::ALL,
     ));
-    let scenario = ServingScenario::new(requests)
+    let mut scenarios = vec![ServingScenario::new(requests.clone())
         .with_label("zero-alloc-soak")
         .with_policy(AdmissionPolicy::Fifo)
         .with_max_batch(8)
-        .with_max_inflight(Some(2));
-
-    let cache = PlanCache::new();
-    let mut scratch = ServingScratch::new();
-
-    // First pass: cold planning and buffer sizing may allocate freely. The
-    // second pass is the first all-hit steady-state pass; it fixes the
-    // expected summary (its cache stats — all hits — match every later
-    // pass's, while the cold pass records misses).
-    scenario
-        .run_streaming_with_cache_in(&strategy, &cluster, leader, &cache, &mut scratch)
-        .expect("streaming run succeeds");
-    let expected = scenario
-        .run_streaming_with_cache_in(&strategy, &cluster, leader, &cache, &mut scratch)
-        .expect("streaming run succeeds");
-
-    // Steady state: allocation-free and bit-identical, pass after pass.
-    let before = allocations_on_this_thread();
-    for _ in 0..5 {
-        let summary = scenario
-            .run_streaming_with_cache_in(&strategy, &cluster, leader, &cache, &mut scratch)
-            .expect("streaming run succeeds");
-        assert_eq!(summary, expected);
-    }
-    let allocations = allocations_on_this_thread() - before;
-    assert_eq!(
-        allocations, 0,
-        "the steady-state streaming serving pass must not allocate (got \
-         {allocations} allocations over 5 passes of 120 requests)"
+        .with_max_inflight(Some(2))];
+    scenarios.extend(
+        hidp_bench::soak_configs()
+            .into_iter()
+            .map(|(label, policy)| hidp_bench::soak_scenario(requests.clone(), label, policy)),
     );
+
+    for scenario in &scenarios {
+        let cache = PlanCache::new();
+        let mut scratch = ServingScratch::new();
+        assert_steady_state_allocates_nothing(
+            &format!("{}, 120 requests", scenario.label()),
+            || {
+                scenario
+                    .run_streaming_with_cache_in(&strategy, &cluster, leader, &cache, &mut scratch)
+                    .expect("streaming run succeeds")
+            },
+        );
+    }
 }
 
 #[test]
@@ -167,7 +212,9 @@ fn steady_state_fleet_pass_allocates_nothing() {
     // allocations. Per-request fleet state is Copy (latency histograms are
     // fixed arrays), so nothing about routing, per-round backlog snapshots
     // or epoch flips may touch the heap. This is what bounds the
-    // 1M-request fleet soak's memory.
+    // 1M-request fleet soak's memory. Every routing policy of the fleet
+    // comparison runs in its serving shape, plus least-loaded routing
+    // under FIFO at batch 4, window 2.
     let fleet = presets::generated_fleet(4, 2).unwrap();
     let strategy = HidpStrategy::new();
     let leader = NodeIndex(1);
@@ -186,37 +233,30 @@ fn steady_state_fleet_pass_allocates_nothing() {
         9,
         &hidp::core::SlaClass::ALL,
     );
-    let scenario = FleetScenario::new(requests)
+    let mut scenarios = vec![FleetScenario::new(requests.clone())
         .with_label("zero-alloc-fleet")
         .with_routing(RoutingPolicy::LeastLoaded)
         .with_policy(AdmissionPolicy::Fifo)
         .with_max_batch(4)
-        .with_max_inflight(Some(2));
+        .with_max_inflight(Some(2))];
+    scenarios.extend(
+        hidp_bench::fleet_routing_policies()
+            .into_iter()
+            .map(|routing| hidp_bench::fleet_scenario(requests.clone(), routing)),
+    );
 
     let sweep = ParallelSweep::new(1);
-    let mut scratch = FleetScratch::new();
-    // Cold pass: plans and sizes every buffer. Second pass fixes the
-    // expected summary (all-hit cache stats).
-    scenario
-        .run_streaming_in(&strategy, &fleet, leader, &sweep, &mut scratch)
-        .expect("fleet run succeeds");
-    let expected = scenario
-        .run_streaming_in(&strategy, &fleet, leader, &sweep, &mut scratch)
-        .expect("fleet run succeeds");
-
-    let before = allocations_on_this_thread();
-    for _ in 0..5 {
-        let summary = scenario
-            .run_streaming_in(&strategy, &fleet, leader, &sweep, &mut scratch)
-            .expect("fleet run succeeds");
-        assert_eq!(summary, expected);
+    for scenario in &scenarios {
+        let mut scratch = FleetScratch::new();
+        assert_steady_state_allocates_nothing(
+            &format!("{}, 160 requests on 4 clusters", scenario.label()),
+            || {
+                scenario
+                    .run_streaming_in(&strategy, &fleet, leader, &sweep, &mut scratch)
+                    .expect("fleet run succeeds")
+            },
+        );
     }
-    let allocations = allocations_on_this_thread() - before;
-    assert_eq!(
-        allocations, 0,
-        "the steady-state fleet pass must not allocate (got {allocations} \
-         allocations over 5 passes of 160 requests on 4 clusters)"
-    );
 }
 
 #[test]
@@ -228,8 +268,8 @@ fn steady_state_adaptive_drift_pass_allocates_nothing() {
     // **zero** heap allocations. The believed cluster is retained across
     // resets (deactivated, not dropped) so re-derating rescales it in
     // place, and the quantized belief grid keeps the re-planned keys inside
-    // the already-populated cache. This is the test-suite twin of the
-    // `exp_drift` bounded-memory gate.
+    // the already-populated cache. Every drift configuration of the drift
+    // experiment runs.
     let cluster = presets::paper_cluster();
     let strategy = HidpStrategy::new();
 
@@ -240,62 +280,42 @@ fn steady_state_adaptive_drift_pass_allocates_nothing() {
         .fold(0.0, f64::max)
         .max(1.0);
     let trace = hidp_bench::drift_trace(cluster.len(), horizon, 0xD21F7);
-    let scenario = hidp_bench::drift_scenario(
-        requests,
-        "zero-alloc-drift",
-        Some(trace),
-        Some(hidp::core::AdaptiveConfig::default()),
-    );
 
-    let cache = PlanCache::new();
-    let mut scratch = ServingScratch::new();
-    // Cold pass: plans every (model, batch, believed-fingerprint) key and
-    // sizes the estimator arrays. Second pass fixes the expected summary.
-    scenario
-        .run_streaming_with_cache_in(
-            &strategy,
-            &cluster,
-            hidp_bench::LEADER,
-            &cache,
-            &mut scratch,
-        )
-        .expect("drift warm pass succeeds");
-    let expected = scenario
-        .run_streaming_with_cache_in(
-            &strategy,
-            &cluster,
-            hidp_bench::LEADER,
-            &cache,
-            &mut scratch,
-        )
-        .expect("drift pass succeeds");
-    assert!(
-        expected.drift.replans > 0,
-        "the trace must actually trigger re-planning or the contract is \
-         vacuous: {:?}",
-        expected.drift
-    );
-    assert!(expected.drift.observations > 0);
-
-    let before = allocations_on_this_thread();
-    for _ in 0..5 {
-        let summary = scenario
-            .run_streaming_with_cache_in(
-                &strategy,
-                &cluster,
-                hidp_bench::LEADER,
-                &cache,
-                &mut scratch,
-            )
-            .expect("drift pass succeeds");
-        assert_eq!(summary, expected);
+    for (label, with_drift, adaptive) in hidp_bench::drift_configs() {
+        let scenario = hidp_bench::drift_scenario(
+            requests.clone(),
+            label,
+            with_drift.then(|| trace.clone()),
+            adaptive,
+        );
+        let cache = PlanCache::new();
+        let mut scratch = ServingScratch::new();
+        // The cold pass plans every (model, batch, believed-fingerprint)
+        // key and sizes the estimator arrays.
+        let expected =
+            assert_steady_state_allocates_nothing(&format!("drift {label}, 1000 requests"), || {
+                scenario
+                    .run_streaming_with_cache_in(
+                        &strategy,
+                        &cluster,
+                        hidp_bench::LEADER,
+                        &cache,
+                        &mut scratch,
+                    )
+                    .expect("drift pass succeeds")
+            });
+        if adaptive.is_some() {
+            assert!(expected.drift.observations > 0, "{label}");
+        }
+        if with_drift && adaptive.is_some() {
+            assert!(
+                expected.drift.replans > 0,
+                "the trace must actually trigger re-planning or the contract is \
+                 vacuous: {:?}",
+                expected.drift
+            );
+        }
     }
-    let allocations = allocations_on_this_thread() - before;
-    assert_eq!(
-        allocations, 0,
-        "the steady-state adaptive drift pass must not allocate (got \
-         {allocations} allocations over 5 passes of 1000 drifted requests)"
-    );
 }
 
 #[test]
@@ -305,54 +325,50 @@ fn steady_state_recovery_path_allocates_nothing() {
     // and retry + failover all active, the steady-state pass still
     // performs **zero** heap allocations — the pending-batch FIFO, the
     // router's retry heap and the per-epoch plan entries are sized and
-    // cached by the first pass and only reused afterwards. This is the
-    // test-suite twin of the `exp_chaos` bounded-memory gate.
+    // cached by the first pass and only reused afterwards. Every recovery
+    // configuration of the chaos experiment runs, each at a size where the
+    // suite exercises its path: 400 requests kill work under no-recovery
+    // and kill and retry it under retry-failover, but retry-shed sheds the
+    // late queue first and kills nothing there, so it runs at the chaos
+    // experiment's full size, 40 000 requests, where it kills and retries.
     let fleet = presets::generated_fleet(4, 2).unwrap();
     let strategy = HidpStrategy::new();
-
-    let requests = hidp_bench::fleet_trace(400, 2, 1.2);
-    let horizon = requests
-        .iter()
-        .map(|r| r.request.arrival)
-        .fold(0.0, f64::max)
-        .max(1.0);
     let node_counts: Vec<usize> = fleet.clusters().iter().map(|c| c.len()).collect();
-    let plans = hidp_bench::chaos_fault_suite(&node_counts, horizon, 0xC4405);
-    let scenario = hidp_bench::chaos_scenario(
-        requests,
-        &plans,
-        "zero-alloc-chaos",
-        hidp::core::RecoveryPolicy::standard(),
-    );
 
     let sweep = ParallelSweep::new(1);
-    let mut scratch = FleetScratch::new();
-    // Cold pass: plans every (model, batch, epoch) key and sizes the
-    // recovery buffers. Second pass fixes the expected summary.
-    scenario
-        .run_streaming_in(&strategy, &fleet, hidp_bench::LEADER, &sweep, &mut scratch)
-        .expect("chaos warm pass succeeds");
-    let expected = scenario
-        .run_streaming_in(&strategy, &fleet, hidp_bench::LEADER, &sweep, &mut scratch)
-        .expect("chaos pass succeeds");
-    assert!(
-        expected.robustness.killed > 0,
-        "the suite must actually kill work or the contract is vacuous: {:?}",
-        expected.robustness
-    );
-    assert!(expected.robustness.accounts_for_every_request());
-
-    let before = allocations_on_this_thread();
-    for _ in 0..5 {
-        let summary = scenario
-            .run_streaming_in(&strategy, &fleet, hidp_bench::LEADER, &sweep, &mut scratch)
-            .expect("chaos pass succeeds");
-        assert_eq!(summary, expected);
+    for (label, recovery) in hidp_bench::chaos_configs() {
+        let count = if label == "retry-shed" { 40_000 } else { 400 };
+        let requests = hidp_bench::fleet_trace(count, 2, 1.2);
+        let horizon = requests
+            .iter()
+            .map(|r| r.request.arrival)
+            .fold(0.0, f64::max)
+            .max(1.0);
+        let plans = hidp_bench::chaos_fault_suite(&node_counts, horizon, 0xC4405);
+        let scenario = hidp_bench::chaos_scenario(requests, &plans, label, recovery);
+        let mut scratch = FleetScratch::new();
+        // The cold pass plans every (model, batch, epoch) key and sizes the
+        // recovery buffers.
+        let expected = assert_steady_state_allocates_nothing(
+            &format!("chaos {label}, {count} requests on 4 clusters"),
+            || {
+                scenario
+                    .run_streaming_in(&strategy, &fleet, hidp_bench::LEADER, &sweep, &mut scratch)
+                    .expect("chaos pass succeeds")
+            },
+        );
+        let r = expected.robustness;
+        assert!(r.accounts_for_every_request(), "{label}: {r:?}");
+        // Each faulted configuration must actually take its recovery path,
+        // or the contract is vacuous for it.
+        match recovery {
+            None => assert_eq!(r.killed, 0, "{label}: nothing is injected: {r:?}"),
+            Some(policy) => {
+                assert!(r.killed > 0, "{label}: the suite must kill work: {r:?}");
+                if policy.retry.is_some() {
+                    assert!(r.retried > 0, "{label}: killed work must be retried: {r:?}");
+                }
+            }
+        }
     }
-    let allocations = allocations_on_this_thread() - before;
-    assert_eq!(
-        allocations, 0,
-        "the steady-state recovery path must not allocate (got {allocations} \
-         allocations over 5 passes of 400 faulted requests on 4 clusters)"
-    );
 }
