@@ -843,7 +843,7 @@ pub fn serving_points(
                 .expect("the workload cycles all classes");
             ServingGridPoint {
                 policy: policy.clone(),
-                max_batch: scenario.config().max_batch,
+                max_batch: scenario.config().cluster_loop.max_batch,
                 failure: failure.clone(),
                 requests: serving.requests,
                 batches: evaluation.admissions.len(),

@@ -42,13 +42,14 @@
 //! `hidp_sim::serving`.
 //!
 //! Everything else both tiers must know about a loop's inputs lives here
-//! too, so neither restates it: [`LoopCtx::new`] (with the batch and
-//! window clamps), the shared checks ([`validate_requests`] and
-//! [`LoopCtx::validate`]), [`arrival_order`], and the one [`RunSummary`]
-//! both tiers return, with its single constructor and metric rulebook.
-//! One [`TimeHeap`] orders the admission window, the retry heap, the
-//! fleet's failover heap and the serving reference loop by `(time, push
-//! sequence)`.
+//! too, so neither restates it: the six knobs both tiers' configs embed
+//! ([`ClusterLoopConfig`], with its one `Default`), [`LoopCtx::new`] (the
+//! one place the batch and window clamps apply), the shared checks
+//! ([`validate_requests`] and [`LoopCtx::validate`]), [`arrival_order`],
+//! and the one [`RunSummary`] both tiers return, with its single
+//! constructor and metric rulebook. One [`TimeHeap`] orders the admission
+//! window, the retry heap, the fleet's failover heap and the serving
+//! reference loop by `(time, push sequence)`.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
 use crate::fleet::fnv64;
@@ -64,13 +65,58 @@ use hidp_dnn::DnnGraph;
 use hidp_platform::{AvailabilityEvent, Cluster, DriftModel, NodeIndex, SlowdownWindow};
 use hidp_sim::serving::{LatencySummary, SlaClass, SlaClassReport};
 use hidp_sim::{CompiledPlan, ExecutionPlan};
+use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt::Arguments;
 use std::sync::Arc;
 
+/// The six knobs every cluster loop runs under, declared once for both
+/// tiers: [`ServingConfig`](crate::ServingConfig) and
+/// [`FleetConfig`](crate::FleetConfig) each embed one, and a fleet applies
+/// its copy to every cluster. All-`Copy`. The default is FIFO admission, no
+/// batching, an unbounded window, [`FailureMode::Ignore`], no recovery and
+/// static planning.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ClusterLoopConfig {
+    /// Which queued request is admitted next.
+    pub policy: AdmissionPolicy,
+    /// Maximum same-`(model, batch)` requests coalesced into one batched
+    /// plan (1 = no batching; 0 runs as 1).
+    pub max_batch: usize,
+    /// Maximum batches in estimated flight before admission stalls
+    /// (`None` = unbounded: every request is admitted at its arrival;
+    /// `Some(0)` runs as `Some(1)` — a window that can never admit would
+    /// serve nothing).
+    pub max_inflight: Option<usize>,
+    /// What a down-flip does to batches already in flight.
+    pub failures: FailureMode,
+    /// Recovery responses for killed and at-risk requests. On the serving
+    /// tier a retry re-enters the same loop; on the fleet tier it goes
+    /// **back to the router**, which re-routes it away from the cluster
+    /// that killed it (failover).
+    pub recovery: RecoveryPolicy,
+    /// The adaptive loop: online per-node rate estimation plus
+    /// hysteresis-bounded re-planning against a believed cluster. `None`
+    /// keeps planning static.
+    pub adaptive: Option<AdaptiveConfig>,
+}
+
+impl Default for ClusterLoopConfig {
+    fn default() -> Self {
+        Self {
+            policy: AdmissionPolicy::Fifo,
+            max_batch: 1,
+            max_inflight: None,
+            failures: FailureMode::Ignore,
+            recovery: RecoveryPolicy::default(),
+            adaptive: None,
+        }
+    }
+}
+
 /// What one cluster loop runs against: the planner, the cluster and its
-/// fault inputs, and the admission and recovery rules. Every field is a
+/// fault inputs, and the tier's [`ClusterLoopConfig`]. Every field is a
 /// borrow or `Copy`, so callers build one per call.
 #[derive(Clone, Copy)]
 pub(crate) struct LoopCtx<'a> {
@@ -84,52 +130,59 @@ pub(crate) struct LoopCtx<'a> {
     pub(crate) events: &'a [AvailabilityEvent],
     pub(crate) slowdowns: &'a [SlowdownWindow],
     pub(crate) drift: Option<&'a DriftModel>,
-    pub(crate) policy: AdmissionPolicy,
-    pub(crate) max_batch: usize,
-    /// The admission window, clamped to ≥ 1 (`None` = unbounded).
-    pub(crate) max_inflight: Option<usize>,
-    /// Whether down-flips kill in-flight batches.
-    pub(crate) kill: bool,
-    pub(crate) recovery: RecoveryPolicy,
-    pub(crate) adaptive: Option<&'a AdaptiveConfig>,
+    /// The loop's knobs, with `max_batch` and a `Some` window clamped to
+    /// ≥ 1.
+    pub(crate) config: ClusterLoopConfig,
 }
 
 impl<'a> LoopCtx<'a> {
-    /// The context of one cluster under its tier's admission and recovery
-    /// knobs. A batch or window of zero could never admit anything, so
-    /// `max_batch` and a `Some` window are clamped to at least 1; an empty
-    /// drift model is no drift.
-    #[allow(clippy::too_many_arguments)]
+    /// The context of `base` under `config`, with no fault inputs yet. A
+    /// batch or window of zero could never admit anything, so `max_batch`
+    /// and a `Some` window are clamped to at least 1 — here, and nowhere
+    /// else.
     pub(crate) fn new(
         strategy: &'a dyn DistributedStrategy,
         leader: NodeIndex,
         base: &'a Cluster,
         cache: &'a PlanCache,
-        events: &'a [AvailabilityEvent],
-        slowdowns: &'a [SlowdownWindow],
-        drift: Option<&'a DriftModel>,
-        policy: AdmissionPolicy,
-        max_batch: usize,
-        max_inflight: Option<usize>,
-        failures: FailureMode,
-        recovery: RecoveryPolicy,
-        adaptive: Option<&'a AdaptiveConfig>,
+        config: ClusterLoopConfig,
     ) -> Self {
         Self {
             strategy,
             leader,
             base,
             cache,
+            events: &[],
+            slowdowns: &[],
+            drift: None,
+            config: ClusterLoopConfig {
+                max_batch: config.max_batch.max(1),
+                max_inflight: config.max_inflight.map(|w| w.max(1)),
+                ..config
+            },
+        }
+    }
+
+    /// This context with the cluster's fault inputs: its timed availability
+    /// flips, straggler windows and drift (an empty drift model is no
+    /// drift).
+    pub(crate) fn with_faults(
+        self,
+        events: &'a [AvailabilityEvent],
+        slowdowns: &'a [SlowdownWindow],
+        drift: Option<&'a DriftModel>,
+    ) -> Self {
+        Self {
             events,
             slowdowns,
             drift: drift.filter(|d| !d.is_empty()),
-            policy,
-            max_batch: max_batch.max(1),
-            max_inflight: max_inflight.map(|w| w.max(1)),
-            kill: failures == FailureMode::Kill,
-            recovery,
-            adaptive,
+            ..self
         }
+    }
+
+    /// Whether down-flips kill in-flight batches.
+    pub(crate) fn kill(&self) -> bool {
+        self.config.failures == FailureMode::Kill
     }
 
     /// Rejects what this cluster's loop cannot run: an invalid retry or
@@ -137,10 +190,10 @@ impl<'a> LoopCtx<'a> {
     /// that is malformed or names an unknown node; and kill semantics on a
     /// cluster too large for the 64-bit plan-residency mask.
     pub(crate) fn validate(&self, name: Named<'_>) -> Result<(), CoreError> {
-        if let Some(retry) = &self.recovery.retry {
+        if let Some(retry) = &self.config.recovery.retry {
             retry.validate()?;
         }
-        if let Some(adaptive) = self.adaptive {
+        if let Some(adaptive) = &self.config.adaptive {
             adaptive.validate()?;
         }
         for event in self.events {
@@ -153,7 +206,7 @@ impl<'a> LoopCtx<'a> {
         if let Some(drift) = self.drift {
             drift.validate(self.base.len())?;
         }
-        if self.kill && self.base.len() > 64 {
+        if self.kill() && self.base.len() > 64 {
             return Err(name.infeasible(format_args!(
                 "kill semantics track plan residency in a 64-bit node mask; \
                  a cluster has {} nodes",
@@ -536,14 +589,14 @@ impl ClusterLoop {
         self.pending_members.clear();
         self.retries.clear();
         self.attempts.clear();
-        if ctx.kill {
+        self.kill = ctx.kill();
+        if self.kill {
             self.attempts.resize(requests, 0);
         }
-        self.kill = ctx.kill;
         // Reset also deactivates any belief a previous run materialised: a
         // non-adaptive run must not inherit it, and an adaptive steady-state
         // pass must rediscover it exactly like the warm pass did.
-        match ctx.adaptive {
+        match &ctx.config.adaptive {
             Some(cfg) => self.adaptive.reset(cfg, ctx.base.len()),
             None => self.adaptive.reset(&AdaptiveConfig::default(), 0),
         }
@@ -613,14 +666,14 @@ impl ClusterLoop {
             ..
         } = self;
         let events = ctx.events;
-        let recovery = ctx.recovery;
+        let recovery = ctx.config.recovery;
         // Set by every reset; a loop advanced before its first reset starts
         // from the base cluster.
         let epoch_cluster = epoch_cluster.get_or_insert_with(|| ctx.base.clone());
 
         loop {
             // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && ctx.max_inflight.is_none_or(|w| inflight.len() < w) {
+            while queue.len() > 0 && ctx.config.max_inflight.is_none_or(|w| inflight.len() < w) {
                 let requests = inbox.requests();
                 let head = queue.pick();
                 if recovery.shed {
@@ -636,7 +689,7 @@ impl ClusterLoop {
                         continue;
                     }
                 }
-                queue.coalesce(head, ctx.max_batch, members);
+                queue.coalesce(head, ctx.config.max_batch, members);
                 for &m in members.iter() {
                     queue.remove(m);
                 }
@@ -648,7 +701,7 @@ impl ClusterLoop {
                 // believed cluster from the current epoch base — a stale
                 // rebuild burns no re-plan. Planning and cache keys then
                 // follow the belief; execution stays on the true cluster.
-                if let Some(cfg) = ctx.adaptive {
+                if let Some(cfg) = &ctx.config.adaptive {
                     let hysteresis =
                         adaptive.replans < cfg.max_replans && adaptive.should_replan(cfg);
                     if hysteresis || (adaptive.stale && adaptive.active) {
@@ -669,11 +722,11 @@ impl ClusterLoop {
                 // on the drifting truth; the observer feeds the adaptive
                 // loop's effective-rate estimates.
                 let program = &memo.programs[primary];
-                let observer = ctx.adaptive.is_some().then_some(&mut *adaptive);
+                let observer = ctx.config.adaptive.is_some().then_some(&mut *adaptive);
                 let completion = dispatch.run(program, *now, ctx.slowdowns, ctx.drift, observer);
 
                 sink.admit(*now, *epoch, members, &memo.plans[primary]);
-                if ctx.max_inflight.is_some() {
+                if ctx.config.max_inflight.is_some() {
                     inflight.push(completion, ());
                 }
                 let b = PendingBatch {
@@ -684,7 +737,7 @@ impl ClusterLoop {
                     alive: true,
                 };
                 *batches += 1;
-                if ctx.kill {
+                if ctx.kill() {
                     // A down-flip may still kill the batch: it waits in the
                     // FIFO until the clock passes its completion.
                     pending_members.extend(members.iter().copied());
@@ -702,7 +755,7 @@ impl ClusterLoop {
             // queue drains, so the clock keeps walking events while any
             // pending batch outlives the next *down* event (up events never
             // kill, so they alone never drive the clock).
-            let next_down = if ctx.kill {
+            let next_down = if ctx.kill() {
                 events[*next_event..].iter().find(|e| !e.up)
             } else {
                 None
@@ -755,10 +808,10 @@ impl ClusterLoop {
                     // availability; the next admission rebuilds it.
                     adaptive.stale = true;
                 }
-                if !ctx.kill || event.up {
+                if !ctx.kill() || event.up {
                     continue;
                 }
-                if let Some(cfg) = ctx.adaptive {
+                if let Some(cfg) = &ctx.config.adaptive {
                     adaptive.observe_kill(event.node.0, cfg);
                 }
                 let bit = 1u64 << (event.node.0 as u64 & 63);
@@ -816,13 +869,13 @@ impl ClusterLoop {
             // Released retries re-enter ahead of same-instant fresh
             // arrivals: a retried request is strictly older work.
             while let Some((_, i)) = retries.pop_due(*now) {
-                enqueue(queue, &*inbox, i, ctx.policy);
+                enqueue(queue, &*inbox, i, ctx.config.policy);
             }
             while let Some(i) = next_fresh(&*inbox, attempts, next_arrival) {
                 if inbox.requests()[i as usize].arrival + 0.0 > *now {
                     break;
                 }
-                enqueue(queue, &*inbox, i, ctx.policy);
+                enqueue(queue, &*inbox, i, ctx.config.policy);
                 *next_arrival += 1;
             }
         }

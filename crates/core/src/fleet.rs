@@ -61,7 +61,8 @@
 
 use crate::adaptive::AdaptiveConfig;
 use crate::cluster_loop::{
-    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, RunSummary, TimeHeap,
+    arrival_order, validate_requests, ClusterLoop, ClusterLoopConfig, Inbox, LoopCtx, Named,
+    RunSummary, TimeHeap,
 };
 use crate::parallel::ParallelSweep;
 use crate::plan_cache::PlanCache;
@@ -148,19 +149,16 @@ impl RoutingPolicy {
     }
 }
 
-/// Configuration of the fleet loop: the routing policy and round length on
-/// top of the per-cluster serving knobs (admission policy, batching,
-/// in-flight window, one optional [`ClusterTimeline`] per cluster).
+/// Configuration of the fleet loop: the routing policy, round length and
+/// fleet-wide WAN degradations, the per-cluster fault inputs, and one
+/// [`ClusterLoopConfig`] every cluster's loop runs under.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// How arrivals are assigned to clusters.
     pub routing: RoutingPolicy,
-    /// Per-cluster admission policy.
-    pub policy: AdmissionPolicy,
-    /// Per-cluster batching limit (clamped to ≥ 1).
-    pub max_batch: usize,
-    /// Per-cluster in-flight admission window (`None` = unbounded).
-    pub max_inflight: Option<usize>,
+    /// Every cluster's admission, batching, window, failure, recovery and
+    /// adaptive knobs (the adaptive loop runs per cluster worker).
+    pub cluster_loop: ClusterLoopConfig,
     /// One failure timeline per cluster (empty = all clusters static; when
     /// non-empty the length must equal the fleet's cluster count).
     pub timelines: Vec<ClusterTimeline>,
@@ -169,12 +167,6 @@ pub struct FleetConfig {
     /// length that puts any delivery's round index at 2^53 or beyond, where
     /// barrier times stop being exact, fails the run with a typed error.
     pub round_seconds: f64,
-    /// What a down-flip does to batches already in flight (per cluster).
-    pub failures: FailureMode,
-    /// Recovery responses for killed and at-risk requests. At the fleet
-    /// tier a retry goes **back to the router**, which re-routes it away
-    /// from the cluster that killed it (failover).
-    pub recovery: RecoveryPolicy,
     /// Straggler windows per cluster (empty = no stragglers; when
     /// non-empty the outer length must equal the fleet's cluster count).
     pub slowdowns: Vec<Vec<SlowdownWindow>>,
@@ -184,26 +176,18 @@ pub struct FleetConfig {
     /// One continuous drift model per cluster (empty = no drift; when
     /// non-empty the length must equal the fleet's cluster count).
     pub drifts: Vec<DriftModel>,
-    /// The adaptive estimation/re-planning loop, applied per cluster
-    /// worker. `None` keeps planning static.
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             routing: RoutingPolicy::default(),
-            policy: AdmissionPolicy::Fifo,
-            max_batch: 1,
-            max_inflight: None,
+            cluster_loop: ClusterLoopConfig::default(),
             timelines: Vec::new(),
             round_seconds: 1.0,
-            failures: FailureMode::default(),
-            recovery: RecoveryPolicy::default(),
             slowdowns: Vec::new(),
             wan_degradations: Vec::new(),
             drifts: Vec::new(),
-            adaptive: None,
         }
     }
 }
@@ -235,15 +219,6 @@ impl FleetScenario {
         self
     }
 
-    /// Replaces the whole config (builder style); `max_batch` is clamped to
-    /// at least 1.
-    #[must_use]
-    pub fn with_config(mut self, config: FleetConfig) -> Self {
-        self.config = config;
-        self.config.max_batch = self.config.max_batch.max(1);
-        self
-    }
-
     /// Sets the routing policy (builder style).
     #[must_use]
     pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
@@ -254,21 +229,22 @@ impl FleetScenario {
     /// Sets the per-cluster admission policy (builder style).
     #[must_use]
     pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.config.policy = policy;
+        self.config.cluster_loop.policy = policy;
         self
     }
 
-    /// Sets the per-cluster batching limit (builder style, clamped to ≥ 1).
+    /// Sets the per-cluster batching limit (builder style; 0 runs as 1).
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch.max(1);
+        self.config.cluster_loop.max_batch = max_batch;
         self
     }
 
-    /// Sets the per-cluster in-flight window (builder style).
+    /// Sets the per-cluster in-flight window (builder style; `Some(0)` runs
+    /// as `Some(1)`).
     #[must_use]
     pub fn with_max_inflight(mut self, max_inflight: Option<usize>) -> Self {
-        self.config.max_inflight = max_inflight;
+        self.config.cluster_loop.max_inflight = max_inflight;
         self
     }
 
@@ -289,14 +265,14 @@ impl FleetScenario {
     /// Sets the failure mode (builder style).
     #[must_use]
     pub fn with_failure_mode(mut self, failures: FailureMode) -> Self {
-        self.config.failures = failures;
+        self.config.cluster_loop.failures = failures;
         self
     }
 
     /// Sets the recovery policy (builder style).
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.config.recovery = recovery;
+        self.config.cluster_loop.recovery = recovery;
         self
     }
 
@@ -324,7 +300,7 @@ impl FleetScenario {
     /// Enables the adaptive estimation/re-planning loop (builder style).
     #[must_use]
     pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.config.adaptive = Some(adaptive);
+        self.config.cluster_loop.adaptive = Some(adaptive);
         self
     }
 
@@ -415,15 +391,12 @@ impl FleetScenario {
                 leader,
                 &clusters[i],
                 &caches[i],
+                config.cluster_loop,
+            )
+            .with_faults(
                 config.timelines.get(i).map_or(&[], ClusterTimeline::events),
                 config.slowdowns.get(i).map_or(&[], Vec::as_slice),
                 config.drifts.get(i),
-                config.policy,
-                config.max_batch,
-                config.max_inflight,
-                config.failures,
-                config.recovery,
-                config.adaptive.as_ref(),
             )
         };
         self.validate(fleet, leader, ctx)?;

@@ -61,7 +61,7 @@ mod strategy;
 mod system_model;
 
 pub use adaptive::{AdaptiveConfig, DriftStats, StrategyBandit};
-pub use cluster_loop::RunSummary;
+pub use cluster_loop::{ClusterLoopConfig, RunSummary};
 pub use dse::{Decision, DseAgent, DsePolicy};
 pub use engine::{HidpStrategy, HierarchicalPlan};
 pub use error::CoreError;

@@ -111,11 +111,6 @@ impl Scenario {
         self
     }
 
-    /// The trace detail simulations of this scenario use.
-    pub fn trace_detail(&self) -> TraceDetail {
-        self.trace
-    }
-
     /// The label used in evaluation reports.
     pub fn label(&self) -> &str {
         &self.label

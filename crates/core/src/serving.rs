@@ -34,8 +34,9 @@
 //! persistent per-resource dispatch model replays every admitted plan's
 //! tasks (the event engine's durations: both take them from
 //! [`PlanTask::cost`](hidp_sim::PlanTask::cost)) against the resource free
-//! times left by all earlier admissions, so with
-//! [`ServingConfig::max_inflight`] set the window sees queueing *contention*
+//! times left by all earlier admissions, so with an in-flight window set
+//! ([`ClusterLoopConfig::max_inflight`], clamped to ≥ 1 in one place,
+//! where the loop context is built) the window sees queueing *contention*
 //! rather than idle-cluster solo makespans — a saturated processor pushes
 //! later completions out, which is exactly the feedback a real admission
 //! controller observes. In the records mode the reported metrics still come
@@ -99,8 +100,8 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::cluster_loop::{
-    arrival_order, validate_requests, ClusterLoop, Inbox, LoopCtx, Named, RunSummary, Sink,
-    TimeHeap,
+    arrival_order, validate_requests, ClusterLoop, ClusterLoopConfig, Inbox, LoopCtx, Named,
+    RunSummary, Sink, TimeHeap,
 };
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scenario::{Evaluation, Scenario};
@@ -386,27 +387,18 @@ impl RobustnessStats {
     }
 }
 
-/// Configuration of the serving loop. The default is the degenerate mode:
-/// FIFO, no batching, unbounded in-flight, static cluster — exactly the
-/// regime [`crate::Scenario`] evaluates.
+/// Configuration of the serving loop: the cluster loop's knobs plus the
+/// one cluster's fault inputs. The default is the degenerate mode: FIFO, no
+/// batching, unbounded in-flight, static cluster — exactly the regime
+/// [`crate::Scenario`] evaluates.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServingConfig {
-    /// Which queued request is admitted next.
-    pub policy: AdmissionPolicy,
-    /// Maximum same-`(model, batch)` requests coalesced into one batched
-    /// plan (1 = no batching).
-    pub max_batch: usize,
-    /// Maximum batches in estimated flight before admission stalls
-    /// (`None` = unbounded: every request is admitted at its arrival;
-    /// `Some(0)` is treated as `Some(1)` — a window that can never admit
-    /// would serve nothing).
-    pub max_inflight: Option<usize>,
+    /// Admission, batching, window, failure, recovery and adaptive knobs.
+    /// Kill semantics, recovery and the adaptive loop are streaming-mode
+    /// only.
+    pub cluster_loop: ClusterLoopConfig,
     /// Timed node failures/recoveries replayed while serving.
     pub timeline: ClusterTimeline,
-    /// What a down-flip does to batches already in flight.
-    pub failures: FailureMode,
-    /// Recovery responses for killed and at-risk requests.
-    pub recovery: RecoveryPolicy,
     /// Straggler windows the dispatch estimator replays: compute starting
     /// inside a window on its node runs `factor`× slower. Streaming-mode
     /// only.
@@ -416,10 +408,6 @@ pub struct ServingConfig {
     /// bandwidth. Empty = no drift (bit-identical to the drift-free
     /// arithmetic). Streaming-mode only.
     pub drift: DriftModel,
-    /// The adaptive loop: online per-node rate estimation plus
-    /// hysteresis-bounded re-planning against a believed cluster. `None`
-    /// keeps planning static. Streaming-mode only.
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 /// One admission the serving loop performed: when, under which epoch, and
@@ -453,10 +441,7 @@ impl ServingScenario {
         Self {
             label,
             requests,
-            config: ServingConfig {
-                max_batch: 1,
-                ..ServingConfig::default()
-            },
+            config: ServingConfig::default(),
             trace: TraceDetail::Full,
         }
     }
@@ -468,33 +453,25 @@ impl ServingScenario {
         self
     }
 
-    /// Replaces the whole config (builder style); `max_batch` is clamped to
-    /// at least 1.
-    #[must_use]
-    pub fn with_config(mut self, config: ServingConfig) -> Self {
-        self.config = config;
-        self.config.max_batch = self.config.max_batch.max(1);
-        self
-    }
-
     /// Sets the admission policy (builder style).
     #[must_use]
     pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.config.policy = policy;
+        self.config.cluster_loop.policy = policy;
         self
     }
 
-    /// Sets the batching limit (builder style, clamped to ≥ 1).
+    /// Sets the batching limit (builder style; 0 runs as 1).
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch.max(1);
+        self.config.cluster_loop.max_batch = max_batch;
         self
     }
 
-    /// Sets the in-flight admission window (builder style).
+    /// Sets the in-flight admission window (builder style; `Some(0)` runs
+    /// as `Some(1)`).
     #[must_use]
     pub fn with_max_inflight(mut self, max_inflight: Option<usize>) -> Self {
-        self.config.max_inflight = max_inflight;
+        self.config.cluster_loop.max_inflight = max_inflight;
         self
     }
 
@@ -508,14 +485,14 @@ impl ServingScenario {
     /// Sets what down-flips do to in-flight batches (builder style).
     #[must_use]
     pub fn with_failure_mode(mut self, failures: FailureMode) -> Self {
-        self.config.failures = failures;
+        self.config.cluster_loop.failures = failures;
         self
     }
 
     /// Sets the recovery policy (builder style).
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.config.recovery = recovery;
+        self.config.cluster_loop.recovery = recovery;
         self
     }
 
@@ -536,7 +513,7 @@ impl ServingScenario {
     /// Enables the adaptive estimation/re-planning loop (builder style).
     #[must_use]
     pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.config.adaptive = Some(adaptive);
+        self.config.cluster_loop.adaptive = Some(adaptive);
         self
     }
 
@@ -742,20 +719,10 @@ impl ServingScenario {
     ) -> Result<LoopCtx<'a>, CoreError> {
         validate_requests(self.named(), self.requests.iter())?;
         let config = &self.config;
-        let ctx = LoopCtx::new(
-            strategy,
-            leader,
-            cluster,
-            cache,
+        let ctx = LoopCtx::new(strategy, leader, cluster, cache, config.cluster_loop).with_faults(
             config.timeline.events(),
             &config.slowdowns,
             Some(&config.drift),
-            config.policy,
-            config.max_batch,
-            config.max_inflight,
-            config.failures,
-            config.recovery,
-            config.adaptive.as_ref(),
         );
         ctx.validate(self.named())?;
         Ok(ctx)
@@ -774,12 +741,11 @@ impl ServingScenario {
         cache: &'a PlanCache,
     ) -> Result<LoopCtx<'a>, CoreError> {
         let ctx = self.loop_ctx(strategy, cluster, leader, cache)?;
-        let config = &self.config;
-        if ctx.kill
-            || config.recovery.is_active()
-            || !config.slowdowns.is_empty()
-            || !config.drift.is_empty()
-            || config.adaptive.is_some()
+        if ctx.kill()
+            || ctx.config.recovery.is_active()
+            || !ctx.slowdowns.is_empty()
+            || ctx.drift.is_some()
+            || ctx.config.adaptive.is_some()
         {
             return Err(self.named().infeasible(format_args!(
                 "FailureMode::Kill, recovery policies, slowdown windows, drift \
@@ -823,15 +789,15 @@ impl ServingScenario {
 
         loop {
             // Admit everything the window allows at the current instant.
-            while !queue.is_empty() && ctx.max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head_pos = self.config.policy_pick(requests, &queue);
+            while !queue.is_empty() && ctx.config.max_inflight.is_none_or(|w| inflight.len() < w) {
+                let head_pos = policy_pick(ctx.config.policy, requests, &queue);
                 let head = queue[head_pos];
                 let batch_key = (requests[head].model, requests[head].batch);
                 // Coalesce: the head plus queued same-(model, batch)
                 // requests in queue (arrival) order, up to max_batch.
                 let mut member_positions = vec![head_pos];
                 for (pos, &idx) in queue.iter().enumerate() {
-                    if member_positions.len() >= ctx.max_batch {
+                    if member_positions.len() >= ctx.config.max_batch {
                         break;
                     }
                     if pos != head_pos && (requests[idx].model, requests[idx].batch) == batch_key {
@@ -858,7 +824,7 @@ impl ServingScenario {
                     stats.misses += 1;
                 }
 
-                if ctx.max_inflight.is_some() {
+                if ctx.config.max_inflight.is_some() {
                     inflight.push(dispatch.estimate(plan.as_ref(), cluster, now)?, ());
                 }
 
@@ -976,31 +942,29 @@ impl ServingScenario {
     }
 }
 
-impl ServingConfig {
-    /// The queue position the configured policy admits next (queue is in
-    /// arrival order, so FIFO is position 0 and every tie breaks toward the
-    /// earlier position). Used only by the reference loop; the indexed
-    /// queue reproduces these semantics without the scan.
-    fn policy_pick(&self, requests: &[ServingRequest], queue: &[usize]) -> usize {
-        match self.policy {
-            AdmissionPolicy::Fifo => 0,
-            AdmissionPolicy::Priority => queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &idx)| requests[idx].sla.priority())
-                .map(|(pos, _)| pos)
-                .expect("queue is non-empty"),
-            AdmissionPolicy::EarliestDeadline => queue
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| {
-                    let da = requests[a].arrival + requests[a].sla.deadline_seconds();
-                    let db = requests[b].arrival + requests[b].sla.deadline_seconds();
-                    da.total_cmp(&db)
-                })
-                .map(|(pos, _)| pos)
-                .expect("queue is non-empty"),
-        }
+/// The queue position `policy` admits next (queue is in arrival order, so
+/// FIFO is position 0 and every tie breaks toward the earlier position).
+/// Used only by the reference loop; the indexed queue reproduces these
+/// semantics without the scan.
+fn policy_pick(policy: AdmissionPolicy, requests: &[ServingRequest], queue: &[usize]) -> usize {
+    match policy {
+        AdmissionPolicy::Fifo => 0,
+        AdmissionPolicy::Priority => queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &idx)| requests[idx].sla.priority())
+            .map(|(pos, _)| pos)
+            .expect("queue is non-empty"),
+        AdmissionPolicy::EarliestDeadline => queue
+            .iter()
+            .enumerate()
+            .min_by(|(_, &a), (_, &b)| {
+                let da = requests[a].arrival + requests[a].sla.deadline_seconds();
+                let db = requests[b].arrival + requests[b].sla.deadline_seconds();
+                da.total_cmp(&db)
+            })
+            .map(|(pos, _)| pos)
+            .expect("queue is non-empty"),
     }
 }
 
@@ -1617,7 +1581,7 @@ impl DispatchEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HidpStrategy;
+    use crate::{FleetRequest, FleetScenario, HidpStrategy};
     use hidp_platform::{presets, PlatformError};
     use hidp_sim::{SimError, TaskCost};
 
@@ -1795,21 +1759,66 @@ mod tests {
     }
 
     #[test]
-    fn zero_inflight_window_is_clamped_to_one() {
-        // Some(0) could never admit; it must behave exactly like Some(1)
-        // instead of deadlocking or panicking.
+    fn zero_batch_and_window_run_as_one_on_every_tier() {
+        // A batch limit of 0 or a window of Some(0) could never admit; each
+        // must behave exactly like 1 instead of deadlocking or panicking, in
+        // both serving modes and on every cluster of a fleet.
         let cluster = presets::paper_cluster();
+        let fleet = presets::generated_fleet(3, 2).unwrap();
         let strategy = HidpStrategy::new();
-        let requests = burst(WorkloadModel::EfficientNetB0, 0.0, 3, SlaClass::Standard);
-        let zero = ServingScenario::new(requests.clone())
-            .with_max_inflight(Some(0))
-            .run(&strategy, &cluster, NodeIndex(1))
-            .unwrap();
-        let one = ServingScenario::new(requests)
-            .with_max_inflight(Some(1))
-            .run(&strategy, &cluster, NodeIndex(1))
-            .unwrap();
-        assert_eq!(zero, one);
+        let leader = NodeIndex(1);
+        // Same-model bursts that a batch limit above 1 would coalesce.
+        let mut requests = burst(WorkloadModel::EfficientNetB0, 0.0, 6, SlaClass::Standard);
+        requests.extend(burst(
+            WorkloadModel::InceptionV3,
+            0.01,
+            3,
+            SlaClass::Premium,
+        ));
+        let regional: Vec<FleetRequest> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, &request)| FleetRequest::new(request, i % 2))
+            .collect();
+        // (max_batch, max_inflight) as set, and the value it must run as.
+        let table = [
+            ((0, None), (1, None)),
+            ((1, Some(0)), (1, Some(1))),
+            ((0, Some(0)), (1, Some(1))),
+        ];
+        for ((batch, window), (batch_as, window_as)) in table {
+            let serving = |b, w| {
+                ServingScenario::new(requests.clone())
+                    .with_max_batch(b)
+                    .with_max_inflight(w)
+            };
+            let (set, ran_as) = (serving(batch, window), serving(batch_as, window_as));
+            let records = |s: &ServingScenario| s.run(&strategy, &cluster, leader).unwrap();
+            assert_eq!(
+                records(&set),
+                records(&ran_as),
+                "records {batch} {window:?}"
+            );
+            let streaming =
+                |s: &ServingScenario| s.run_streaming(&strategy, &cluster, leader).unwrap();
+            assert_eq!(
+                streaming(&set),
+                streaming(&ran_as),
+                "streaming {batch} {window:?}"
+            );
+            let fleet_run = |b, w| {
+                FleetScenario::new(regional.clone())
+                    .with_max_batch(b)
+                    .with_max_inflight(w)
+                    .run_streaming(&strategy, &fleet, leader)
+                    .unwrap()
+            };
+            assert_eq!(
+                fleet_run(batch, window),
+                fleet_run(batch_as, window_as),
+                "fleet {batch} {window:?}"
+            );
+        }
     }
 
     #[test]
@@ -1838,15 +1847,11 @@ mod tests {
 
     #[test]
     fn builders_clamp_and_label() {
+        // The batch and window clamps are behavioural, checked by
+        // `zero_batch_and_window_run_as_one_on_every_tier`.
         let scenario = ServingScenario::new(vec![ServingRequest::new(WorkloadModel::Vgg19, 0.0)])
-            .with_label("svc")
-            .with_max_batch(0)
-            .with_config(ServingConfig {
-                max_batch: 0,
-                ..ServingConfig::default()
-            });
+            .with_label("svc");
         assert_eq!(scenario.label(), "svc");
-        assert_eq!(scenario.config().max_batch, 1);
         assert_eq!(scenario.len(), 1);
         assert!(!scenario.is_empty());
         assert_eq!(

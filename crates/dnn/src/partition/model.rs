@@ -41,11 +41,6 @@ impl LayerBlock {
     pub fn is_empty(&self) -> bool {
         self.last < self.first
     }
-
-    /// Node ids covered by this block.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (self.first..=self.last).map(NodeId)
-    }
 }
 
 /// A complete model-wise partition: an ordered pipeline of [`LayerBlock`]s

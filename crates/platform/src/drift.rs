@@ -17,7 +17,7 @@
 //! only.
 
 use crate::error::PlatformError;
-use crate::faultplan::SlowdownWindow;
+use crate::faultplan::{validate_span, SlowdownWindow};
 use crate::node::NodeIndex;
 use serde::{Deserialize, Serialize};
 
@@ -64,23 +64,7 @@ impl ThrottleWindow {
     /// Returns [`PlatformError::InvalidParameter`] describing the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), PlatformError> {
-        if !(self.start.is_finite() && self.start >= 0.0 && self.end.is_finite()) {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "throttle window times must be finite and non-negative \
-                     (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
-        if self.start >= self.end {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "throttle window must be non-empty (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
+        validate_span("throttle window", self.start, self.end)?;
         for (name, f) in [("from", self.from_factor), ("to", self.to_factor)] {
             if !(f.is_finite() && f >= 1.0) {
                 return Err(PlatformError::InvalidParameter {
@@ -120,23 +104,7 @@ impl BandwidthContention {
     /// Returns [`PlatformError::InvalidParameter`] describing the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), PlatformError> {
-        if !(self.start.is_finite() && self.start >= 0.0 && self.end.is_finite()) {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "contention window times must be finite and non-negative \
-                     (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
-        if self.start >= self.end {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "contention window must be non-empty (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
+        validate_span("contention window", self.start, self.end)?;
         if !(self.factor.is_finite() && self.factor >= 1.0) {
             return Err(PlatformError::InvalidParameter {
                 what: format!("contention factor must be ≥ 1 (got {})", self.factor),

@@ -46,23 +46,7 @@ impl SlowdownWindow {
     /// Returns [`PlatformError::InvalidParameter`] describing the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), PlatformError> {
-        if !(self.start.is_finite() && self.start >= 0.0 && self.end.is_finite()) {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "slowdown window times must be finite and non-negative \
-                     (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
-        if self.start >= self.end {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "slowdown window must be non-empty (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
+        validate_span("slowdown window", self.start, self.end)?;
         if !(self.factor.is_finite() && self.factor > 0.0) {
             return Err(PlatformError::InvalidParameter {
                 what: format!("slowdown factor must be positive (got {})", self.factor),
@@ -100,23 +84,7 @@ impl WanDegradation {
     /// Returns [`PlatformError::InvalidParameter`] describing the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), PlatformError> {
-        if !(self.start.is_finite() && self.start >= 0.0 && self.end.is_finite()) {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "WAN degradation times must be finite and non-negative \
-                     (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
-        if self.start >= self.end {
-            return Err(PlatformError::InvalidParameter {
-                what: format!(
-                    "WAN degradation window must be non-empty (got [{}, {}))",
-                    self.start, self.end
-                ),
-            });
-        }
+        validate_span("WAN degradation window", self.start, self.end)?;
         if !(self.factor.is_finite() && self.factor > 0.0) {
             return Err(PlatformError::InvalidParameter {
                 what: format!(
@@ -127,6 +95,22 @@ impl WanDegradation {
         }
         Ok(())
     }
+}
+
+/// Rejects the span `[start, end)` of a `noun` (say, "slowdown window")
+/// unless both times are finite, `start` is non-negative and `start < end`.
+pub(crate) fn validate_span(noun: &str, start: f64, end: f64) -> Result<(), PlatformError> {
+    if !(start.is_finite() && start >= 0.0 && end.is_finite()) {
+        return Err(PlatformError::InvalidParameter {
+            what: format!("{noun} times must be finite and non-negative (got [{start}, {end}))"),
+        });
+    }
+    if start >= end {
+        return Err(PlatformError::InvalidParameter {
+            what: format!("{noun} must be non-empty (got [{start}, {end}))"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

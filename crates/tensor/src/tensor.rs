@@ -145,11 +145,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its underlying data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Converts a multi-dimensional index to a flat offset.
     fn flat_index(&self, index: &[usize]) -> Result<usize> {
         if index.len() != self.shape.len() {

@@ -1,12 +1,8 @@
 //! Inference requests: the unit of work HiDP schedules.
 
-use hidp_core::{
-    CoreError, DistributedStrategy, Evaluation, PlanCache, Scenario, ServingRequest,
-    ServingScenario, SlaClass,
-};
+use hidp_core::{Scenario, ServingRequest, ServingScenario, SlaClass};
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
-use hidp_platform::{Cluster, NodeIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -99,25 +95,6 @@ impl InferenceRequest {
     /// builder methods.
     pub fn to_serving_scenario(requests: &[InferenceRequest]) -> ServingScenario {
         ServingScenario::new(Self::to_serving(requests))
-    }
-
-    /// Plans and simulates a request stream against a shared [`PlanCache`],
-    /// so repeated models — the common case for generated streams, which
-    /// cycle or draw from a small model set — are planned once across all
-    /// evaluations using the same cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `requests` is empty or planning/simulation
-    /// fails.
-    pub fn evaluate_stream(
-        requests: &[InferenceRequest],
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
-    ) -> Result<Evaluation, CoreError> {
-        Self::to_scenario(requests).run_with_cache(strategy, cluster, leader, cache)
     }
 }
 

@@ -57,6 +57,10 @@ pub use hidp_core::{AdmissionPolicy, ServingConfig, ServingEvaluation, ServingSc
 /// re-exported for convenience.
 pub use hidp_core::{FleetRequest, FleetScenario, RoutingPolicy};
 
+/// The six knobs every cluster loop runs under, on both serving tiers,
+/// re-exported for convenience.
+pub use hidp_core::ClusterLoopConfig;
+
 /// The one summary a streaming serving run and a fleet run both return,
 /// re-exported for convenience.
 pub use hidp_core::RunSummary;

@@ -6,7 +6,7 @@
 //! [`ServingScenario::run_reference`] (the frozen O(n) scan) differ *only*
 //! in the queue data structure, so full-result equality pins that structure.
 
-use hidp::core::{AdmissionPolicy, ServingConfig, ServingRequest, ServingScenario, SlaClass};
+use hidp::core::{AdmissionPolicy, ServingRequest, ServingScenario, SlaClass};
 use hidp::platform::{presets, ClusterTimeline, NodeIndex};
 use hidp::{HidpStrategy, WorkloadModel};
 use proptest::prelude::*;
@@ -55,13 +55,13 @@ fn random_scenario(rng: &mut StdRng) -> ServingScenario {
             .node_up(down + rng.gen_range(0.05..0.4f64), node)
             .unwrap();
     }
-    ServingScenario::new(requests).with_config(ServingConfig {
-        policy,
-        max_batch: rng.gen_range(1..5usize),
-        max_inflight,
-        timeline,
-        ..ServingConfig::default()
-    })
+    // Drawn after the timeline: the draw order fixes each seed's scenario.
+    let max_batch = rng.gen_range(1..5usize);
+    ServingScenario::new(requests)
+        .with_policy(policy)
+        .with_max_batch(max_batch)
+        .with_max_inflight(max_inflight)
+        .with_timeline(timeline)
 }
 
 proptest! {
